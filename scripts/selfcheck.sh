@@ -2,5 +2,6 @@
 # Quick health check: CLI self-test plus the full pytest suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 python3 -m ringres.cli selfcheck --seed "${1:-0}"
 python3 -m pytest -q

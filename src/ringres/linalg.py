@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .poly import NonInvertibleLeadingCoeffError, Poly
-from .ring import Zmod
+from .ring import Zmod, _ext_gcd
 
 
 @dataclass(frozen=True)
@@ -133,25 +133,13 @@ def _echelon_insert(n, pivots, row, trans):
             row = [(y - q * x) % n for x, y in zip(prow, row)]
             trans = [(y - q * x) % n for x, y in zip(ptrans, trans)]
         else:
-            _, s, t = _ext_gcd3(a, b)
+            _, s, t = _ext_gcd(a, b)
             new_p = [(s * x + t * y) % n for x, y in zip(prow, row)]
             new_pt = [(s * x + t * y) % n for x, y in zip(ptrans, trans)]
             row = [((b // g) * x - (a // g) * y) % n for x, y in zip(prow, row)]
             trans = [((b // g) * x - (a // g) * y) % n
                      for x, y in zip(ptrans, trans)]
             pivots[j] = (new_p, new_pt)
-
-
-def _ext_gcd3(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def _howell_core(ring: Zmod, rows):

@@ -450,6 +450,23 @@ def crt_poly(R, R1, p1: Poly, R2, p2: Poly) -> Poly:
     return Poly(R, out)
 
 
+def split_crt(R, a, fn):
+    """fn over both factor rings of R.split(a), recombined by CRT.
+
+    fn returns a ring element, a Poly, None, or a tuple of these.
+    """
+    R1, R2 = R.split(a)
+
+    def crt(x1, x2):
+        if isinstance(x1, tuple):
+            return tuple(map(crt, x1, x2))
+        if isinstance(x1, Poly):
+            return crt_poly(R, R1, x1, R2, x2)
+        return None if x1 is None else R.crt(R1, x1, R2, x2)
+
+    return crt(fn(R1), fn(R2))
+
+
 def divrem_primitive(f: Poly, g: Poly):
     """(q, r) with f = q*g + r, deg r < deg g, for primitive g != 0."""
     R = f.ring
@@ -463,7 +480,5 @@ def divrem_primitive(f: Poly, g: Poly):
         q0, r = divrem(f, fac.gtilde)
         return q0 * invert_unit(fac.u), r
     # a is splitting: recurse over the factor rings and recombine
-    R1, R2 = R.split(a)
-    q1, r1 = divrem_primitive(f.map_ring(R1), g.map_ring(R1))
-    q2, r2 = divrem_primitive(f.map_ring(R2), g.map_ring(R2))
-    return crt_poly(R, R1, q1, R2, q2), crt_poly(R, R1, r1, R2, r2)
+    return split_crt(
+        R, a, lambda Rb: divrem_primitive(f.map_ring(Rb), g.map_ring(Rb)))

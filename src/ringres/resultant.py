@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import (NeedsSplitError, Poly, content, crt_poly, divide_by_scalar,
-                   divrem, fun_factor, invert_unit, is_primitive, reciprocal,
-                   top_non_nilpotent)
+from .poly import (Poly, content, divide_by_scalar, divrem, fun_factor,
+                   invert_unit, reciprocal, split_crt, top_non_nilpotent)
 
 
 # ---------------------------------------------------------------------------
-# ppa: reduction to a primitive pair
+# ppa: one content-reduction step
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -31,16 +30,24 @@ class SplitElem:
 
 @dataclass(frozen=True)
 class Reduced:
+    """Rres(f0, g0) = c * Rres_{R/Ann(c)}(f, g) for the pair (f0, g0) given
+    to ppa, taken in reverse order when swapped.
+
+    (f0, g0) == (c*f, c*g) when unit is None, else (c*f, unit*g) with unit a
+    unit of R[x].
+    """
     c: object
     f: Poly
     g: Poly
+    unit: Poly | None = None
+    swapped: bool = False
 
 
 def ppa(f: Poly, g: Poly):
-    """Primitive-pair reduction.
+    """One primitive-pair reduction step on nonconstant f, g.
 
-    Returns SplitElem(a) when a ring split is required, else Reduced(c, f1, g1)
-    with f1, g1 primitive and Rres(f, g) = c * Rres_{R/Ann(c)}(f1, g1).
+    Returns SplitElem(a) when a ring split is required, else a Reduced, which
+    is Reduced(1, f, g) exactly when both inputs are primitive.
     """
     R = f.ring
     cf, cg = content(f), content(g)
@@ -52,114 +59,23 @@ def ppa(f: Poly, g: Poly):
         return SplitElem(cg)
     if R.is_nilpotent(cf) and R.is_nilpotent(cg):
         d = R.gcd_bezout(cf, cg)[0]
-        sub = ppa(divide_by_scalar(f, d), divide_by_scalar(g, d))
-        if isinstance(sub, SplitElem):
-            return sub
-        return Reduced(R.mul(d, sub.c), sub.f, sub.g)
+        return Reduced(d, divide_by_scalar(f, d), divide_by_scalar(g, d))
     # exactly one content is nilpotent; arrange it on f
-    if not R.is_nilpotent(cf):
-        f, g = g, f
-        cf = cg
+    swapped = not R.is_nilpotent(cf)
+    if swapped:
+        f, g, cf = g, f, cg
     i, a = top_non_nilpotent(g)
     if not R.is_unit(a):
         return SplitElem(a)
     fac = fun_factor(g)
     if fac.gtilde.degree == 0:
         # g is a unit of R[x], so (f, g) = (1) regardless of f's content
-        return Reduced(R.one, f, Poly.one(R))
-    sub = ppa(divide_by_scalar(f, cf), fac.gtilde)
-    if isinstance(sub, SplitElem):
-        return sub
-    return Reduced(R.mul(cf, sub.c), sub.f, sub.g)
+        return Reduced(R.one, f, fac.gtilde, fac.u, swapped)
+    return Reduced(cf, divide_by_scalar(f, cf), fac.gtilde, fac.u, swapped)
 
 
 # ---------------------------------------------------------------------------
-# reduced resultant
-# ---------------------------------------------------------------------------
-
-def _rres0(f: Poly):
-    """Generator of the contraction (f) ∩ R."""
-    R = f.ring
-    if f.is_zero():
-        return R.zero
-    if f.degree == 0:
-        return f.coeffs[0]
-    c = content(f)
-    if R.is_splitting(c):
-        return _split_crt_elem(R, c, lambda Rb: _rres0(f.map_ring(Rb)))
-    h = f if R.is_unit(c) else divide_by_scalar(f, c)
-    if R.is_unit(c):
-        c = R.one
-    ch = content(h)
-    if R.is_splitting(ch):
-        return _split_crt_elem(R, ch, lambda Rb: _rres0(f.map_ring(Rb)))
-    i, a = top_non_nilpotent(h)
-    if R.is_splitting(a):
-        return _split_crt_elem(R, a, lambda Rb: _rres0(f.map_ring(Rb)))
-    fac = fun_factor(h)
-    if fac.gtilde.degree == 0:
-        return c  # f is c times a unit of R[x]
-    return R.zero  # a monic factor of positive degree blocks constants
-
-
-def _split_crt_elem(R, a, branch_fn):
-    R1, R2 = R.split(a)
-    return R.crt(R1, branch_fn(R1), R2, branch_fn(R2))
-
-
-def _rres(f: Poly, g: Poly):
-    # Iterative main loop (the Euclidean chain can be as long as the input
-    # degree); splits and quotient-ring recursions stay recursive but their
-    # depth is bounded by the factor structure of the modulus.
-    R = f.ring
-    mult = R.one
-    while True:
-        if f.degree < g.degree:
-            f, g = g, f
-        if f.degree <= 0:
-            a = f.coeffs[0] if f.coeffs else R.zero
-            b = g.coeffs[0] if g.coeffs else R.zero
-            return R.mul(mult, R.gcd_bezout(a, b)[0])
-        if g.degree <= 0:
-            c = g.coeffs[0] if g.coeffs else R.zero
-            Rq = R.quotient_by(c)
-            r0 = _rres0(f.map_ring(Rq))
-            return R.mul(mult, R.gcd_bezout(c, R.coerce(r0))[0])
-        out = ppa(f, g)
-        if isinstance(out, SplitElem):
-            fb, gb = f, g
-            return R.mul(mult, _split_crt_elem(
-                R, out.element,
-                lambda Rb: Rb.coerce(_rres(fb.map_ring(Rb), gb.map_ring(Rb)))))
-        c, f1, g1 = out.c, out.f, out.g
-        if not R.is_unit(c):
-            Rq = R.ann_quotient(c)
-            rq = _rres(f1.map_ring(Rq), g1.map_ring(Rq))
-            return R.mul(mult, R.mul(c, R.coerce(rq)))
-        if f1.degree < g1.degree:
-            f1, g1 = g1, f1
-        if g1.degree <= 0:
-            mult = R.mul(mult, c)
-            f, g = f1, g1
-            continue
-        i, a = top_non_nilpotent(g1)
-        if R.is_splitting(a):
-            return R.mul(mult, R.mul(c, _split_crt_elem(
-                R, a,
-                lambda Rb: Rb.coerce(_rres(f1.map_ring(Rb), g1.map_ring(Rb))))))
-        fac = fun_factor(g1)
-        q, r = divrem(f1, fac.gtilde)
-        mult = R.mul(mult, c)
-        f, g = fac.gtilde, r
-
-
-def rres(f: Poly, g: Poly):
-    """Canonical generator of the reduced resultant ideal (f, g) ∩ R."""
-    return f.ring.ideal_gen(_rres(f, g))
-
-
-# ---------------------------------------------------------------------------
-# reduced resultant with Bezout certificate
+# reduced resultant, with or without a Bezout certificate
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -180,126 +96,138 @@ def _reduce_cofactors(f, g, r, u, v):
     return r, u, v
 
 
-def _rres0_bezout(f: Poly):
-    """(r, s) with s*f == r in R[x] and (r) = (f) ∩ R."""
+def _rres0(f: Poly, bezout: bool):
+    """(r, s) with (r) = (f) ∩ R and s*f == r; s is None unless bezout."""
     R = f.ring
     if f.is_zero():
-        return R.zero, Poly.zero(R)
+        return R.zero, Poly.zero(R) if bezout else None
     if f.degree == 0:
-        return f.coeffs[0], Poly.one(R)
+        return f.coeffs[0], Poly.one(R) if bezout else None
 
-    def split_on(a):
-        R1, R2 = R.split(a)
-        r1, s1 = _rres0_bezout(f.map_ring(R1))
-        r2, s2 = _rres0_bezout(f.map_ring(R2))
-        return R.crt(R1, r1, R2, r2), crt_poly(R, R1, s1, R2, s2)
+    def split(a):
+        return split_crt(R, a, lambda Rb: _rres0(f.map_ring(Rb), bezout))
 
     c = content(f)
     if R.is_splitting(c):
-        return split_on(c)
-    h = f if R.is_unit(c) else divide_by_scalar(f, c)
+        return split(c)
     if R.is_unit(c):
-        c = R.one
+        c, h = R.one, f
+    else:
+        h = divide_by_scalar(f, c)
     ch = content(h)
     if R.is_splitting(ch):
-        return split_on(ch)
+        return split(ch)
     i, a = top_non_nilpotent(h)
     if R.is_splitting(a):
-        return split_on(a)
-    fac = fun_factor(h)
-    if fac.gtilde.degree == 0:
-        s = invert_unit(h)
-        return c, s  # s*f == c*(h^{-1} h) == c
-    return R.zero, Poly.zero(R)
+        return split(a)
+    if i > 0:
+        # fun_factor(h) has a monic factor of degree i, which blocks constants
+        return R.zero, Poly.zero(R) if bezout else None
+    return c, invert_unit(h) if bezout else None  # s*f == c*(h^{-1} h) == c
 
 
-def _rres_bezout(f: Poly, g: Poly):
-    """(r, u, v) with u*f + v*g == r exactly and (r) = Rres(f, g)."""
+def _rres_const(f: Poly, g: Poly, bezout: bool):
+    """_rres for a constant or zero g with deg f >= deg g."""
     R = f.ring
-    if f.degree < g.degree:
-        r, u, v = _rres_bezout(g, f)
-        return r, v, u
+    c = g.coeffs[0] if g.coeffs else R.zero
     if f.degree <= 0:
-        a = f.coeffs[0] if f.coeffs else R.zero
-        b = g.coeffs[0] if g.coeffs else R.zero
-        r, s, t = R.gcd_bezout(a, b)
+        r, s, t = R.gcd_bezout(f.coeffs[0] if f.coeffs else R.zero, c)
+        if not bezout:
+            return r, None, None
         return r, Poly.const(R, s), Poly.const(R, t)
-    if g.degree <= 0:
-        c = g.coeffs[0] if g.coeffs else R.zero
-        Rq = R.quotient_by(c)
-        r0, s0 = _rres0_bezout(f.map_ring(Rq))
-        s = s0.map_ring(R)
-        P = s * f
-        r0l = R.coerce(r0)
-        if R.is_zero(c):
-            assert P == Poly.const(R, r0l), "exact contraction witness expected"
-            w = Poly.zero(R)
-        else:
-            w = divide_by_scalar(P - Poly.const(R, r0l), c)
-        rg, sig, tau = R.gcd_bezout(c, r0l)
-        u = s.scale(tau)
-        v = Poly.const(R, sig) - w.scale(tau)
-        return _reduce_cofactors(f, g, rg, u, v)
+    r0, s0 = _rres0(f.map_ring(R.quotient_by(c)), bezout)
+    r0 = R.coerce(r0)
+    r, sig, tau = R.gcd_bezout(c, r0)
+    if not bezout:
+        return r, None, None
+    s = s0.map_ring(R)
+    P = s * f
+    if R.is_zero(c):
+        if P != Poly.const(R, r0):
+            raise ArithmeticError("exact contraction witness expected")
+        w = Poly.zero(R)
+    else:
+        w = divide_by_scalar(P - Poly.const(R, r0), c)
+    u = s.scale(tau)
+    v = Poly.const(R, sig) - w.scale(tau)
+    return _reduce_cofactors(f, g, r, u, v)
 
-    def split_on(a):
-        R1, R2 = R.split(a)
-        r1, u1, v1 = _rres_bezout(f.map_ring(R1), g.map_ring(R1))
-        r2, u2, v2 = _rres_bezout(f.map_ring(R2), g.map_ring(R2))
-        return (R.crt(R1, r1, R2, r2),
-                crt_poly(R, R1, u1, R2, u2),
-                crt_poly(R, R1, v1, R2, v2))
 
-    cf, cg = content(f), content(g)
-    if R.is_splitting(cf):
-        return split_on(cf)
-    if R.is_splitting(cg):
-        return split_on(cg)
-    fu, gu = R.is_unit(cf), R.is_unit(cg)
-    if not fu and not gu:
-        d = R.gcd_bezout(cf, cg)[0]
-        f1, g1 = divide_by_scalar(f, d), divide_by_scalar(g, d)
-        Rq = R.ann_quotient(d)
-        r0, u0, v0 = _rres_bezout(f1.map_ring(Rq), g1.map_ring(Rq))
-        r = R.mul(d, R.coerce(r0))
-        return _reduce_cofactors(f, g, r, u0.map_ring(R), v0.map_ring(R))
-    if not fu or not gu:
-        # exactly one content is nilpotent; fn carries it, gp is primitive
-        fn, cn, gp = (f, cf, g) if not fu else (g, cg, f)
-        i, a = top_non_nilpotent(gp)
+def _rres_reduced(f: Poly, g: Poly, red: Reduced, bezout: bool):
+    """_rres from ppa(f, g) == red when red.c is not a unit or red.unit is set."""
+    R = f.ring
+    if red.g.degree == 0:
+        # g0 == red.unit is a unit of R[x]; its inverse witnesses (1)
+        if not bezout:
+            return R.one, None, None
+        r, u, v = R.one, Poly.zero(R), invert_unit(red.unit)
+    else:
+        Rq = R.ann_quotient(red.c)
+        r0, u, v = _rres(red.f.map_ring(Rq), red.g.map_ring(Rq), bezout)
+        r = R.mul(red.c, R.coerce(r0))
+        if not bezout:
+            return r, None, None
+        u, v = u.map_ring(R), v.map_ring(R)
+        if red.unit is not None:
+            v = v.scale(red.c) * invert_unit(red.unit)
+    if red.swapped:
+        u, v = v, u
+    return _reduce_cofactors(f, g, r, u, v)
+
+
+def _rres(f: Poly, g: Poly, bezout: bool):
+    """(r, u, v) with (r) = (f, g) ∩ R and u*f + v*g == r; u, v are None
+    unless bezout.
+
+    The Euclidean chain can be as long as the input degree, so it is a loop:
+    with bezout, each division step is recorded and the cofactors are lifted
+    through the steps in reverse.  Splits and quotient-ring recursions stay
+    recursive; their depth is bounded by the factor structure of the modulus.
+    """
+    R = f.ring
+    steps = []
+    while True:
+        swapped = f.degree < g.degree
+        if swapped:
+            f, g = g, f
+        if g.degree <= 0:
+            r, u, v = _rres_const(f, g, bezout)
+            break
+        red = ppa(f, g)
+        if isinstance(red, Reduced) and (red.unit is not None
+                                         or not R.is_unit(red.c)):
+            r, u, v = _rres_reduced(f, g, red, bezout)
+            break
+        a = red.element if isinstance(red, SplitElem) else top_non_nilpotent(g)[1]
         if R.is_splitting(a):
-            return split_on(a)
-        fac = fun_factor(gp)
-        if fac.gtilde.degree == 0:
-            # gp is a unit of R[x]: gp^{-1} * gp = 1 witnesses Rres = (1)
-            w = invert_unit(gp)
-            if not fu:
-                return _reduce_cofactors(f, g, R.one, Poly.zero(R), w)
-            return _reduce_cofactors(f, g, R.one, w, Poly.zero(R))
-        f1 = divide_by_scalar(fn, cn)
-        Rq = R.ann_quotient(cn)
-        r0, u0, v0 = _rres_bezout(f1.map_ring(Rq), fac.gtilde.map_ring(Rq))
-        r = R.mul(cn, R.coerce(r0))
-        un = u0.map_ring(R)
-        vp = v0.map_ring(R).scale(cn) * invert_unit(fac.u)
-        if not fu:
-            return _reduce_cofactors(f, g, r, un, vp)
-        return _reduce_cofactors(f, g, r, vp, un)
-    # both primitive
-    i, a = top_non_nilpotent(g)
-    if R.is_splitting(a):
-        return split_on(a)
-    fac = fun_factor(g)
-    q, rr = divrem(f, fac.gtilde)
-    r0, a0, b0 = _rres_bezout(fac.gtilde, rr)
-    u = b0
-    v = (a0 - b0 * q) * invert_unit(fac.u)
-    return _reduce_cofactors(f, g, r0, u, v)
+            r, u, v = split_crt(
+                R, a, lambda Rb: _rres(f.map_ring(Rb), g.map_ring(Rb), bezout))
+            break
+        # both primitive with an invertible top coefficient: divide
+        fac = fun_factor(g)
+        q, rem = divrem(f, fac.gtilde)
+        if bezout:
+            steps.append((f, g, swapped, q, fac.u))
+        f, g = fac.gtilde, rem
+    if swapped:
+        u, v = v, u
+    for f, g, swapped, q, unit in reversed(steps):
+        # (u, v) certifies (gtilde, rem), and f == q*gtilde + rem, g == unit*gtilde
+        u, v = v, (u - v * q) * invert_unit(unit)
+        r, u, v = _reduce_cofactors(f, g, r, u, v)
+        if swapped:
+            u, v = v, u
+    return r, u, v
+
+
+def rres(f: Poly, g: Poly):
+    """Canonical generator of the reduced resultant ideal (f, g) ∩ R."""
+    return f.ring.ideal_gen(_rres(f, g, bezout=False)[0])
 
 
 def rres_bezout(f: Poly, g: Poly) -> RresCertificate:
     """Reduced resultant with an exact witness u*f + v*g == value."""
-    r, u, v = _rres_bezout(f, g)
-    return RresCertificate(r, u, v)
+    return RresCertificate(*_rres(f, g, bezout=True))
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +242,6 @@ def _split_res(f: Poly, g: Poly, a, ideal_mode):
     symmetrically lc(f)^e (no sign) when only deg g drops, and 0 when both
     degrees drop.
     """
-    R = f.ring
-    R1, R2 = R.split(a)
-
     def branch(Rb):
         fb, gb = f.map_ring(Rb), g.map_ring(Rb)
         if fb.is_zero() or gb.is_zero():
@@ -332,7 +257,7 @@ def _split_res(f: Poly, g: Poly, a, ideal_mode):
             return val
         return Rb.mul(Rb.pow_elem(Rb.coerce(f.lc), e), _res(fb, gb, ideal_mode))
 
-    return R.crt(R1, branch(R1), R2, branch(R2))
+    return split_crt(f.ring, a, branch)
 
 
 def _res_unit(f: Poly, u: Poly, ideal_mode):
@@ -395,7 +320,9 @@ def _res(f: Poly, g: Poly, ideal_mode=False):
                     else:
                         g = p
                     return R.mul(acc, _split_res(f, g, c2, ideal_mode))
-                assert R.is_unit(c2), "content of the primitive part must be a unit"
+                if not R.is_unit(c2):
+                    raise ArithmeticError(
+                        "content of the primitive part must be a unit")
             if first:
                 f = p
             else:

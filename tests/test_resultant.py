@@ -1,6 +1,7 @@
 import random
 
-from ringres import Poly, Zmod, det, res, res_ideal, rres, rres_bezout, sylvester
+from ringres import (GaloisRing, Poly, Zmod, det, find_irreducible, res, res_ideal,
+                     rres, rres_bezout, sylvester)
 from ringres.resultant import Reduced, SplitElem, ppa
 
 from oracles import rres_howell_oracle
@@ -111,6 +112,43 @@ class TestAgainstOracles:
             cert = rres_bezout(f, g)
             assert cert.u * f + cert.v * g == Poly.const(R, cert.value)
             assert R.ideal_gen(cert.value) == rres(f, g)
+
+
+class TestLongEuclideanChain:
+    def test_bezout_certificate_degree_1100(self):
+        # The Euclidean chain has about 1100 steps; a certificate must not
+        # depend on the interpreter's recursion limit.
+        rng = random.Random(108)
+        R = Zmod(10007)
+        f = Poly.from_ints(R, [rng.randrange(R.n) for _ in range(1100)] + [1])
+        g = Poly.from_ints(R, [rng.randrange(R.n) for _ in range(1099)] + [1])
+        cert = rres_bezout(f, g)
+        assert cert.u * f + cert.v * g == Poly.const(R, cert.value)
+        assert R.ideal_gen(cert.value) == rres(f, g)
+
+
+class TestGaloisRings:
+    def rand_elem(self, rng, R):
+        x = tuple(rng.randrange(R.pe) for _ in range(R.k))
+        if rng.random() < 0.5:  # nilpotent coefficients drive content and Hensel steps
+            x = R.mul(x, R.from_int(R.p ** rng.randrange(1, R.e + 1)))
+        return x
+
+    def test_rres_and_certificates(self):
+        rng = random.Random(109)
+        for p, e, k in ((2, 3, 2), (3, 2, 2), (2, 5, 3), (5, 2, 1)):
+            R = GaloisRing(p, e, find_irreducible(p, k))
+            for _ in range(40):
+                f, g = (Poly(R, [self.rand_elem(rng, R)
+                                 for _ in range(rng.randrange(1, 8))])
+                        for _ in range(2))
+                if f.is_zero() or g.is_zero():
+                    continue
+                cert = rres_bezout(f, g)
+                r = rres(f, g)
+                assert cert.u * f + cert.v * g == Poly.const(R, cert.value), (R, f, g)
+                assert R.ideal_gen(cert.value) == r, (R, f, g)
+                assert R.val(r) <= R.val(res(f, g)), (R, f, g)
 
 
 class TestAlgebraicIdentities:
