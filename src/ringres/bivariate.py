@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import GaloisRing, Zmod, find_irreducible
+from .ring import GaloisRing, InvariantError, Zmod, find_irreducible
 from .poly import Poly, crt_poly
 from .resultant import res
 
@@ -175,7 +175,8 @@ def _restrict_galois(gr: GaloisRing, p: Poly) -> Poly:
     base = Zmod(gr.pe)
     out = []
     for c in p.coeffs:
-        assert all(x == 0 for x in c[1:]), "resultant left the base ring"
+        if any(c[1:]):
+            raise InvariantError("resultant left the base ring")
         out.append(base.from_int(c[0]))
     return Poly(base, out)
 
@@ -207,5 +208,6 @@ def res_y(f: BiPoly, g: BiPoly) -> Poly:
         combined = Zmod(ring.n * ring2.n)
         acc = crt_poly(combined, ring, acc, ring2, piece)
         ring = combined
-    assert ring.n == R.n
+    if ring.n != R.n:
+        raise InvariantError("interpolation branches do not cover the modulus")
     return acc.map_ring(R)

@@ -18,7 +18,7 @@ import random
 import sys
 import time
 
-from .ring import Zmod
+from .ring import GaloisRing, Zmod
 from .poly import (
     Poly,
     divrem,
@@ -262,6 +262,23 @@ def _selfcheck_cases(seed: int):
               and cert.u * f + cert.v * g == Poly.const(R, cert.value)
               and R.ideal_gen(cert.value) == r)
         yield ("rres=howell", (n, f.coeffs, g.coeffs), ok)
+    # polynomial products against an inline schoolbook
+    def rand_elem(R):
+        if isinstance(R, Zmod):
+            return rng.randrange(R.n)
+        return tuple(rng.randrange(R.pe) for _ in range(R.k))
+
+    for R in (Zmod(2**127 - 1), GaloisRing(3, 20, (2, 2, 1))):
+        for _ in range(20):
+            a = [rand_elem(R) for _ in range(rng.randrange(1, 40))]
+            b = a if rng.random() < 0.25 else [rand_elem(R) for _ in range(rng.randrange(1, 40))]
+            slow = [R.zero] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    slow[i + j] = R.add(slow[i + j], R.mul(x, y))
+            f = Poly(R, a)
+            prod = f * f if b is a else f * Poly(R, b)
+            yield ("mul=schoolbook", (str(R), len(a), len(b)), prod == Poly(R, slow))
     # bivariate pointwise specialization against univariate resultants
     from .bivariate import degree_bound
     for _ in range(20):

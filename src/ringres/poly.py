@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as _np
 
-from .ring import ContextMismatchError, NotUnitError
+from .ring import ContextMismatchError, InvariantError, NotUnitError
 
 NO_DEGREE = -1
-
-KARATSUBA_CUTOFF = 32
 
 # Vectorized int64 fast path for Z/n with small n.  Convolution sums are
 # bounded by min(len) * n^2, so n <= 2^25 and operand length <= 4096 keep
@@ -165,7 +163,11 @@ class Poly:
         ):
             prod = _np.convolve(self._as_arr(), other._as_arr())
             return _poly_from_arr(R, prod % R.n)
-        return Poly(R, _mul_coeffs(R, a, b))
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            return Poly(R, [R.mul(a[0], y) for y in b])
+        return Poly(R, _ks_mul(R, a, b))
 
     def scale(self, c):
         R = self.ring
@@ -196,43 +198,37 @@ class Poly:
         return ",".join(self.ring.format_elem(c) for c in self.coeffs)
 
 
-def _mul_coeffs(R, a, b):
-    if (
-        _vec_ring(R)
-        and max(len(a), len(b)) >= _VEC_LEN_MIN
-        and min(len(a), len(b)) <= _VEC_LEN_MAX
-    ):
-        prod = _np.convolve(
-            _np.array(a, dtype=_np.int64), _np.array(b, dtype=_np.int64)
-        )
-        return (prod % R.n).tolist()
-    if min(len(a), len(b)) <= KARATSUBA_CUTOFF:
-        out = [R.zero] * (len(a) + len(b) - 1)
-        zero = R.zero
-        for i, x in enumerate(a):
-            if x != zero:
-                for j, y in enumerate(b):
-                    out[i + j] = R.add(out[i + j], R.mul(x, y))
-        return out
-    h = min(len(a), len(b)) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _mul_coeffs(R, a0, b0)
-    z2 = _mul_coeffs(R, a1, b1)
-    asum = [R.add(x, y) for x, y in zip(a0, a1)] + list(a1[len(a0):]) + list(a0[len(a1):])
-    bsum = [R.add(x, y) for x, y in zip(b0, b1)] + list(b1[len(b0):]) + list(b0[len(b1):])
-    z1 = _mul_coeffs(R, asum, bsum)
-    out = [R.zero] * (len(a) + len(b) - 1)
-    for i, c in enumerate(z0):
-        out[i] = R.add(out[i], c)
-        if i + h < len(out):
-            out[i + h] = R.sub(out[i + h], c)
-    for i, c in enumerate(z1):
-        out[i + h] = R.add(out[i + h], c)
-    for i, c in enumerate(z2):
-        out[i + h] = R.sub(out[i + h], c)
-        out[i + 2 * h] = R.add(out[i + 2 * h], c)
-    return out
+def _ks_mul(R, a, b):
+    """Coefficients of a*b by Kronecker substitution: pack each operand into
+    one int in w-byte slots, multiply once, unpack and reduce each slot.
+
+    Over a Galois ring every coefficient is a polynomial in t of degree < k
+    and takes 2k-1 slots, room for its product before reduction mod lam.
+    A slot sums at most min(len) * k products of two entries below q, which
+    w bytes hold.
+    """
+    galois = R.kind == "galois"
+    k, q = (R.k, R.pe) if galois else (1, R.n)
+    w = (min(len(a), len(b)) * k * (q - 1) ** 2).bit_length() // 8 + 1
+    if galois:
+        pad = bytes(w * (k - 1))
+
+        def pack(cs):
+            return int.from_bytes(pad.join(
+                b"".join([c.to_bytes(w, "little") for c in x]) for x in cs), "little")
+    else:
+        def pack(cs):
+            return int.from_bytes(
+                b"".join([c.to_bytes(w, "little") for c in cs]), "little")
+
+    A = pack(a)
+    stride = 2 * k - 1
+    slots = (len(a) + len(b) - 1) * stride
+    buf = (A * A if a is b else A * pack(b)).to_bytes(slots * w, "little")
+    if not galois:
+        return [int.from_bytes(buf[i:i + w], "little") % q for i in range(0, slots * w, w)]
+    vals = [int.from_bytes(buf[i:i + w], "little") for i in range(0, slots * w, w)]
+    return [R.reduce_product(vals[i:i + stride]) for i in range(0, slots, stride)]
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +337,17 @@ def invert_unit(f: Poly) -> Poly:
     R = f.ring
     if not is_unit_poly(f):
         raise NotUnitError("not a unit of R[x]")
-    bound = R.E * max(f.degree, 1) + 1
     v = Poly(R, [R.inv(f.coeffs[0])])
+    if f.degree == 0:
+        return v
+    bound = R.E * f.degree + 1
     two = Poly(R, [R.from_int(2)])
     t = 1
     while t < bound:
         t *= 2
         v = (v * (two - v * f)).mod_xpow(t)
-    assert v * f == Poly.one(R), "unit inversion failed to converge"
+    if v * f != Poly.one(R):
+        raise InvariantError("unit inversion failed to converge")
     return v
 
 
@@ -377,7 +376,8 @@ def invert_mod(u: Poly, f: Poly) -> Poly:
         if divrem(v * u, f)[1] == one:
             break
         v = divrem(v * (two - v * u), f)[1]
-    assert divrem(v * u, f)[1] == one, "modular inversion failed to converge"
+    if divrem(v * u, f)[1] != one:
+        raise InvariantError("modular inversion failed to converge")
     return v
 
 
@@ -402,7 +402,8 @@ def fun_factor(f: Poly) -> FunFactorization:
     if f.is_zero() or not is_primitive(f):
         raise ValueError("fun_factor requires a primitive polynomial")
     top = top_non_nilpotent(f)
-    assert top is not None, "primitive polynomial has a non-nilpotent coefficient"
+    if top is None:
+        raise InvariantError("primitive polynomial without a non-nilpotent coefficient")
     k, a = top
     if not R.is_unit(a):
         raise NeedsSplitError(a)
@@ -431,8 +432,10 @@ def fun_factor(f: Poly) -> FunFactorization:
         c, d2 = divrem(s * b, h)
         s = s - d2
         t = t - t * b - c * g
-    assert f == g * h, "Hensel lifting failed to converge"
-    assert is_unit_poly(g), "unit factor is not a unit of R[x]"
+    if f != g * h:
+        raise InvariantError("Hensel lifting failed to converge")
+    if not is_unit_poly(g):
+        raise InvariantError("unit factor is not a unit of R[x]")
     return FunFactorization(g, h, k)
 
 

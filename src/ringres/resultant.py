@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .ring import InvariantError
 from .poly import (Poly, content, divide_by_scalar, divrem, fun_factor,
                    invert_unit, reciprocal, split_crt, top_non_nilpotent)
 
@@ -144,7 +145,7 @@ def _rres_const(f: Poly, g: Poly, bezout: bool):
     P = s * f
     if R.is_zero(c):
         if P != Poly.const(R, r0):
-            raise ArithmeticError("exact contraction witness expected")
+            raise InvariantError("exact contraction witness expected")
         w = Poly.zero(R)
     else:
         w = divide_by_scalar(P - Poly.const(R, r0), c)
@@ -321,7 +322,7 @@ def _res(f: Poly, g: Poly, ideal_mode=False):
                         g = p
                     return R.mul(acc, _split_res(f, g, c2, ideal_mode))
                 if not R.is_unit(c2):
-                    raise ArithmeticError(
+                    raise InvariantError(
                         "content of the primitive part must be a unit")
             if first:
                 f = p

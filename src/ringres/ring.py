@@ -28,6 +28,10 @@ class NotUnitError(ValueError):
     """Inversion of a non-unit was requested."""
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a bug in ringres, never bad input."""
+
+
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0."""
     old_r, r = a, b
@@ -161,7 +165,8 @@ class Zmod:
         h = pow(a, self.E, self.n)
         n1 = math.gcd(h, self.n)
         n2 = self.n // n1
-        assert n1 > 1 and n2 > 1 and math.gcd(n1, n2) == 1
+        if not (n1 > 1 and n2 > 1 and math.gcd(n1, n2) == 1):
+            raise InvariantError(f"split of {a} mod {self.n} is not coprime")
         return Zmod(n1), Zmod(n2)
 
     def crt(self, r1, a1, r2, a2):
@@ -375,13 +380,18 @@ class GaloisRing:
         return tuple((-x) % q for x in a)
 
     def mul(self, a, b):
-        q = self.pe
-        k = self.k
-        prod = [0] * (2 * k - 1)
+        prod = [0] * (2 * self.k - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     prod[i + j] += x * y
+        return self.reduce_product(prod)
+
+    def reduce_product(self, prod):
+        """Canonical element for the t-polynomial prod (a list of 2k-1 ints,
+        ascending, overwritten): prod mod (lam, p^e)."""
+        q = self.pe
+        k = self.k
         lam = self.lam
         for i in range(2 * k - 2, k - 1, -1):
             c = prod[i] % q
@@ -481,7 +491,8 @@ class GaloisRing:
         while prec < self.e:
             x = self.mul(x, self.sub(two, self.mul(a, x)))
             prec *= 2
-        assert self.mul(a, x) == self.one
+        if self.mul(a, x) != self.one:
+            raise InvariantError("Galois ring inversion failed to converge")
         return x
 
     def try_divide(self, a, b):

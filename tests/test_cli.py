@@ -1,6 +1,8 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 CLI = [sys.executable, "-m", "ringres.cli"]
 
@@ -97,3 +99,23 @@ class TestSelfcheck:
         p = run("selfcheck", "--seed", "5")
         assert p.returncode == 0, p.stdout + p.stderr
         assert p.stdout.startswith("PASS")
+
+
+class TestInvariants:
+    def test_no_asserts_in_src(self):
+        # invariants must survive python -O, which strips assert statements
+        src = Path(__file__).resolve().parent.parent / "src" / "ringres"
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+            assert not found, f"{path.name}: assert at lines {found}"
+
+    def test_broken_invariant_is_3(self, monkeypatch, capsys):
+        from ringres import Poly
+        from ringres.cli import main
+
+        # Truncating every Newton iterate to a constant makes invert_unit's
+        # final check v*f == 1 fail.
+        monkeypatch.setattr(Poly, "mod_xpow", lambda self, t: Poly(self.ring, self.coeffs[:1]))
+        assert main(["inv", "--mod", "8", "1,6"]) == 3
+        assert "InvariantError" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from ringres import (
     crt_poly,
     divrem,
     divrem_primitive,
+    find_irreducible,
     fun_factor,
     invert_mod,
     invert_unit,
@@ -19,7 +20,7 @@ from ringres import (
     is_unit_poly,
     reciprocal,
 )
-from ringres.poly import _mul_coeffs, KARATSUBA_CUTOFF, top_non_nilpotent
+from ringres.poly import top_non_nilpotent
 
 
 def rand_poly(rng, R, max_deg):
@@ -46,18 +47,44 @@ class TestArithmetic:
         assert (f + g) * h == f * h + g * h
         assert f + (-f) == Poly.zero(R)
 
-    def test_karatsuba_matches_schoolbook(self):
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_ring_laws_galois(self, data):
+        R = GaloisRing(3, 4, (2, 2, 1))  # (Z/81)[t]/(t^2+2t+2)
+        elem = st.tuples(*[st.integers(0, R.pe - 1)] * R.k)
+        f, g, h = (Poly(R, data.draw(st.lists(elem, max_size=10))) for _ in range(3))
+        assert f * g == g * f
+        assert (f + g) * h == f * h + g * h
+        assert (f * g) * h == f * (g * h)
+
+    def test_mul_matches_schoolbook(self):
+        rings = [Zmod(n) for n in (997 * 1024, 2**25 + 1, 2**64, 3**40,
+                                   18446744073709551557, 2**607 - 1)]
+        rings += [GaloisRing(p, e, find_irreducible(p, k))
+                  for p, e, k in ((2, 8, 3), (3, 20, 2), (101, 4, 4), (5, 2, 1))]
         rng = random.Random(0)
-        R = Zmod(997 * 1024)
-        for _ in range(20):
-            a = [rng.randrange(R.n) for _ in range(KARATSUBA_CUTOFF * 2 + rng.randrange(40))]
-            b = [rng.randrange(R.n) for _ in range(KARATSUBA_CUTOFF * 2 + rng.randrange(40))]
-            fast = _mul_coeffs(R, a, b)
-            slow = [R.zero] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    slow[i + j] = R.add(slow[i + j], R.mul(x, y))
-            assert list(fast) == slow
+
+        def rand(R, length):
+            if isinstance(R, Zmod):
+                return [rng.randrange(R.n) for _ in range(length)]
+            return [tuple(rng.randrange(R.pe) for _ in range(R.k)) for _ in range(length)]
+
+        def top(R, length):
+            # every entry q-1: the largest sums the packed slots must hold
+            return [R.n - 1 if isinstance(R, Zmod) else (R.pe - 1,) * R.k] * length
+
+        for R in rings:
+            for m in range(1, 60, 4):
+                a = rand(R, rng.randrange(1, 70))
+                shapes = [(rand(R, 1), a), (a, rand(R, 1)), (a, rand(R, m)), (a, a),
+                          (top(R, m), top(R, m + 3))]
+                for x, y in shapes:
+                    slow = [R.zero] * (len(x) + len(y) - 1)
+                    for i, u in enumerate(x):
+                        for j, v in enumerate(y):
+                            slow[i + j] = R.add(slow[i + j], R.mul(u, v))
+                    f, g = Poly(R, x), Poly(R, y)
+                    assert (f * f if x is y else f * g) == Poly(R, slow), (R, len(x), len(y))
 
     def test_eval_and_shift(self):
         R = Zmod(35)
