@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as _np
 
@@ -171,6 +172,8 @@ class Poly:
 
     def scale(self, c):
         R = self.ring
+        if _vec_ring(R) and len(self.coeffs) >= _VEC_LEN_MIN:
+            return _poly_from_arr(R, self._as_arr() * (c % R.n) % R.n)
         return Poly(R, [R.mul(x, c) for x in self.coeffs])
 
     def shift(self, s: int):
@@ -190,6 +193,9 @@ class Poly:
         return acc
 
     def map_ring(self, ring2):
+        if ring2.kind == "zmod" == self.ring.kind:
+            n = ring2.n
+            return Poly(ring2, [c % n for c in self.coeffs])
         return Poly(ring2, [ring2.coerce(c) for c in self.coeffs])
 
     def format(self) -> str:
@@ -294,10 +300,15 @@ def divrem(f: Poly, g: Poly):
     if not R.is_unit(g.lc):
         raise NonInvertibleLeadingCoeffError(
             "divrem requires an invertible leading coefficient")
+    return _divrem(f, g, R.inv(g.lc))
+
+
+def _divrem(f: Poly, g: Poly, winv):
+    """divrem with winv == lc(g)^-1 given."""
+    R = f.ring
     dg = g.degree
     if f.degree < dg:
         return Poly(R, []), f
-    winv = R.inv(g.lc)
     if _vec_ring(R) and dg >= _VEC_LEN_MIN:
         n = R.n
         rem = f._as_arr().copy()
@@ -326,6 +337,229 @@ def divrem(f: Poly, g: Poly):
         for j, gc in enumerate(gcs):
             rem[off + j] = R.sub(rem[off + j], R.mul(qc, gc))
     return Poly(R, q), Poly(R, rem[:dg])
+
+
+# ---------------------------------------------------------------------------
+# Euclidean chains while the divisor's leading coefficient is a unit
+# ---------------------------------------------------------------------------
+
+def _slot_bytes(n: int) -> int:
+    """Bytes per packed slot over Z/n: room for 2*bits(n) + 10 bits."""
+    return (2 * n.bit_length() + 17) // 8
+
+
+@lru_cache(maxsize=64)
+def _layout(n: int):
+    """(w, a, h, m, K, OFF slot) of _Packed over Z/n."""
+    t = n.bit_length()
+    w = _slot_bytes(n)
+    L = t - 1 + 4 * w
+    big = (n - 1) * (3 * n - 1)     # a coefficient times a reduced slot
+    # OFF + big must stay below 2^L, so at most K products per step
+    K = ((1 << L) - 1 - big) // n * n // big
+    off = -(-K * big // n) * n
+    if K < 2 or off < K * big or not big + off < 1 << L <= 1 << 8 * w:
+        raise InvariantError(f"{w}-byte packed slots are too narrow for Z/{n}")
+    return w, t - 1, 4 * w, (1 << L) // n, K, off
+
+
+class _Packed:
+    """Polynomials over Z/n (n >= 2) packed into one int, one w-byte slot per
+    coefficient, ascending, every slot value below 3n.
+
+    A step adds OFF to X and subtracts T, a sum of at most K products of a
+    coefficient below n and a slot.  Each OFF slot is a multiple of n at least
+    as large as any slot of T, so no slot goes negative or borrows, and every
+    slot stays below 2^L, L = bits(n) - 1 + 4w.  The step then reduces every
+    slot at once with one Barrett step: with a = bits(n) - 1, h = 4w and
+    m = 2^L // n, the estimate ((x >> a) * m) >> h is at most 2 below x // n,
+    and both of its factors are below 2^h, so no product spills into the next
+    slot.  OFF, the Barrett mask and the all-ones mask are kept for `slots`
+    slots and grow on demand, so each chain owns its _Packed.
+    """
+
+    def __init__(self, n, slots):
+        self.n = n
+        self.w, self.a, self.h, self.m, self.K, self.off_slot = _layout(n)
+        self.b = 8 * self.w
+        self.slot_mask = (1 << self.b) - 1
+        self._grow(slots)
+
+    def _grow(self, slots):
+        self.slots = slots
+        rep = int.from_bytes((b"\x01" + bytes(self.w - 1)) * slots, "little")
+        self.offs = rep * self.off_slot
+        self.mask = rep * ((1 << self.h) - 1)
+        self.ones = (1 << (self.b * slots)) - 1
+
+    def pack(self, cs):
+        w = self.w
+        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in cs]), "little")
+
+    def unpack(self, X, l, a=None):
+        """The l slots of X, times a unless a is None, reduced mod n."""
+        w, n = self.w, self.n
+        buf = X.to_bytes(l * w, "little")
+        if a is None:
+            return [int.from_bytes(buf[i:i + w], "little") % n for i in range(0, l * w, w)]
+        return [int.from_bytes(buf[i:i + w], "little") * a % n for i in range(0, l * w, w)]
+
+    def submul(self, X, l, Q, Y):
+        """X - Q*Y on l slots, reduced; Q packs at most K coefficients."""
+        if l > self.slots:
+            self._grow(2 * l)
+        X = X + (self.offs >> (self.b * (self.slots - l))) - Q * Y
+        mask = self.mask
+        return X - (((((X >> self.a) & mask) * self.m) >> self.h) & mask) * self.n
+
+    def divrem(self, F, df, G, dg, ci):
+        """(q, R, deg R, lc R) with F == q*G + R; ci == lc(G)^-1, dg >= 1."""
+        n, b, sm, K = self.n, self.b, self.slot_mask, self.K
+        if df == dg + 1:
+            # the usual step, a quotient of degree 1
+            top = F >> (b * (df - 1))
+            q1 = (top >> b) * ci % n
+            q0 = ((top & sm) - q1 * ((G >> (b * (dg - 1))) & sm)) * ci % n
+            q = [q0, q1]
+            F = self.submul(F, df + 1, q0 | (q1 << b), G)
+            df = dg - 1
+            F &= self.ones >> (b * (self.slots - dg))
+        else:
+            hi = df - dg
+            q = [0] * (hi + 1)
+            gt = [(G >> (b * (dg - k))) & sm for k in range(min(K, hi + 1, dg + 1))]
+        while df >= dg:
+            # the top j quotient coefficients, from the top j slots of F
+            j = min(K, hi + 1)
+            ft = [(F >> (b * (df - k))) & sm for k in range(j)]
+            Q = 0
+            for k in range(j):
+                c = q[hi - k] = ft[k] * ci % n
+                Q = (Q << b) | c
+                for i in range(k + 1, min(j, k + len(gt))):
+                    ft[i] -= c * gt[i - k]
+            F = self.submul(F, df + 1, Q << (b * (hi - j + 1)), G)
+            df, hi = df - j, hi - j
+            F &= self.ones >> (b * (self.slots - df - 1))
+        d, c = df, 0
+        while d >= 0:
+            c = ((F >> (b * d)) & sm) % n
+            if c:
+                break
+            d -= 1
+        if d < df:
+            F &= self.ones >> (b * (self.slots - d - 1))
+        return q, F, d, c
+
+    def run(self, f, g, record):
+        """UnitChain's divisions: (steps, quotients if record, stop pair)."""
+        n = self.n
+        F, G, df, dg = self.pack(f.coeffs), self.pack(g.coeffs), f.degree, g.degree
+        c = g.lc
+        steps, quots = [], []
+        while True:
+            ci = pow(c, -1, n)
+            q, X, dr, cr = self.divrem(F, df, G, dg, ci)
+            steps.append((df, dg, dr, c, ci))
+            if record:
+                quots.append(q)
+            F, G, df, dg, c = G, X, dg, dr, cr
+            if dg <= 0 or math.gcd(c, n) != 1:
+                return steps, quots, (F, df, G, dg)
+
+    def cofactor_step(self, U, lu, V, lv, w, qq):
+        """(w*U - qq*V, its slot count), reduced."""
+        l = max(lu, lv + len(qq) - 1)
+        X = w * U
+        for s in range(0, len(qq), self.K):
+            X = self.submul(X, l, self.pack(qq[s:s + self.K]) << (self.b * s), V)
+        return X, l
+
+
+class _PolyOps:
+    """_Packed's operations on Poly values, for rings with no packed form."""
+
+    def __init__(self, R):
+        self.R = R
+
+    def pack(self, cs):
+        return Poly(self.R, cs)
+
+    def unpack(self, X, l, a=None):
+        return X.coeffs if a is None else X.scale(a).coeffs
+
+    def run(self, f, g, record):
+        R = self.R
+        c = g.lc
+        steps, quots = [], []
+        while True:
+            ci = R.inv(c)
+            q, r = _divrem(f, g, ci)
+            steps.append((f.degree, g.degree, r.degree, c, ci))
+            if record:
+                quots.append(q.coeffs)
+            f, g = g, r
+            if g.degree <= 0 or not R.is_unit(g.lc):
+                return steps, quots, (f, f.degree, g, g.degree)
+            c = g.lc
+
+    def cofactor_step(self, U, lu, V, lv, w, qq):
+        X = U.scale(w) - V * Poly(self.R, qq)
+        return X, len(X.coeffs)
+
+
+class UnitChain:
+    """The Euclidean chain of f, g run while the divisor's leading coefficient
+    is a unit; needs deg f >= deg g >= 1 and lc(g) a unit.
+
+    Step i divides f_i by g_i; f_{i+1} = g_i / lc(g_i) and g_{i+1} = f_i mod g_i.
+    The chain stops at the first g_i that is zero, constant or has a non-unit
+    leading coefficient.  The divisions run on the plain chain F_0, G_0 = f, g,
+    F_{i+1} = G_i, G_{i+1} = F_i mod G_i, over Z/n on packed ints (_Packed);
+    then f_i = F_i / c_{i-1} and g_i = G_i / c_{i-2}, with c_i = lc G_i.
+
+    steps holds (deg F_i, deg G_i, deg G_{i+1}, c_i, 1/c_i) per division.
+    """
+
+    def __init__(self, f: Poly, g: Poly, record: bool = False):
+        R = self.ring = f.ring
+        self.ops = _Packed(R.n, f.degree + 2) if R.kind == "zmod" else _PolyOps(R)
+        self.steps, quots, self._stop = self.ops.run(f, g, record)
+        # f_i == q_i * g_i/lc(g_i) + f_i mod g_i with q_i = c_i q / c_{i-1};
+        # the lift needs 1/lc(g_i) = c_{i-2} / c_i and q_i/lc(g_i)
+        self.lifts = []
+        for i, q in enumerate(quots):
+            c2 = self.steps[i - 2][3] if i >= 2 else R.one
+            s = R.mul(c2, self.steps[i - 1][4]) if i >= 1 else c2
+            self.lifts.append((R.mul(c2, self.steps[i][4]), [R.mul(s, x) for x in q]))
+
+    def pair(self, monic: bool):
+        """(f_s, g_s) where the chain stopped; (F_s, G_s) unless monic."""
+        F, df, G, dg = self._stop
+        a = b = None
+        if monic:
+            a = self.steps[-1][4]
+            b = self.steps[-2][4] if len(self.steps) >= 2 else None
+        R, ops = self.ring, self.ops
+        return Poly(R, ops.unpack(F, df + 1, a)), Poly(R, ops.unpack(G, dg + 1, b))
+
+    def lift(self, u: Poly, v: Poly):
+        """Cofactors u', v' with u'*f + v'*g == r from u*f_s + v*g_s == r
+        (needs record).
+
+        With deg v < deg f_s, the cofactors of every pair (f_i, g_i) have
+        degrees below deg g_i and deg f_i: f_s is monic, so u is 0 or
+        deg u < deg g_s, and each step raises the degrees by at most
+        deg f_i - deg g_i.  A cofactor reduction modulo f_i or g_i, as
+        _rres does after a single division, therefore never applies.
+        """
+        R, ops = self.ring, self.ops
+        U, lu, V, lv = ops.pack(u.coeffs), len(u.coeffs), ops.pack(v.coeffs), len(v.coeffs)
+        for (df, dg, *_), (w, qq) in zip(reversed(self.steps), reversed(self.lifts)):
+            U, lu, (V, lv) = V, lv, ops.cofactor_step(U, lu, V, lv, w, qq)
+            if lv > df or lu > dg:
+                raise InvariantError("cofactor degrees exceed the chain's")
+        return Poly(R, ops.unpack(U, lu)), Poly(R, ops.unpack(V, lv))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +644,7 @@ def fun_factor(f: Poly) -> FunFactorization:
     d = f.degree
     w = R.inv(a)
     if k == d:
-        return FunFactorization(Poly(R, [a]), f.scale(w), k)
+        return FunFactorization(Poly(R, [a]), f if a == R.one else f.scale(w), k)
     # Seed: f == (a*ubar) * (w*fbar) modulo the nilpotent ideal generated by
     # the coefficients above k; quadratic Hensel lifting makes it exact.
     fbar = Poly(R, f.coeffs[:k + 1])

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ring import InvariantError
-from .poly import (Poly, content, divide_by_scalar, divrem, fun_factor,
-                   invert_unit, reciprocal, split_crt, top_non_nilpotent)
+from .poly import (Poly, UnitChain, content, divide_by_scalar, divrem,
+                   fun_factor, invert_unit, reciprocal, split_crt,
+                   top_non_nilpotent)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +183,10 @@ def _rres(f: Poly, g: Poly, bezout: bool):
 
     The Euclidean chain can be as long as the input degree, so it is a loop:
     with bezout, each division step is recorded and the cofactors are lifted
-    through the steps in reverse.  Splits and quotient-ring recursions stay
-    recursive; their depth is bounded by the factor structure of the modulus.
+    through the steps in reverse.  Runs of divisors with a unit leading
+    coefficient go through one UnitChain each.  Splits and quotient-ring
+    recursions stay recursive; their depth is bounded by the factor structure
+    of the modulus.
     """
     R = f.ring
     steps = []
@@ -205,17 +208,26 @@ def _rres(f: Poly, g: Poly, bezout: bool):
                 R, a, lambda Rb: _rres(f.map_ring(Rb), g.map_ring(Rb), bezout))
             break
         # both primitive with an invertible top coefficient: divide
-        fac = fun_factor(g)
-        q, rem = divrem(f, fac.gtilde)
+        if R.is_unit(g.lc):
+            step = UnitChain(f, g, record=bezout)
+            f, g = step.pair(monic=True)
+        else:
+            fac = fun_factor(g)
+            q, rem = divrem(f, fac.gtilde)
+            step = (f, g, q, fac.u)
+            f, g = fac.gtilde, rem
         if bezout:
-            steps.append((f, g, swapped, q, fac.u))
-        f, g = fac.gtilde, rem
+            steps.append((swapped, step))
     if swapped:
         u, v = v, u
-    for f, g, swapped, q, unit in reversed(steps):
-        # (u, v) certifies (gtilde, rem), and f == q*gtilde + rem, g == unit*gtilde
-        u, v = v, (u - v * q) * invert_unit(unit)
-        r, u, v = _reduce_cofactors(f, g, r, u, v)
+    for swapped, step in reversed(steps):
+        if isinstance(step, UnitChain):
+            u, v = step.lift(u, v)
+        else:
+            # (u, v) certifies (gtilde, rem), f == q*gtilde + rem, g == unit*gtilde
+            f, g, q, unit = step
+            u, v = v, (u - v * q) * invert_unit(unit)
+            r, u, v = _reduce_cofactors(f, g, r, u, v)
         if swapped:
             u, v = v, u
     return r, u, v
@@ -331,15 +343,16 @@ def _res(f: Poly, g: Poly, ideal_mode=False):
         i, a = top_non_nilpotent(g)
         if R.is_splitting(a):
             return R.mul(acc, _split_res(f, g, a, ideal_mode))
-        if i == m:  # invertible leading coefficient: plain division step
-            q, r = divrem(f, g)
-            if r.is_zero():
-                return R.zero
-            # res(f, g) = (-1)^(n m) lc(g)^(n - deg r) res(g, r)
-            acc = R.mul(acc, R.pow_elem(g.lc, n - r.degree))
-            if (n * m) % 2:
-                acc = R.neg(acc)
-            f, g = g, r
+        if i == m:  # invertible leading coefficient: divide while it stays so
+            chain = UnitChain(f, g)
+            for n, m, dr, c, _ in chain.steps:
+                if dr < 0:
+                    return R.zero
+                # res(f, g) = (-1)^(n m) lc(g)^(n - deg r) res(g, f mod g)
+                acc = R.mul(acc, R.pow_elem(c, n - dr))
+                if (n * m) % 2:
+                    acc = R.neg(acc)
+            f, g = chain.pair(monic=False)
             continue
         # nilpotent leading part: res(f, g) = res(f, u) * res(f, gtilde)
         fac = fun_factor(g)

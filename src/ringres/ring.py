@@ -327,22 +327,19 @@ class GaloisRing:
     p: int
     e: int
     lam: tuple[int, ...]
+    # derived once per ring: the degree of lam and the modulus p^e
+    k: int = field(init=False, repr=False, compare=False)
+    pe: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.p < 2 or self.e < 0:
             raise ValueError("need prime p >= 2 and e >= 0")
         if len(self.lam) < 2 or self.lam[-1] != 1:
             raise ValueError("lam must be monic of degree >= 1")
+        object.__setattr__(self, "k", len(self.lam) - 1)
+        object.__setattr__(self, "pe", self.p ** self.e)
 
     kind = "galois"
-
-    @property
-    def k(self) -> int:
-        return len(self.lam) - 1
-
-    @property
-    def pe(self) -> int:
-        return self.p ** self.e
 
     @property
     def E(self) -> int:

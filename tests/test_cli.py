@@ -36,6 +36,11 @@ class TestBasicCommands:
         assert u * f + v * g == Poly.const(R, R.from_int(out["value"]))
         assert R.ideal_gen(R.from_int(out["value"])) == 4
 
+    def test_bezout_verify(self):
+        plain = run("bezout", "--mod", "12", "3,2,1", "1,0,1")
+        p = run("bezout", "--mod", "12", "--verify", "3,2,1", "1,0,1")
+        assert p.returncode == 0 and p.stdout == plain.stdout
+
     def test_divrem(self):
         p = run("divrem", "--mod", "7", "1,0,0,1", "1,1")
         assert p.returncode == 0
@@ -119,3 +124,29 @@ class TestInvariants:
         monkeypatch.setattr(Poly, "mod_xpow", lambda self, t: Poly(self.ring, self.coeffs[:1]))
         assert main(["inv", "--mod", "8", "1,6"]) == 3
         assert "InvariantError" in capsys.readouterr().err
+
+    def test_bezout_verify_mismatch_is_3(self, monkeypatch, capsys):
+        from ringres import Poly, cli, rres_bezout
+
+        def wrong(f, g):
+            cert = rres_bezout(f, g)
+            return type(cert)(cert.value, cert.u, cert.v + Poly.one(f.ring))
+
+        monkeypatch.setattr(cli, "rres_bezout", wrong)
+        assert cli.main(["bezout", "--mod", "12", "--verify", "3,2,1", "1,0,1"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "InvariantError" in out.err
+
+    def test_packed_slot_bound_is_3(self, monkeypatch, capsys):
+        from ringres import poly
+        from ringres.cli import main
+
+        # one byte narrower than the slots the packed Euclidean steps need
+        monkeypatch.setattr(poly, "_slot_bytes", lambda n: (2 * n.bit_length() + 9) // 8)
+        poly._layout.cache_clear()
+        try:
+            assert main(["res", "--mod", "1000003", "1,2,3,4,5", "6,7,8,1"]) == 3
+        finally:
+            poly._layout.cache_clear()
+        err = capsys.readouterr().err
+        assert "InvariantError" in err and "too narrow" in err

@@ -57,6 +57,21 @@ class TestArithmetic:
         assert (f + g) * h == f * h + g * h
         assert (f * g) * h == f * (g * h)
 
+    def test_scale_matches_coefficientwise(self):
+        # lengths on both sides of the int64 path's threshold, n up to 2^25
+        rng = random.Random(7)
+        for n in (2, 10007, 9699690, 2**25):
+            R = Zmod(n)
+            for length in (3, 16, 200):
+                f = Poly.from_ints(R, [rng.randrange(n) for _ in range(length)])
+                for c in (0, 1, n - 1, rng.randrange(n), 2 * n + 3):
+                    assert f.scale(c) == Poly(R, [x * c % n for x in f.coeffs])
+
+    def test_fun_factor_monic_is_identity(self):
+        R = Zmod(8)
+        f = Poly.from_ints(R, [3, 2, 1])
+        assert fun_factor(f).gtilde is f
+
     def test_mul_matches_schoolbook(self):
         rings = [Zmod(n) for n in (997 * 1024, 2**25 + 1, 2**64, 3**40,
                                    18446744073709551557, 2**607 - 1)]

@@ -1,10 +1,19 @@
+import math
 import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringres import (GaloisRing, Poly, Zmod, det, find_irreducible, res, res_ideal,
                      rres, rres_bezout, sylvester)
+from ringres.poly import _Packed
 from ringres.resultant import Reduced, SplitElem, ppa
 
 from oracles import rres_howell_oracle
+
+P64 = 18446744073709551557          # largest 64-bit prime
+COMPOSITE = 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211
+PACKED_MODULI = (2, 10007, 2**25 + 1, 3**40, 2**64, P64, COMPOSITE, 2**127 - 1)
 
 
 def rand_poly(rng, R, max_deg):
@@ -228,3 +237,119 @@ class TestAlgebraicIdentities:
             else:
                 assert whole == res(f1, g1)
             done += 1
+
+
+def unit(rng, n):
+    while True:
+        x = rng.randrange(1, n) if n > 2 else 1
+        if math.gcd(x, n) == 1:
+            return x
+
+
+def planted_chain(rng, R, degs, bottom_lc=None):
+    """(f, g) whose Euclidean remainders have the degrees degs (descending)
+    and unit leading coefficients, except that the last one has bottom_lc."""
+    n = R.n
+
+    def poly(d, lc):
+        return Poly.from_ints(R, [rng.randrange(n) for _ in range(d)] + [lc])
+
+    r = [poly(d, unit(rng, n)) for d in degs[-2:]]
+    if bottom_lc is not None:
+        r[-1] = poly(degs[-1], bottom_lc)
+    for i in range(len(degs) - 2, 0, -1):
+        # r_{i-1} = q r_i + r_{i+1}, so r_{i+1} is the remainder of r_{i-1} by r_i
+        r.insert(0, poly(degs[i - 1] - degs[i], unit(rng, n)) * r[0] + r[1])
+    return r[0], r[1]
+
+
+def non_unit(n):
+    """A non-unit other than 0, or None when Z/n is a field."""
+    p = next((p for p in range(2, 10**4) if n % p == 0), n)
+    return None if p == n else p
+
+
+class TestPackedEuclid:
+    """Euclidean chains over Z/n whose divisors have unit leading
+    coefficients run on packed integers; every result is checked against an
+    oracle: res against det(sylvester), rres against the Howell form, and
+    every certificate by re-multiplication."""
+
+    def check(self, f, g):
+        R = f.ring
+        if f.degree + g.degree >= 1:
+            assert res(f, g) == det(sylvester(f, g)), (R, f, g)
+        r = rres(f, g)
+        assert res_ideal(f, g) == R.ideal_gen(res(f, g))
+        assert r == rres_howell_oracle(f, g), (R, f, g)
+        cert = rres_bezout(f, g)
+        assert cert.u * f + cert.v * g == Poly.const(R, cert.value), (R, f, g)
+        assert R.ideal_gen(cert.value) == r
+
+    @pytest.mark.parametrize("n", PACKED_MODULI)
+    def test_packed_step_at_the_slot_bound(self, n):
+        # the largest operands one packed step admits: X slots (n-1)(3n-1),
+        # Y slots 3n-1 (reduced, not canonical), K coefficients n-1
+        P = _Packed(n, 16)
+        top, l = 3 * n - 1, P.K + 3
+        xs, ys, cs = [(n - 1) * top] * l, [top] * 4, [n - 1] * P.K
+        Z = P.submul(P.pack(xs), l, P.pack(cs), P.pack(ys))
+        raw = Z.to_bytes(l * P.w, "little")
+        for i in range(l):
+            z = int.from_bytes(raw[i * P.w:(i + 1) * P.w], "little")
+            t = sum(cs[j] * ys[i - j] for j in range(len(cs)) if 0 <= i - j < len(ys))
+            assert z < 3 * n and z % n == (xs[i] - t) % n, (n, i)
+
+    @pytest.mark.parametrize("n", PACKED_MODULI)
+    def test_all_top_coefficients(self, n):
+        # coefficients n - 1 give the largest slot sums of a packed step
+        R = Zmod(n)
+        top = Poly.from_ints(R, [n - 1] * 12)
+        for g in (Poly.from_ints(R, [n - 1] * 11), Poly.from_ints(R, [n - 1] * 9 + [1]),
+                  Poly.from_ints(R, [1] + [n - 1] * 10)):
+            self.check(top, g)
+            self.check(top * top, g * top + Poly.from_ints(R, [n - 1] * 5))
+
+    @pytest.mark.parametrize("n", PACKED_MODULI)
+    def test_degree_drops_inside_a_run(self, n):
+        # quotients of degree 7 have more coefficients than one packed step
+        # takes for some moduli (4 for 2^127 - 1), so they run in pieces
+        rng = random.Random(n % 1000)
+        R = Zmod(n)
+        for degs in ((12, 11, 4, 3, 2, 1), (11, 10, 9, 6, 5, 0), (10, 3, 2, 1)):
+            self.check(*planted_chain(rng, R, degs))
+
+    @pytest.mark.parametrize("n", [n for n in PACKED_MODULI if non_unit(n)])
+    def test_non_unit_lc_mid_chain(self, n):
+        # the chain leaves the packed kernel at the planted remainder, then
+        # splits (squarefree n) or Hensel-lifts (prime powers) and re-enters
+        rng = random.Random(n % 997)
+        R = Zmod(n)
+        for degs in ((12, 11, 10, 9), (9, 8, 6, 5)):
+            self.check(*planted_chain(rng, R, degs, bottom_lc=non_unit(n) * unit(rng, n) % n))
+
+    @pytest.mark.parametrize("n", PACKED_MODULI)
+    def test_deg_f_below_deg_g(self, n):
+        rng = random.Random(n % 991)
+        R = Zmod(n)
+        for df, dg in ((3, 9), (0, 7), (6, 10)):
+            f = Poly.from_ints(R, [rng.randrange(n) for _ in range(df)] + [unit(rng, n)])
+            g, _ = planted_chain(rng, R, (dg, dg - 1, 2))
+            self.check(f, g)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from(PACKED_MODULI),
+           gaps=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           low=st.integers(0, 2), seed=st.integers(0, 2**32),
+           mid=st.booleans(), swap=st.booleans())
+    def test_planted_chains(self, n, gaps, low, seed, mid, swap):
+        rng = random.Random(seed)
+        R = Zmod(n)
+        degs = [low]
+        for gap in gaps:
+            degs.insert(0, degs[0] + gap)
+        if len(degs) == 2:
+            degs.insert(0, degs[0] + 1)
+        bottom = non_unit(n) if mid and low > 0 else None
+        f, g = planted_chain(rng, R, degs, bottom_lc=bottom)
+        self.check(*((g, f) if swap else (f, g)))

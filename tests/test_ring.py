@@ -106,6 +106,14 @@ class TestGaloisRing:
         t = (0, 1)
         assert gr.mul(t, t) == (7, 7)  # t^2 = -t - 1
 
+    def test_derived_constants(self):
+        lam = find_irreducible(3, 2)
+        R = GaloisRing(3, 20, lam)
+        assert (R.k, R.pe) == (2, 3**20)
+        # equality and hashing stay on (p, e, lam)
+        assert R == GaloisRing(3, 20, lam) and hash(R) == hash(GaloisRing(3, 20, lam))
+        assert R != GaloisRing(3, 19, lam)
+
     def test_locality(self):
         gr = GaloisRing(2, 3, (1, 1, 1))
         for a in [(2, 0), (0, 2), (4, 6)]:
