@@ -115,7 +115,7 @@ def cmd_bezout(args):
     R = _ring(args)
     f, g = _parse_poly(R, args.f), _parse_poly(R, args.g)
     cert = rres_bezout(f, g)
-    if args.verify and cert.u * f + cert.v * g != Poly.const(R, cert.value):
+    if cert.u * f + cert.v * g != Poly.const(R, cert.value):
         raise InvariantError("certificate check failed: u*f + v*g != r")
     plain = f"r={cert.value} u={_fmt_poly(cert.u)} v={_fmt_poly(cert.v)}"
     _emit(args, plain, {"value": int(cert.value), "u": list(cert.u.coeffs), "v": list(cert.v.coeffs)})
@@ -408,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("res", cmd_res, polys=2)
     add("rres", cmd_rres, polys=2)
-    add("bezout", cmd_bezout, polys=2).add_argument(
-        "--verify", action="store_true", help="re-multiply u*f + v*g before printing")
+    add("bezout", cmd_bezout, polys=2)
     add("res-ideal", cmd_res_ideal, polys=2)
     add("divrem", cmd_divrem, polys=2)
     add("funfactor", cmd_funfactor, polys=1)

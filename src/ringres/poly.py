@@ -193,9 +193,6 @@ class Poly:
         return acc
 
     def map_ring(self, ring2):
-        if ring2.kind == "zmod" == self.ring.kind:
-            n = ring2.n
-            return Poly(ring2, [c % n for c in self.coeffs])
         return Poly(ring2, [ring2.coerce(c) for c in self.coeffs])
 
     def format(self) -> str:
@@ -304,26 +301,16 @@ def divrem(f: Poly, g: Poly):
 
 
 def _divrem(f: Poly, g: Poly, winv):
-    """divrem with winv == lc(g)^-1 given."""
+    """divrem with winv == lc(g)^-1 given: packed over Z/n, row by row over
+    a Galois ring or by a constant."""
     R = f.ring
     dg = g.degree
     if f.degree < dg:
         return Poly(R, []), f
-    if _vec_ring(R) and dg >= _VEC_LEN_MIN:
-        n = R.n
-        rem = f._as_arr().copy()
-        low = g._as_arr()[:dg]
-        q = [0] * (f.degree - dg + 1)
-        for i in range(f.degree, dg - 1, -1):
-            c = int(rem[i])
-            if not c:
-                continue
-            qc = c * winv % n
-            q[i - dg] = qc
-            seg = rem[i - dg : i]
-            seg -= qc * low
-            seg %= n
-        return Poly(R, q), _poly_from_arr(R, rem[:dg])
+    if R.kind == "zmod" and dg >= 1:
+        P = _Packed(R.n, f.degree + 2)
+        q, X, dr, _ = P.divrem(P.pack(f.coeffs), f.degree, P.pack(g.coeffs), dg, winv)
+        return Poly(R, q), Poly(R, P.unpack(X, dr + 1))
     rem = list(f.coeffs)
     q = [R.zero] * (f.degree - dg + 1)
     gcs = g.coeffs
@@ -375,7 +362,7 @@ class _Packed:
     m = 2^L // n, the estimate ((x >> a) * m) >> h is at most 2 below x // n,
     and both of its factors are below 2^h, so no product spills into the next
     slot.  OFF, the Barrett mask and the all-ones mask are kept for `slots`
-    slots and grow on demand, so each chain owns its _Packed.
+    slots and grow on demand, so each chain or division owns its _Packed.
     """
 
     def __init__(self, n, slots):
@@ -451,22 +438,6 @@ class _Packed:
             F &= self.ones >> (b * (self.slots - d - 1))
         return q, F, d, c
 
-    def run(self, f, g, record):
-        """UnitChain's divisions: (steps, quotients if record, stop pair)."""
-        n = self.n
-        F, G, df, dg = self.pack(f.coeffs), self.pack(g.coeffs), f.degree, g.degree
-        c = g.lc
-        steps, quots = [], []
-        while True:
-            ci = pow(c, -1, n)
-            q, X, dr, cr = self.divrem(F, df, G, dg, ci)
-            steps.append((df, dg, dr, c, ci))
-            if record:
-                quots.append(q)
-            F, G, df, dg, c = G, X, dg, dr, cr
-            if dg <= 0 or math.gcd(c, n) != 1:
-                return steps, quots, (F, df, G, dg)
-
     def cofactor_step(self, U, lu, V, lv, w, qq):
         """(w*U - qq*V, its slot count), reduced."""
         l = max(lu, lv + len(qq) - 1)
@@ -488,20 +459,9 @@ class _PolyOps:
     def unpack(self, X, l, a=None):
         return X.coeffs if a is None else X.scale(a).coeffs
 
-    def run(self, f, g, record):
-        R = self.R
-        c = g.lc
-        steps, quots = [], []
-        while True:
-            ci = R.inv(c)
-            q, r = _divrem(f, g, ci)
-            steps.append((f.degree, g.degree, r.degree, c, ci))
-            if record:
-                quots.append(q.coeffs)
-            f, g = g, r
-            if g.degree <= 0 or not R.is_unit(g.lc):
-                return steps, quots, (f, f.degree, g, g.degree)
-            c = g.lc
+    def divrem(self, F, df, G, dg, ci):
+        q, r = _divrem(F, G, ci)
+        return q.coeffs, r, r.degree, r.coeffs[-1] if r.coeffs else self.R.zero
 
     def cofactor_step(self, U, lu, V, lv, w, qq):
         X = U.scale(w) - V * Poly(self.R, qq)
@@ -523,8 +483,19 @@ class UnitChain:
 
     def __init__(self, f: Poly, g: Poly, record: bool = False):
         R = self.ring = f.ring
-        self.ops = _Packed(R.n, f.degree + 2) if R.kind == "zmod" else _PolyOps(R)
-        self.steps, quots, self._stop = self.ops.run(f, g, record)
+        ops = self.ops = _Packed(R.n, f.degree + 2) if R.kind == "zmod" else _PolyOps(R)
+        F, df, G, dg, c = ops.pack(f.coeffs), f.degree, ops.pack(g.coeffs), g.degree, g.lc
+        self.steps, quots = [], []
+        while True:
+            ci = R.inv(c)
+            q, X, dr, cr = ops.divrem(F, df, G, dg, ci)
+            self.steps.append((df, dg, dr, c, ci))
+            if record:
+                quots.append(q)
+            F, df, G, dg, c = G, dg, X, dr, cr
+            if dg <= 0 or not R.is_unit(c):
+                break
+        self._stop = F, df, G, dg
         # f_i == q_i * g_i/lc(g_i) + f_i mod g_i with q_i = c_i q / c_{i-1};
         # the lift needs 1/lc(g_i) = c_{i-2} / c_i and q_i/lc(g_i)
         self.lifts = []

@@ -36,11 +36,6 @@ class TestBasicCommands:
         assert u * f + v * g == Poly.const(R, R.from_int(out["value"]))
         assert R.ideal_gen(R.from_int(out["value"])) == 4
 
-    def test_bezout_verify(self):
-        plain = run("bezout", "--mod", "12", "3,2,1", "1,0,1")
-        p = run("bezout", "--mod", "12", "--verify", "3,2,1", "1,0,1")
-        assert p.returncode == 0 and p.stdout == plain.stdout
-
     def test_divrem(self):
         p = run("divrem", "--mod", "7", "1,0,0,1", "1,1")
         assert p.returncode == 0
@@ -125,7 +120,7 @@ class TestInvariants:
         assert main(["inv", "--mod", "8", "1,6"]) == 3
         assert "InvariantError" in capsys.readouterr().err
 
-    def test_bezout_verify_mismatch_is_3(self, monkeypatch, capsys):
+    def test_bezout_mismatch_is_3(self, monkeypatch, capsys):
         from ringres import Poly, cli, rres_bezout
 
         def wrong(f, g):
@@ -133,7 +128,7 @@ class TestInvariants:
             return type(cert)(cert.value, cert.u, cert.v + Poly.one(f.ring))
 
         monkeypatch.setattr(cli, "rres_bezout", wrong)
-        assert cli.main(["bezout", "--mod", "12", "--verify", "3,2,1", "1,0,1"]) == 3
+        assert cli.main(["bezout", "--mod", "12", "3,2,1", "1,0,1"]) == 3
         out = capsys.readouterr()
         assert out.out == "" and "InvariantError" in out.err
 

@@ -122,6 +122,25 @@ class TestDivision:
         assert q * g + r == f
         assert r.degree < g.degree
 
+    @pytest.mark.parametrize("n", [2, 10007, 2**25 + 1, 3**40, 2**64, 18446744073709551557,
+                                   251 * 241 * 239 * 233 * 229 * 227 * 223 * 211, 2**127 - 1])
+    def test_divrem_long_quotients(self, n):
+        # single divisions over Z/n are packed; quotients of 300 - dg
+        # coefficients take several steps, and coefficients n - 1 give the
+        # largest slot sums
+        R = Zmod(n)
+        rng = random.Random(n % 997)
+        for dg in (1, 2, 5, 40, 150, 299, 300):
+            for top in (False, True):
+                f = Poly.from_ints(R, [n - 1 if top else rng.randrange(n) for _ in range(301)])
+                g = Poly.from_ints(R, [n - 1 if top else rng.randrange(n) for _ in range(dg)]
+                                   + [n - 1 if top else 1 + 2 * rng.randrange(n // 2)])
+                if not R.is_unit(g.lc):
+                    continue
+                q, r = divrem(f, g)
+                assert q * g + r == f and r.degree < g.degree, (n, dg, top)
+                assert all(0 <= c < n for c in q.coeffs + r.coeffs)
+
     def test_divrem_primitive_with_split(self):
         R = Zmod(12)
         # leading coefficient 4 splits 12; the division recombines via CRT
