@@ -162,21 +162,22 @@ def _content_val(p: int, f: Poly) -> int:
     return best
 
 
-def _gcd(ctx: PadicCtx, f: Poly, g: Poly, delta: int):
+def _gcd(ctx: PadicCtx, f: Poly, g: Poly, delta: int, track: bool):
     """Returns (d, delta_out, (u, v) or None): u*f + v*g = d and d | f, g,
-    all modulo p^(k - delta_out).  After a content extraction the recursion
-    continues in a ring shrunk by the full extracted valuation (so that
-    quantities below the effective precision are genuinely zero), but only
-    the unshared part of the content is charged to delta."""
+    all modulo p^(k - delta_out); the pair is always None when track is off.
+    After a content extraction the recursion continues in a ring shrunk by
+    the full extracted valuation (so that quantities below the effective
+    precision are genuinely zero), but only the unshared part of the content
+    is charged to delta."""
     R = f.ring
     one, zero = Poly.const(R, R.one), Poly.zero(R)
     if g.is_zero():
-        return f, delta, (one, zero)
+        return f, delta, ((one, zero) if track else None)
     if f.is_zero():
-        return g, delta, (zero, one)
+        return g, delta, ((zero, one) if track else None)
 
     if f.degree < g.degree:
-        d, delta, bez = _gcd(ctx, g, f, delta)
+        d, delta, bez = _gcd(ctx, g, f, delta, track)
         return d, delta, ((bez[1], bez[0]) if bez else None)
 
     if g.degree == 0:
@@ -184,7 +185,7 @@ def _gcd(ctx: PadicCtx, f: Poly, g: Poly, delta: int):
         # precision is lost (the constant is known exactly as a residue).
         vf, vg = _content_val(ctx.p, f), _content_val(ctx.p, g)
         d = Poly.const(R, R.from_int(ctx.p ** min(vf, vg)))
-        if vg <= vf:
+        if track and vg <= vf:
             # p^vg = t * g with t a unit: witness (0, t)
             t = R.inv(R.from_int(int(g.coeffs[0]) // ctx.p**vg))
             return d, delta, (zero, Poly.const(R, t))
@@ -206,7 +207,7 @@ def _gcd(ctx: PadicCtx, f: Poly, g: Poly, delta: int):
         R2 = Zmod(ctx.p ** (prec - drop))
         f1 = divide_by_scalar(f, R.from_int(ctx.p**vf)).map_ring(R2)
         g1 = divide_by_scalar(g, R.from_int(ctx.p**vg)).map_ring(R2)
-        d, delta, bez = _gcd(ctx, f1, g1, delta)
+        d, delta, bez = _gcd(ctx, f1, g1, delta, track)
         d = d.map_ring(R).scale(R.from_int(ctx.p**shared))
         # u*(f/p^v) + v*(g/p^v) = d' scales to u*f + v*g = p^v d' only when
         # both contents match; otherwise the pair is no longer representable.
@@ -218,7 +219,7 @@ def _gcd(ctx: PadicCtx, f: Poly, g: Poly, delta: int):
 
     if R.is_unit(g.lc):
         q, r = divrem(f, g)
-        d, delta, bez = _gcd(ctx, g, r, delta)
+        d, delta, bez = _gcd(ctx, g, r, delta, track)
         if bez:
             u, v = bez  # u*g + v*r = d and r = f - q*g
             bez = (v, u - v * q)
@@ -226,7 +227,7 @@ def _gcd(ctx: PadicCtx, f: Poly, g: Poly, delta: int):
 
     # non-unit leading coefficient: split g into coprime unit-like x monic
     u_part, monic_part = fun_factor_padic(ctx, g)
-    d2, delta, bez2 = _gcd(ctx, f, monic_part, delta)
+    d2, delta, bez2 = _gcd(ctx, f, monic_part, delta, track)
     d1, delta = _gcd_unitlike(ctx, f, u_part, delta)
     d = d1 * d2
     bez = None
@@ -258,7 +259,7 @@ def _gcd_unitlike(ctx: PadicCtx, f: Poly, u: Poly, delta: int):
     f1 = fun_factor(fhat).u  # gcd(monic part, u) = 1
     if f1.degree == 0:
         return one, delta
-    d, delta, _ = _gcd(ctx, reciprocal(f1), reciprocal(u), delta)
+    d, delta, _ = _gcd(ctx, reciprocal(f1), reciprocal(u), delta, False)
     return reciprocal(d), delta
 
 
@@ -268,7 +269,7 @@ def padic_gcd(ctx: PadicCtx, f: Poly, g: Poly, track_bezout: bool = False) -> Pa
         raise ValueError("operands must live in Z/p^k")
     if f.is_zero() and g.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    d, delta, bez = _gcd(ctx, f, g, 0)
+    d, delta, bez = _gcd(ctx, f, g, 0, track_bezout)
     if delta >= ctx.k:
         raise PrecisionError(f"precision loss {delta} >= k = {ctx.k}")
 

@@ -313,12 +313,13 @@ def _divrem(f: Poly, g: Poly, winv):
         return Poly(R, q), Poly(R, P.unpack(X, dr + 1))
     rem = list(f.coeffs)
     q = [R.zero] * (f.degree - dg + 1)
-    gcs = g.coeffs
+    gcs = g.coeffs[:-1]     # row i cancels rem[i], which is not read again
+    monic = winv == R.one
     for i in range(f.degree, dg - 1, -1):
         c = rem[i]
         if R.is_zero(c):
             continue
-        qc = R.mul(c, winv)
+        qc = c if monic else R.mul(c, winv)
         q[i - dg] = qc
         off = i - dg
         for j, gc in enumerate(gcs):
@@ -537,20 +538,26 @@ class UnitChain:
 # inversion of unit polynomials
 # ---------------------------------------------------------------------------
 
+def _series_inv(h: Poly, t: int) -> Poly:
+    """Inverse of h modulo x^t by Newton iteration; h(0) must be a unit."""
+    R = h.ring
+    v = Poly(R, [R.inv(h.coeffs[0])])
+    two = Poly(R, [R.from_int(2)])
+    s = 1
+    while s < t:
+        s = min(2 * s, t)
+        v = (v * (two - v * h.mod_xpow(s))).mod_xpow(s)
+    return v
+
+
 def invert_unit(f: Poly) -> Poly:
     """Exact inverse of a unit of R[x] (degree at most E*deg f)."""
     R = f.ring
     if not is_unit_poly(f):
         raise NotUnitError("not a unit of R[x]")
-    v = Poly(R, [R.inv(f.coeffs[0])])
     if f.degree == 0:
-        return v
-    bound = R.E * f.degree + 1
-    two = Poly(R, [R.from_int(2)])
-    t = 1
-    while t < bound:
-        t *= 2
-        v = (v * (two - v * f)).mod_xpow(t)
+        return Poly(R, [R.inv(f.coeffs[0])])
+    v = _series_inv(f, R.E * f.degree + 1)
     if v * f != Poly.one(R):
         raise InvariantError("unit inversion failed to converge")
     return v
@@ -571,11 +578,7 @@ def invert_mod(u: Poly, f: Poly) -> Poly:
         return Poly.zero(R)
     one = Poly.one(R)
     two = Poly(R, [R.from_int(2)])
-    v = Poly(R, [R.inv(u.coeffs[0])])
-    t = 1
-    while t < f.degree:
-        t *= 2
-        v = (v * (two - v * u)).mod_xpow(min(t, f.degree))
+    v = _series_inv(u, f.degree)
     rounds = max(1, math.ceil(math.log2(max(2, R.E * max(1, u.degree))))) + 1
     for _ in range(rounds):
         if divrem(v * u, f)[1] == one:
@@ -616,32 +619,46 @@ def fun_factor(f: Poly) -> FunFactorization:
     w = R.inv(a)
     if k == d:
         return FunFactorization(Poly(R, [a]), f if a == R.one else f.scale(w), k)
-    # Seed: f == (a*ubar) * (w*fbar) modulo the nilpotent ideal generated by
-    # the coefficients above k; quadratic Hensel lifting makes it exact.
-    fbar = Poly(R, f.coeffs[:k + 1])
-    ubar = Poly(R, (R.one,) + f.coeffs[k + 1:])
-    g = ubar.scale(a)
-    h = fbar.scale(w)           # monic of degree k
-    s = Poly(R, [w])
-    t = Poly.zero(R)
-    one = Poly.one(R)
+    # f == u * gtilde with u == a modulo the nilpotent coefficients above k.
+    # Lift the factor of smaller degree, monic, and divide the other one out:
+    # gtilde itself when k < m, else P = rev(u) / u(0) in rev(f) == P * Q,
+    # with Q = rev(gtilde) * u(0).
+    m = d - k
     rounds = max(1, math.ceil(math.log2(max(2, R.E)))) + 1
-    for _ in range(rounds):
-        e = f - g * h
-        if e.is_zero():
-            break
-        q, r = divrem(s * e, h)
-        g = g + t * e + q * g
-        h = h + r
-        b = s * g + t * h - one
-        c, d2 = divrem(s * b, h)
-        s = s - d2
-        t = t - t * b - c * g
+    if k < m:
+        h, g = _lift(f, Poly(R, f.coeffs[:k + 1]).scale(w), Poly(R, [w]), rounds)
+    else:
+        G = reciprocal(f)
+        P, Q = _lift(G, Poly(R, (R.zero,) * m + (R.one,)),
+                     _series_inv(Poly(R, G.coeffs[m:]), m), rounds)
+        c = Q.coeffs[0]
+        g = Poly(R, P.coeffs[::-1]).scale(c)
+        h = Poly(R, (Q.coeffs + (R.zero,) * (k + 1 - len(Q.coeffs)))[::-1]).scale(R.inv(c))
     if f != g * h:
         raise InvariantError("Hensel lifting failed to converge")
     if not is_unit_poly(g):
         raise InvariantError("unit factor is not a unit of R[x]")
     return FunFactorization(g, h, k)
+
+
+def _lift(G: Poly, P: Poly, S: Poly, rounds: int):
+    """(P, Q) with G == P*Q and P monic, after at most `rounds` quadratic
+    Hensel steps, from G == P*Q0 and S*Q0 == 1 mod P, both modulo an ideal
+    of nilpotents.
+
+    A step needs only E = G mod P and Q mod P, where Q = G quo P, and both
+    come from G mod P^2 == (Q mod P)*P + E: one division of G per step, and
+    every other product and remainder lives modulo P.  S == Q^-1 mod P.
+    """
+    R = G.ring
+    two = Poly(R, [R.from_int(2)])
+    for _ in range(rounds):
+        Qr, E = divrem(divrem(G, P * P)[1], P)     # Qr == Q mod P
+        if E.is_zero():
+            break
+        S = divrem(S * (two - Qr * S), P)[1]
+        P = P + divrem(S * E, P)[1]
+    return P, divrem(G, P)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +667,9 @@ def fun_factor(f: Poly) -> FunFactorization:
 
 def crt_poly(R, R1, p1: Poly, R2, p2: Poly) -> Poly:
     width = max(len(p1.coeffs), len(p2.coeffs))
-    out = []
-    for i in range(width):
-        c1 = p1.coeffs[i] if i < len(p1.coeffs) else R1.zero
-        c2 = p2.coeffs[i] if i < len(p2.coeffs) else R2.zero
-        out.append(R.crt(R1, c1, R2, c2))
-    return Poly(R, out)
+    c1 = p1.coeffs + (R1.zero,) * (width - len(p1.coeffs))
+    c2 = p2.coeffs + (R2.zero,) * (width - len(p2.coeffs))
+    return Poly(R, R.crt_many(R1, c1, R2, c2))
 
 
 def split_crt(R, a, fn):

@@ -171,11 +171,16 @@ class Zmod:
 
     def crt(self, r1, a1, r2, a2):
         """Element of self congruent to a1 mod r1.n and a2 mod r2.n."""
+        return self.crt_many(r1, (a1,), r2, (a2,))[0]
+
+    def crt_many(self, r1, a1s, r2, a2s):
+        """crt of a1s[i], a2s[i] for every i, checking r1, r2 once."""
         n1, n2 = r1.n, r2.n
         if n1 * n2 != self.n or math.gcd(n1, n2) != 1:
             raise ContextMismatchError("crt requires a coprime factorisation of n")
-        t = ((a2 - a1) * pow(n1, -1, n2)) % n2
-        return (a1 + n1 * t) % self.n
+        w = pow(n1, -1, n2)
+        n = self.n
+        return [(a1 + n1 * ((a2 - a1) * w % n2)) % n for a1, a2 in zip(a1s, a2s)]
 
     def ann_quotient(self, c):
         """R / Ann(c) as a ring context."""
@@ -537,6 +542,8 @@ class GaloisRing:
 
     def crt(self, r1, a1, r2, a2):
         raise ContextMismatchError("crt is not applicable to a local ring")
+
+    crt_many = crt
 
     def ann_quotient(self, c):
         # Ann(p^v u) = (p^(e-v)), so R/Ann(c) keeps only e-v levels.

@@ -13,7 +13,7 @@ import math
 
 import sympy
 
-from ringres import Matrix, Poly, Zmod, howell, res
+from ringres import Matrix, Poly, Zmod, divrem, howell, res
 
 _x = sympy.Symbol("x")
 
@@ -97,6 +97,42 @@ def res_y_oracle(f, g):
     if not rows:
         return Poly.const(f.ring, f.ring.one)
     return det_cofactor(rows)
+
+
+# ---------------------------------------------------------------------------
+# unit x monic factorization: the forward Hensel lift of the monic factor
+# ---------------------------------------------------------------------------
+
+def fun_factor_forward(f: Poly):
+    """(u, gtilde, k) with f == u * gtilde, u a unit of R[x], gtilde monic of
+    degree k, for f whose top coefficients above a unit a = f_k are nilpotent.
+
+    Lifts the degree-k factor from f == (a * ubar) * (fbar / a) modulo the
+    nilpotent coefficients, with Bezout cofactors s, t carried at full degree
+    (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15).
+    Returns None when the lift does not reach f within the round bound."""
+    R = f.ring
+    d = f.degree
+    k = max(i for i, c in enumerate(f.coeffs) if not R.is_nilpotent(c))
+    a = f.coeffs[k]
+    w = R.inv(a)
+    if k == d:
+        return Poly(R, [a]), f.scale(w), k
+    g = Poly(R, (R.one,) + f.coeffs[k + 1:]).scale(a)
+    h = Poly(R, f.coeffs[:k + 1]).scale(w)
+    s, t, one = Poly(R, [w]), Poly.zero(R), Poly.one(R)
+    for _ in range(max(1, math.ceil(math.log2(max(2, R.E)))) + 1):
+        e = f - g * h
+        if e.is_zero():
+            break
+        q, r = divrem(s * e, h)
+        g = g + t * e + q * g
+        h = h + r
+        b = s * g + t * h - one
+        c, d2 = divrem(s * b, h)
+        s = s - d2
+        t = t - t * b - c * g
+    return (g, h, k) if f == g * h else None
 
 
 # ---------------------------------------------------------------------------

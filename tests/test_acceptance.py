@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import statistics
 import time
 
 import pytest
@@ -367,11 +368,16 @@ def test_criterion_8_complexity_shape(capsys):
         for n_class, n in (("prime", p64), ("composite", composite)):
             R = Zmod(n)
             for d in (128, 256, 512, 1024):
-                f = Poly.from_ints(R, [rng.randrange(n) for _ in range(d)] + [1])
-                g = Poly.from_ints(R, [rng.randrange(n) for _ in range(d)] + [1])
-                t0 = time.perf_counter()
-                fn(f, g)
-                times[(n_class, d)] = time.perf_counter() - t0
+                # the median of three fresh pairs: one call's time moves
+                # more from run to run than the ratios' margin to the bounds
+                samples = []
+                for _ in range(3):
+                    f = Poly.from_ints(R, [rng.randrange(n) for _ in range(d)] + [1])
+                    g = Poly.from_ints(R, [rng.randrange(n) for _ in range(d)] + [1])
+                    t0 = time.perf_counter()
+                    fn(f, g)
+                    samples.append(time.perf_counter() - t0)
+                times[(n_class, d)] = statistics.median(samples)
         for d in (256, 512, 1024):
             ratio = times[("prime", d)] / max(times[("prime", d // 2)], 1e-9)
             lines.append(f"{alg} prime d={d//2}->{d}: x{ratio:.2f}")

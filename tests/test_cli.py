@@ -132,6 +132,17 @@ class TestInvariants:
         out = capsys.readouterr()
         assert out.out == "" and "InvariantError" in out.err
 
+    def test_fun_factor_mismatch_is_3(self, monkeypatch, capsys):
+        from ringres import poly
+        from ringres.cli import main
+
+        # a lift that stops before its first step leaves u*gtilde != f
+        lift = poly._lift
+        monkeypatch.setattr(poly, "_lift", lambda G, P, S, rounds: lift(G, P, S, 0))
+        assert main(["funfactor", "--mod", "8", "1,0,0,1,0,2"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and "InvariantError" in out.err
+
     def test_packed_slot_bound_is_3(self, monkeypatch, capsys):
         from ringres import poly
         from ringres.cli import main

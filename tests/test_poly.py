@@ -22,9 +22,42 @@ from ringres import (
 )
 from ringres.poly import top_non_nilpotent
 
+from oracles import fun_factor_forward
+
 
 def rand_poly(rng, R, max_deg):
     return Poly.from_ints(R, [rng.randrange(R.n) for _ in range(rng.randrange(1, max_deg + 2))])
+
+
+# (ring, r): the nilpotent elements are the multiples of r
+FF_RINGS = [(Zmod(2**64), 2), (Zmod(3**40), 3), (Zmod(5**27), 5), (Zmod(6**10), 6)]
+FF_RINGS += [(GaloisRing(p, e, find_irreducible(p, k)), p)
+             for p, e, k in ((2, 8, 3), (3, 20, 2), (101, 4, 4))]
+
+
+def ff_input(rng, R, r, d, m, low="random", x_divides=False):
+    """f of degree d whose top m coefficients are nilpotent (the leading one
+    nonzero) above a unit f_{d-m}; below it random or all q-1 coefficients,
+    and f(0) == 0 when x_divides."""
+    galois = isinstance(R, GaloisRing)
+    q = R.pe if galois else R.n
+
+    def elem(kind):
+        if kind == "top":
+            return (q - 1,) * R.k if galois else q - 1
+        while True:
+            x = tuple(rng.randrange(q) for _ in range(R.k)) if galois else rng.randrange(q)
+            if kind == "nil":
+                x = tuple(r * c % q for c in x) if galois else r * x % q
+                if not R.is_zero(x):
+                    return x
+            elif kind == "random" or R.is_unit(x):
+                return x
+
+    cs = [elem(low) for _ in range(d - m)] + [elem("unit")] + [elem("nil") for _ in range(m)]
+    if x_divides and d > m:
+        cs[0] = R.zero
+    return Poly(R, cs)
 
 
 class TestArithmetic:
@@ -216,6 +249,38 @@ class TestFunFactor:
                 assert fac.u * fac.gtilde == f
                 assert fac.gtilde.lc == R.one and fac.gtilde.degree == i
                 assert is_unit_poly(fac.u)
+
+    @pytest.mark.parametrize("R, r", FF_RINGS, ids=str)
+    def test_matches_forward_lift(self, R, r):
+        # every gap m = d - k at d = 7 (k = 0 included), then the small gaps
+        # at d = 100 and larger ones at d = 24, where the forward lift is
+        # slow; random or all-(q-1) coefficients below the unit, or f(0) = 0
+        rng = random.Random(f"fun_factor/{R}")
+        variants = (("random", False), ("top", False), ("random", True))
+        cases = [(7, m, low, x) for m in range(1, 8) for low, x in variants]
+        cases += [(100, m, low, x) for m in (1, 2, 3) for low, x in variants]
+        cases += [(24, m, low, x) for m in (9, 23, 24) for low, x in variants]
+        for d, m, low, x in cases:
+            f = ff_input(rng, R, r, d, m, low, x)
+            fac = fun_factor(f)
+            assert (fac.u, fac.gtilde, fac.k) == fun_factor_forward(f), (d, m, low, x)
+            assert fac.gtilde.degree == d - m and fac.u.degree == m
+
+    @given(st.sampled_from([(2, 6), (3, 4), (5, 3), (7, 2)]), st.integers(1, 14), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_forward_lift_property(self, pe, d, data):
+        p, e = pe
+        R = Zmod(p**e)
+        m = data.draw(st.integers(1, d))
+        coeff = st.integers(0, R.n - 1)
+        low = data.draw(st.lists(coeff, min_size=d - m, max_size=d - m))
+        a = data.draw(coeff.filter(lambda c: c % p))
+        high = data.draw(st.lists(coeff.map(lambda c: p * c % R.n), min_size=m, max_size=m))
+        f = Poly.from_ints(R, low + [a] + high)
+        fac = fun_factor(f)
+        assert fac.u * fac.gtilde == f and is_unit_poly(fac.u)
+        assert fac.gtilde.lc == R.one and fac.k == fac.gtilde.degree
+        assert (fac.u, fac.gtilde, fac.k) == fun_factor_forward(f)
 
     def test_raises_needs_split(self):
         R = Zmod(12)
