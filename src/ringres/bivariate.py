@@ -4,7 +4,8 @@ The resultant res_y(f, g) of f, g in (Z/nZ)[x][y] is the determinant of the
 y-Sylvester matrix with entries in (Z/nZ)[x]; it is a polynomial in x of
 degree at most B = deg_y(g)*deg_x(f) + deg_y(f)*deg_x(g).  We compute it by
 evaluating x at B+1 points whose pairwise differences are units, running the
-univariate resultant at each point, and Lagrange-interpolating the results.
+univariate resultant at each point, and interpolating the results by one
+O(B^2) Lagrange per branch; f and g are coerced into each branch ring once.
 
 Z/nZ rarely contains B+1 such points, so n is split into branches: primes
 p <= B are trial-divided out of n and each prime-power factor p^e is handled
@@ -16,6 +17,8 @@ elements have unit differences); the coprime cofactor m keeps the plain points
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import islice
 
 from .ring import GaloisRing, InvariantError, Zmod, find_irreducible
 from .poly import Poly, crt_poly
@@ -76,15 +79,6 @@ class Branch:
     points: tuple
 
 
-def _small_primes_upto(bound: int):
-    sieve = bytearray([1]) * max(bound + 1, 2)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(bound**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [i for i in range(2, bound + 1) if sieve[i]]
-
-
 def interpolation_plan(ctx: Zmod, B: int) -> list[Branch]:
     """Branches covering Z/n with B+1 unit-difference evaluation points each.
 
@@ -95,8 +89,8 @@ def interpolation_plan(ctx: Zmod, B: int) -> list[Branch]:
     n = ctx.n
     branches = []
     m = n
-    for p in _small_primes_upto(B):
-        if m % p:
+    for p in range(2, B + 1):
+        if m % p:  # also skips composite p: their prime factors are gone
             continue
         e = 0
         while m % p == 0:
@@ -106,12 +100,7 @@ def interpolation_plan(ctx: Zmod, B: int) -> list[Branch]:
         while p**k <= B:
             k += 1
         gr = GaloisRing(p, e, find_irreducible(p, k))
-        points = []
-        for lift in gr.residue_lifts():
-            points.append(lift)
-            if len(points) == B + 1:
-                break
-        branches.append(Branch(gr, p**e, tuple(points)))
+        branches.append(Branch(gr, p**e, tuple(islice(gr.residue_lifts(), B + 1))))
     if m > 1:
         rm = Zmod(m)
         branches.append(Branch(rm, m, tuple(rm.from_int(i) for i in range(B + 1))))
@@ -150,21 +139,31 @@ def _formal_res(S, pf: Poly, N: int, pg: Poly, M: int):
 
 
 def _interpolate(S, points, values) -> Poly:
-    """Unique polynomial of degree < len(points) through (points[i], values[i]).
+    """Unique polynomial p of degree <= B through the B+1 (points[i], values[i]).
 
-    Requires pairwise unit differences between points (guaranteed by the
-    interpolation plan)."""
-    acc = Poly.zero(S)
-    for i, (ai, ri) in enumerate(zip(points, values)):
-        num = Poly.const(S, ri)
-        denom = S.one
-        for j, aj in enumerate(points):
-            if j == i:
-                continue
-            num = num * Poly(S, [S.neg(aj), S.one])
-            denom = S.mul(denom, S.sub(ai, aj))
-        acc = acc + num.scale(S.inv(denom))
-    return acc
+    O(B^2) Lagrange (von zur Gathen & Gerhard, Modern Computer Algebra, §5.2):
+    p = sum_i w_i M/(x - a_i), w_i = r_i / M'(a_i), M = prod (x - a_i) with
+    coefficients m_j.  As M/(x - a) = sum_k x^k sum_{j>k} m_j a^(j-k-1),
+    rev(p) = rev(M) * s mod x^(B+1) with s_t = sum_i w_i a_i^t.  Points need
+    unit differences."""
+    mul, add = S.mul, S.add
+    m = [S.one]  # M, descending
+    for a in points:
+        na = S.neg(a)
+        m = [m[0]] + [add(c, mul(na, h)) for c, h in zip(m[1:], m)] + [mul(na, m[-1])]
+    w = []
+    for a, r in zip(points, values):
+        d = S.one  # M'(a) = prod over b != a of (a - b)
+        for b in points:
+            if b != a:
+                d = mul(d, S.sub(a, b))
+        w.append(mul(r, S.inv(d)))
+    s = []
+    for _ in points:
+        s.append(reduce(add, w))
+        w = [mul(v, a) for v, a in zip(w, points)]
+    rev_p = Poly(S, m) * Poly(S, s)
+    return Poly(S, [rev_p.coeff(u) for u in range(len(points))][::-1])
 
 
 def _restrict_galois(gr: GaloisRing, p: Poly) -> Poly:
@@ -193,11 +192,9 @@ def res_y(f: BiPoly, g: BiPoly) -> Poly:
     pieces = []  # (Zmod ring, Poly) per branch
     for br in interpolation_plan(R, B):
         S = br.ring
-        values = []
-        for a in br.points:
-            pf = f.eval_x(S, a)
-            pg = g.eval_x(S, a)
-            values.append(_formal_res(S, pf, N, pg, M))
+        fs, gs = ([c.map_ring(S) for c in h.coeffs] for h in (f, g))
+        values = [_formal_res(S, Poly(S, [c.eval(a) for c in fs]), N,
+                              Poly(S, [c.eval(a) for c in gs]), M) for a in br.points]
         interp = _interpolate(S, br.points, values)
         if isinstance(S, GaloisRing):
             pieces.append((Zmod(br.modulus), _restrict_galois(S, interp)))

@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the code paths under test: reduced
 resultants come from a stabilized extended-degree Howell form, bivariate
-resultants from symbolic cofactor expansion, divisibility from module
-membership, and number-field data from an integer Hermite-normal-form
-computation on the underlying Z-module.
+resultants from symbolic cofactor expansion, their interpolation from the
+textbook Lagrange formula, determinants over Galois rings from Berkowitz's
+division-free algorithm, divisibility from module membership, and
+number-field data from an integer Hermite-normal-form computation on the
+underlying Z-module.
 """
 
 from __future__ import annotations
@@ -97,6 +99,57 @@ def res_y_oracle(f, g):
     if not rows:
         return Poly.const(f.ring, f.ring.one)
     return det_cofactor(rows)
+
+
+def interpolate_lagrange(S, points, values) -> Poly:
+    """Unique polynomial of degree < len(points) through (points[i], values[i]),
+    by the textbook Lagrange formula: every numerator is the product of its
+    B linear factors, O(B^3) ring operations.  Points need unit differences."""
+    acc = Poly.zero(S)
+    for i, (ai, ri) in enumerate(zip(points, values)):
+        num = Poly.const(S, ri)
+        denom = S.one
+        for j, aj in enumerate(points):
+            if j == i:
+                continue
+            num = num * Poly(S, [S.neg(aj), S.one])
+            denom = S.mul(denom, S.sub(ai, aj))
+        acc = acc + num.scale(S.inv(denom))
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# determinant over any commutative ring: Berkowitz, division-free
+# ---------------------------------------------------------------------------
+
+def berkowitz_det(S, rows):
+    """det of a square matrix with entries in the ring S, using only +, -, *
+    (Berkowitz, IPL 18, 1984), so it holds over Galois rings, whose zero
+    divisors rule out elimination.  The characteristic polynomial of the
+    leading (r+1) x (r+1) block is T_r times that of the r x r block, T_r the
+    lower-triangular Toeplitz matrix with first column
+    (1, -a_rr, -R C, -R A C, ..., -R A^(r-1) C) for A the r x r block, C the
+    column above a_rr and R the row left of it; det = (-1)^n c_n."""
+    n = len(rows)
+    if n == 0:
+        return S.one
+
+    def dot(u, v):
+        acc = S.zero
+        for x, y in zip(u, v):
+            acc = S.add(acc, S.mul(x, y))
+        return acc
+
+    char = [S.one, S.neg(rows[0][0])]
+    for r in range(1, n):
+        A = [row[:r] for row in rows[:r]]
+        col = [row[r] for row in rows[:r]]
+        first = [S.one, S.neg(rows[r][r])]
+        for _ in range(r):
+            first.append(S.neg(dot(rows[r][:r], col)))
+            col = [dot(a, col) for a in A]
+        char = [dot(first[i::-1][:len(char)], char[:i + 1]) for i in range(r + 2)]
+    return char[n] if n % 2 == 0 else S.neg(char[n])
 
 
 # ---------------------------------------------------------------------------

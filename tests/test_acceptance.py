@@ -13,6 +13,7 @@ import pytest
 from ringres import (
     BiPoly,
     FieldElem,
+    GaloisRing,
     Ideal2,
     Matrix,
     NumberFieldCtx,
@@ -21,6 +22,7 @@ from ringres import (
     PrecisionError,
     Zmod,
     det,
+    find_irreducible,
     fun_factor,
     howell,
     ideal_min,
@@ -35,6 +37,7 @@ from ringres import (
 )
 
 from oracles import (
+    berkowitz_det,
     divides_mod,
     ideal_module_oracle,
     normal_presentation,
@@ -106,6 +109,31 @@ def test_criterion_2_res_equals_det(capsys):
         print(
             f"PASS criterion 2: 2000 random + {swept} exhaustive Z/4 res=det in {dt:.1f}s (< 60s)"
         )
+
+
+def test_criterion_2_galois_res_equals_det(capsys):
+    t0 = time.perf_counter()
+    rng = random.Random(1012)
+    rings = [(2, 3, 2), (3, 2, 2), (2, 5, 3), (101, 4, 4), (2, 4, 5), (3, 3, 3)]
+    for p, e, k in rings:
+        R = GaloisRing(p, e, find_irreducible(p, k))
+        done = 0
+        while done < 40:
+            # half the coefficients nilpotent, so leading coefficients drop
+            f, g = (Poly(R, [R.mul(tuple(rng.randrange(R.pe) for _ in range(k)),
+                                   R.from_int(p ** rng.randrange(2)))
+                             for _ in range(rng.randrange(1, 8))])
+                    for _ in range(2))
+            if f.is_zero() or g.is_zero() or f.degree + g.degree < 1:
+                continue
+            assert res(f, g) == berkowitz_det(R, sylvester(f, g).rows), (R, f, g)
+            done += 1
+    dt = time.perf_counter() - t0
+    assert dt < 60.0
+    names = ", ".join(f"GR({p},{e},{k})" for p, e, k in rings)
+    with capsys.disabled():
+        print(f"PASS criterion 2 (Galois): {40 * len(rings)} res=Berkowitz det over {names} "
+              f"in {dt:.1f}s (< 60s)")
 
 
 def test_criterion_3_rres_oracle(capsys):

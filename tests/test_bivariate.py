@@ -1,8 +1,11 @@
 import random
 
-from ringres import BiPoly, GaloisRing, Poly, Zmod, degree_bound, interpolation_plan, res, res_y
+import pytest
 
-from oracles import res_y_oracle
+from ringres import BiPoly, GaloisRing, Poly, Zmod, degree_bound, interpolation_plan, res, res_y
+from ringres.bivariate import _interpolate
+
+from oracles import interpolate_lagrange, res_y_oracle
 
 
 def rand_bipoly(rng, R, max_dx, max_dy):
@@ -10,6 +13,13 @@ def rand_bipoly(rng, R, max_dx, max_dy):
         [rng.randrange(R.n) for _ in range(rng.randrange(1, max_dx + 2))]
         for _ in range(rng.randrange(1, max_dy + 2))
     ]
+    return BiPoly.from_ints(R, grid)
+
+
+def bench_bipoly(rng, R, N):
+    """y-degree N, every y-coefficient of x-degree <= N + 1, the top one exactly."""
+    grid = [[rng.randrange(R.n) for _ in range(N + 2)] for _ in range(N + 1)]
+    grid[-1][-1] = rng.randrange(1, R.n)
     return BiPoly.from_ints(R, grid)
 
 
@@ -88,6 +98,25 @@ class TestInterpolationPlan:
                         assert S.is_unit(S.sub(a, b))
 
 
+class TestInterpolate:
+    @pytest.mark.parametrize("n", [35, 100, 15120, 64])
+    def test_matches_lagrange_oracle(self, n):
+        rng = random.Random(n)
+        for B in (0, 1, 2, 12, 24, 40):
+            for br in interpolation_plan(Zmod(n), B):
+                S = br.ring
+                if isinstance(S, GaloisRing):
+                    rand = lambda: tuple(rng.randrange(S.pe) for _ in range(S.k))
+                else:
+                    rand = lambda: rng.randrange(S.n)
+                single = [S.zero] * (B + 1)
+                single[rng.randrange(B + 1)] = rand()
+                for values in ([rand() for _ in br.points], [S.zero] * (B + 1), single):
+                    got = _interpolate(S, br.points, values)
+                    assert got == interpolate_lagrange(S, br.points, values), (n, B, S)
+                    assert [got.eval(a) for a in br.points] == values
+
+
 class TestResY:
     def test_linear_in_y(self):
         # res_y(y - a(x), y - b(x)) = a(x) - b(x) up to sign convention
@@ -136,6 +165,21 @@ class TestResY:
                 f = rand_bipoly(rng, R, 2, 2)
                 g = rand_bipoly(rng, R, 2, 2)
                 assert res_y(f, g) == res_y_oracle(f, g), (n, f.coeffs, g.coeffs)
+
+    def test_against_cofactor_oracle_at_benchmark_shapes(self):
+        # y-degree N and x-degree N + 1 as in the benchmark, so B = 2N(N + 1)
+        # reaches 24: over 15120 that is four Galois-ring branches
+        plan = interpolation_plan(Zmod(15120), 24)
+        assert sorted((br.ring.p, br.ring.e, br.ring.k) for br in plan) == [
+            (2, 4, 5), (3, 3, 3), (5, 1, 2), (7, 1, 2)]
+        rng = random.Random(303)
+        for n in (15120, 2**6, 3**4 * 5):
+            R = Zmod(n)
+            for N in (2, 3):
+                for _ in range(2):
+                    f, g = (bench_bipoly(rng, R, N) for _ in range(2))
+                    assert degree_bound(f, g) == 2 * N * (N + 1)
+                    assert res_y(f, g) == res_y_oracle(f, g), (n, f.coeffs, g.coeffs)
 
     def test_zero_and_constant_cases(self):
         R = Zmod(12)

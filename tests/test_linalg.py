@@ -16,6 +16,8 @@ from ringres import (
     sylvester,
 )
 
+from oracles import berkowitz_det
+
 
 def rand_poly(rng, R, max_deg):
     return Poly.from_ints(R, [rng.randrange(R.n) for _ in range(rng.randrange(1, max_deg + 2))])
@@ -42,6 +44,15 @@ class TestBareiss:
                 rows = [[rng.randrange(-50, 50) for _ in range(size)] for _ in range(size)]
                 want = int(sympy.Matrix(rows).det()) if size else 1
                 assert bareiss_det_int(rows) == want
+
+    def test_berkowitz_oracle_agrees_over_zmod(self):
+        # the division-free oracle that checks res over Galois rings
+        rng = random.Random(4)
+        for size in range(1, 7):
+            for _ in range(20):
+                R = Zmod(rng.randrange(2, 1000))
+                rows = [[rng.randrange(R.n) for _ in range(size)] for _ in range(size)]
+                assert berkowitz_det(R, rows) == det(Matrix(R, rows)), (R.n, rows)
 
     def test_det_mod(self):
         R = Zmod(4)

@@ -9,7 +9,7 @@ from ringres import (GaloisRing, Poly, Zmod, det, find_irreducible, res, res_ide
 from ringres.poly import _Packed
 from ringres.resultant import Reduced, SplitElem, ppa
 
-from oracles import rres_howell_oracle
+from oracles import berkowitz_det, rres_howell_oracle
 
 P64 = 18446744073709551557          # largest 64-bit prime
 COMPOSITE = 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211
@@ -158,6 +158,21 @@ class TestGaloisRings:
                 assert cert.u * f + cert.v * g == Poly.const(R, cert.value), (R, f, g)
                 assert R.ideal_gen(cert.value) == r, (R, f, g)
                 assert R.val(r) <= R.val(res(f, g)), (R, f, g)
+
+    def test_res_matches_berkowitz_det(self):
+        # the last two are the res_y branch rings of Z/15120 at B = 24
+        rng = random.Random(110)
+        for p, e, k in ((2, 3, 2), (3, 2, 2), (2, 5, 3), (101, 4, 4), (2, 4, 5), (3, 3, 3)):
+            R = GaloisRing(p, e, find_irreducible(p, k))
+            done = 0
+            while done < 20:
+                f, g = (Poly(R, [self.rand_elem(rng, R)
+                                 for _ in range(rng.randrange(1, 7))])
+                        for _ in range(2))
+                if f.is_zero() or g.is_zero() or f.degree + g.degree < 1:
+                    continue
+                assert res(f, g) == berkowitz_det(R, sylvester(f, g).rows), (R, f, g)
+                done += 1
 
 
 class TestAlgebraicIdentities:
