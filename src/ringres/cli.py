@@ -27,7 +27,7 @@ from .poly import (
     invert_mod,
     invert_unit,
 )
-from .linalg import Matrix, det, howell, sylvester
+from .linalg import Matrix, det, howell, rres_howell, sylvester
 from .resultant import res, res_ideal, rres, rres_bezout
 from .bivariate import BiPoly, res_y
 from .padic import PadicCtx, padic_gcd
@@ -208,38 +208,6 @@ def cmd_nf_min(args):
 # selfcheck: oracle-equivalence sweeps at fixed seeds, no external deps
 # ---------------------------------------------------------------------------
 
-def _howell_rres_oracle(f: Poly, g: Poly):
-    """Canonical generator of (f, g) intersect R via a stabilized
-    extended-degree Howell form (independent of the resultant module)."""
-    R = f.ring
-
-    def attempt(D):
-        md = max(f.degree, g.degree)
-        w = D + md + 1
-        rows = []
-        for p in (f, g):
-            for i in range(D + 1):
-                row = [0] * w
-                for j, c in enumerate(p.coeffs):
-                    row[w - 1 - (i + j)] = c
-                rows.append(row)
-        N = max(w, len(rows))
-        pad = N - w
-        rows = [[0] * pad + row for row in rows]
-        while len(rows) < N:
-            rows.append([0] * N)
-        H = howell(Matrix(R, rows))
-        return R.ideal_gen(H.rows[N - 1][N - 1])
-
-    D = f.degree + g.degree + 1
-    prev = attempt(D)
-    while True:
-        cur = attempt(D + 1)
-        if cur == prev:
-            return cur
-        prev, D = cur, D + 1
-
-
 def _selfcheck_cases(seed: int):
     rng = random.Random(seed)
     # resultant vs determinant
@@ -261,7 +229,7 @@ def _selfcheck_cases(seed: int):
             continue
         r = rres(f, g)
         cert = rres_bezout(f, g)
-        ok = (r == _howell_rres_oracle(f, g)
+        ok = (r == rres_howell(f, g)
               and cert.u * f + cert.v * g == Poly.const(R, cert.value)
               and R.ideal_gen(cert.value) == r)
         yield ("rres=howell", (n, f.coeffs, g.coeffs), ok)
@@ -283,7 +251,6 @@ def _selfcheck_cases(seed: int):
             prod = f * f if b is a else f * Poly(R, b)
             yield ("mul=schoolbook", (str(R), len(a), len(b)), prod == Poly(R, slow))
     # bivariate pointwise specialization against univariate resultants
-    from .bivariate import degree_bound
     for _ in range(20):
         n = rng.choice([12, 27, 35, 100])
         R = Zmod(n)

@@ -227,6 +227,41 @@ def rres_linalg(f: Poly, g: Poly):
     return R.ideal_gen(H.rows[k - 1][k - 1])
 
 
+def rres_howell(f: Poly, g: Poly):
+    """Canonical generator of (f, g) ∩ R for nonzero f, g over Z/n, whatever
+    their leading coefficients, from the Howell forms of extended-degree
+    Sylvester matrices: rows x^i f and x^i g for i <= D, raising D until the
+    generator is stable.  It shares no code with the resultant module, so
+    `ringres selfcheck` and the tests check `rres` against it."""
+    R = f.ring
+
+    def attempt(D):
+        md = max(f.degree, g.degree)
+        w = D + md + 1
+        rows = []
+        for p in (f, g):
+            for i in range(D + 1):
+                row = [0] * w
+                for j, c in enumerate(p.coeffs):
+                    row[w - 1 - (i + j)] = c
+                rows.append(row)
+        N = max(w, len(rows))
+        pad = N - w
+        rows = [[0] * pad + row for row in rows]
+        while len(rows) < N:
+            rows.append([0] * N)
+        H = howell(Matrix(R, rows))
+        return R.ideal_gen(H.rows[N - 1][N - 1])
+
+    D = f.degree + g.degree + 1
+    prev = attempt(D)
+    while True:
+        cur = attempt(D + 1)
+        if cur == prev:
+            return cur
+        prev, D = cur, D + 1
+
+
 # ---------------------------------------------------------------------------
 # Bezout certificate for the resultant, by linear algebra
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ it widens the working modulus on the general minimum path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ring import Zmod
 from .poly import Poly, divrem

@@ -28,7 +28,6 @@ from .poly import (
     fun_factor,
     invert_unit,
     reciprocal,
-    top_non_nilpotent,
 )
 
 

@@ -11,28 +11,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as _np
-
 from .ring import ContextMismatchError, InvariantError, NotUnitError
 
 NO_DEGREE = -1
-
-# Vectorized int64 fast path for Z/n with small n.  Convolution sums are
-# bounded by min(len) * n^2, so n <= 2^25 and operand length <= 4096 keep
-# every intermediate strictly inside int64.
-_VEC_MOD_LIMIT = 1 << 25
-_VEC_LEN_MIN = 16
-_VEC_LEN_MAX = 4096
-
-
-def _vec_ring(R) -> bool:
-    return getattr(R, "kind", None) == "zmod" and R.n <= _VEC_MOD_LIMIT
-
-
-def _poly_from_arr(R, arr):
-    p = Poly(R, arr.tolist())
-    p._arr = arr if len(p.coeffs) == len(arr) else arr[: len(p.coeffs)]
-    return p
 
 
 class NeedsSplitError(ValueError):
@@ -48,7 +29,7 @@ class NonInvertibleLeadingCoeffError(ValueError):
 
 
 class Poly:
-    __slots__ = ("ring", "coeffs", "_arr")
+    __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         cs = list(coeffs)
@@ -56,15 +37,6 @@ class Poly:
             cs.pop()
         self.ring = ring
         self.coeffs = tuple(cs)
-        self._arr = None
-
-    def _as_arr(self):
-        """Cached int64 coefficient array (small-modulus fast path only)."""
-        a = self._arr
-        if a is None:
-            a = _np.array(self.coeffs, dtype=_np.int64)
-            self._arr = a
-        return a
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -121,13 +93,6 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        if _vec_ring(R) and len(a) >= _VEC_LEN_MIN:
-            big, small = self, other
-            if len(big.coeffs) < len(small.coeffs):
-                big, small = small, big
-            out = big._as_arr().copy()
-            out[: len(small.coeffs)] += small._as_arr()
-            return _poly_from_arr(R, out % R.n)
         out = list(a)
         for i, c in enumerate(b):
             out[i] = R.add(out[i], c)
@@ -141,11 +106,6 @@ class Poly:
         self._check(other)
         R = self.ring
         a, b = self.coeffs, other.coeffs
-        if _vec_ring(R) and max(len(a), len(b)) >= _VEC_LEN_MIN:
-            out = _np.zeros(max(len(a), len(b)), dtype=_np.int64)
-            out[: len(a)] = self._as_arr()
-            out[: len(b)] -= other._as_arr()
-            return _poly_from_arr(R, out % R.n)
         out = list(a) + [R.zero] * max(0, len(b) - len(a))
         for i, c in enumerate(b):
             out[i] = R.sub(out[i], c)
@@ -157,13 +117,6 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(R, [])
-        if (
-            _vec_ring(R)
-            and max(len(a), len(b)) >= _VEC_LEN_MIN
-            and min(len(a), len(b)) <= _VEC_LEN_MAX
-        ):
-            prod = _np.convolve(self._as_arr(), other._as_arr())
-            return _poly_from_arr(R, prod % R.n)
         if len(a) > len(b):
             a, b = b, a
         if len(a) == 1:
@@ -172,8 +125,6 @@ class Poly:
 
     def scale(self, c):
         R = self.ring
-        if _vec_ring(R) and len(self.coeffs) >= _VEC_LEN_MIN:
-            return _poly_from_arr(R, self._as_arr() * (c % R.n) % R.n)
         return Poly(R, [R.mul(x, c) for x in self.coeffs])
 
     def shift(self, s: int):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import reduce
 
 
 class ContextMismatchError(ValueError):
@@ -207,104 +206,78 @@ class Zmod:
 # Galois rings
 # ---------------------------------------------------------------------------
 
-def _fp_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
 def _fp_rem(a, m, p):
-    """a mod m over F_p; m monic, lists of ints ascending."""
+    """a mod m over F_p, without trailing zeros; m monic, lists of ints
+    ascending."""
     a = [x % p for x in a]
-    _fp_trim(a)
     dm = len(m) - 1
-    while len(a) - 1 >= dm:
-        c = a[-1]
+    for i in range(len(a) - 1 - dm, -1, -1):
+        c = a[i + dm]
         if c:
-            off = len(a) - 1 - dm
-            for j in range(dm + 1):
-                a[off + j] = (a[off + j] - c * m[j]) % p
+            for j in range(dm):
+                a[i + j] = (a[i + j] - c * m[j]) % p
+    del a[dm:]
+    while a and not a[-1]:
         a.pop()
-        _fp_trim(a)
     return a
 
 
 def _fp_mulmod(a, b, m, p):
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
+                out[i + j] += x * y
     return _fp_rem(out, m, p)
 
 
-def _fp_gcd(a, b, p):
-    a = _fp_trim([x % p for x in a])
-    b = _fp_trim([x % p for x in b])
-    while b:
-        inv = pow(b[-1], -1, p)
-        # a mod b via monic-scaled remainder
-        bm = [(x * inv) % p for x in b]
-        a = _fp_rem(a, bm, p)
-        a, b = b, a
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(x * inv) % p for x in a]
-    return a
+def _fp_inv_mod(a, m, p):
+    """a^-1 mod m over F_p, or None when gcd(a, m) != 1; m monic of degree
+    >= 1.  Extended Euclid keeping s_i with s_i * a == r_i mod m."""
+    r0, r1 = [x % p for x in m], _fp_rem(a, m, p)
+    s0, s1 = [], [1]
+    while r1:
+        # r0 <- r0 mod r1 and s0 <- s0 - (r0 quo r1) * s1, term by term
+        d1, c1 = len(r1) - 1, pow(r1[-1], -1, p)
+        s0 += [0] * (len(r0) - d1 + len(s1) - 1 - len(s0))
+        for i in range(len(r0) - 1 - d1, -1, -1):
+            c = r0[i + d1] * c1 % p
+            if c:
+                for j, y in enumerate(r1):
+                    r0[i + j] = (r0[i + j] - c * y) % p
+                for j, y in enumerate(s1):
+                    s0[i + j] = (s0[i + j] - c * y) % p
+        del r0[d1:]
+        while r0 and not r0[-1]:
+            r0.pop()
+        while s0 and not s0[-1]:
+            s0.pop()
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    if len(r0) != 1:
+        return None
+    c = pow(r0[0], -1, p)
+    return [x * c % p for x in s0]
 
 
 def _fp_is_irreducible(lam, p):
-    """lam monic over F_p, ascending coefficients."""
-    k = len(lam) - 1
-    if k < 1:
-        return False
-    if k == 1:
-        return True
-    # x^(p^i) mod lam via iterated Frobenius
-    xp = _fp_rem([0] * p + [1], lam, p) if p <= 64 else None
-    if xp is None:
-        # binary powering for large p
-        xp = [0, 1]
-        e = p
+    """Ben-Or's test (von zur Gathen & Gerhard, Modern Computer Algebra,
+    14.9): lam, monic of degree k >= 1 over F_p with ascending coefficients,
+    is irreducible iff x^(p^i) - x is invertible mod lam for every i <= k/2,
+    since a reducible lam has an irreducible factor of degree i <= k/2, and
+    those divide x^(p^i) - x."""
+    h = [0, 1]
+    for _ in range((len(lam) - 1) // 2):
         acc = [1]
-        base = [0, 1]
-        while e:
-            if e & 1:
-                acc = _fp_mulmod(acc, base, lam, p)
-            base = _fp_mulmod(base, base, lam, p)
-            e >>= 1
-        xp = acc
-    frob = xp
-    for i in range(1, k // 2 + 1):
-        cur = frob
-        if i > 1:
-            # frob_i = frob_{i-1} composed with Frobenius: compute by powering
-            cur = _fp_pow_frobenius(frob, i, lam, p)
-        diff = list(cur) + [0, 0]
-        diff[1] = (diff[1] - 1) % p
-        g = _fp_gcd(diff, lam, p)
-        if len(g) - 1 >= 1:
+        for bit in bin(p)[2:]:      # h <- h^p mod lam, left to right
+            acc = _fp_mulmod(acc, acc, lam, p)
+            if bit == "1":
+                acc = _fp_mulmod(acc, h, lam, p)
+        h = acc
+        d = h + [0] * (2 - len(h))
+        d[1] -= 1
+        if _fp_inv_mod(d, lam, p) is None:
             return False
     return True
-
-
-def _fp_pow_frobenius(xp, i, lam, p):
-    """x^(p^i) mod lam given xp = x^p mod lam: repeated p-th powering."""
-    cur = xp
-    for _ in range(i - 1):
-        # cur(x)^p == cur evaluated at x^p ... cheaper: cur^p by powering
-        acc = [1]
-        base = cur
-        e = p
-        while e:
-            if e & 1:
-                acc = _fp_mulmod(acc, base, lam, p)
-            base = _fp_mulmod(base, base, lam, p)
-            e >>= 1
-        cur = acc
-    return cur
 
 
 def find_irreducible(p: int, k: int, seed: int = 0) -> tuple[int, ...]:
@@ -450,44 +423,12 @@ class GaloisRing:
             raise NotUnitError(f"{a} is not a unit in {self}")
         if self.e == 0:
             return self.zero
-        p = self.p
-        # invert in the residue field F_p[t]/(lam) ...
-        abar = _fp_trim([c % p for c in a])
-        lamp = [c % p for c in self.lam]
-        # extended Euclid over F_p[t]
-        r0, r1 = lamp[:], abar[:]
-        s0, s1 = [], [1]
-        while _fp_trim(r1[:]):
-            # divide r0 by r1
-            q = []
-            r0w = r0[:]
-            inv_lc = pow(r1[-1], -1, p)
-            dq = len(r0w) - len(r1)
-            q = [0] * (dq + 1) if dq >= 0 else []
-            while len(r0w) >= len(r1) and _fp_trim(r0w):
-                if len(r0w) < len(r1):
-                    break
-                c = (r0w[-1] * inv_lc) % p
-                off = len(r0w) - len(r1)
-                q[off] = c
-                for j, y in enumerate(r1):
-                    r0w[off + j] = (r0w[off + j] - c * y) % p
-                _fp_trim(r0w)
-            # update
-            sq = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        sq[i + j] = (sq[i + j] + x * y) % p
-            s_new = [( (s0[i] if i < len(s0) else 0) - (sq[i] if i < len(sq) else 0) ) % p
-                     for i in range(max(len(s0), len(sq), 1))]
-            r0, r1 = r1, r0w
-            s0, s1 = s1, _fp_trim(s_new)
-        # r0 is the gcd (a nonzero constant since lam irreducible, a unit)
-        glc = pow(r0[0], -1, p)
-        x0 = tuple(((s0[i] if i < len(s0) else 0) * glc) % p for i in range(self.k))
+        # invert in the residue field F_p[t]/(lam), then lift
+        x0 = _fp_inv_mod(a, self.lam, self.p)
+        if x0 is None:
+            raise NotUnitError(f"{a} is not a unit in {self}: lam is reducible mod {self.p}")
+        x = tuple(x0) + (0,) * (self.k - len(x0))
         # Newton lift: x <- x(2 - a x) doubles p-adic precision
-        x = x0
         two = self.from_int(2)
         prec = 1
         while prec < self.e:
@@ -601,4 +542,10 @@ def parse_ring(text: str):
     lam = tuple(int(c) for c in parts[2].split(","))
     if len(lam) != k + 1:
         raise ValueError("lam must have k+1 coefficients")
-    return GaloisRing(p, e, lam)
+    R = GaloisRing(p, e, lam)
+    from .padic import is_probable_prime    # padic imports this module
+    if not is_probable_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if not _fp_is_irreducible(lam, p):
+        raise ValueError(f"lam is not irreducible mod {p}")
+    return R

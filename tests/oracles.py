@@ -3,10 +3,10 @@
 Everything here deliberately avoids the code paths under test: reduced
 resultants come from a stabilized extended-degree Howell form, bivariate
 resultants from symbolic cofactor expansion, their interpolation from the
-textbook Lagrange formula, determinants over Galois rings from Berkowitz's
-division-free algorithm, divisibility from module membership, and
-number-field data from an integer Hermite-normal-form computation on the
-underlying Z-module.
+textbook Lagrange formula, irreducibility over F_p from trial division,
+determinants over Galois rings from Berkowitz's division-free algorithm,
+divisibility from module membership, and number-field data from an integer
+Hermite-normal-form computation on the underlying Z-module.
 """
 
 from __future__ import annotations
@@ -16,43 +16,11 @@ import math
 import sympy
 
 from ringres import Matrix, Poly, Zmod, divrem, howell, res
+# the reduced resultant from stabilized extended-degree Howell forms lives in
+# linalg, where `ringres selfcheck` uses it too
+from ringres.linalg import rres_howell as rres_howell_oracle
 
 _x = sympy.Symbol("x")
-
-
-# ---------------------------------------------------------------------------
-# reduced resultant: (f, g) intersect R via extended-degree Howell forms
-# ---------------------------------------------------------------------------
-
-def rres_howell_oracle(f: Poly, g: Poly):
-    """Canonical generator of (f, g) ∩ R, stabilized over degree bounds."""
-    R = f.ring
-
-    def attempt(D):
-        md = max(f.degree, g.degree)
-        w = D + md + 1
-        rows = []
-        for p in (f, g):
-            for i in range(D + 1):
-                row = [0] * w
-                for j, c in enumerate(p.coeffs):
-                    row[w - 1 - (i + j)] = c
-                rows.append(row)
-        N = max(w, len(rows))
-        pad = N - w
-        rows = [[0] * pad + row for row in rows]
-        while len(rows) < N:
-            rows.append([0] * N)
-        H = howell(Matrix(R, rows))
-        return R.ideal_gen(H.rows[N - 1][N - 1])
-
-    D = f.degree + g.degree + 1
-    prev = attempt(D)
-    while True:
-        cur = attempt(D + 1)
-        if cur == prev:
-            return cur
-        prev, D = cur, D + 1
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +118,28 @@ def berkowitz_det(S, rows):
             col = [dot(a, col) for a in A]
         char = [dot(first[i::-1][:len(char)], char[:i + 1]) for i in range(r + 2)]
     return char[n] if n % 2 == 0 else S.neg(char[n])
+
+
+# ---------------------------------------------------------------------------
+# irreducibility over F_p: trial division
+# ---------------------------------------------------------------------------
+
+def is_irreducible_trial(lam, p) -> bool:
+    """Whether lam, monic with ascending coefficients, is irreducible over
+    F_p: schoolbook division by every monic polynomial of degree 1 .. k/2."""
+    lam = [c % p for c in lam]
+    k = len(lam) - 1
+    for d in range(1, k // 2 + 1):
+        for idx in range(p ** d):
+            div = [idx // p ** i % p for i in range(d)] + [1]
+            rem = lam[:]
+            for i in range(k - d, -1, -1):
+                c = rem[i + d]
+                for j in range(d + 1):
+                    rem[i + j] = (rem[i + j] - c * div[j]) % p
+            if not any(rem[:d]):
+                return False
+    return k >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,30 @@ class TestSelfcheck:
         p = run("selfcheck", "--seed", "5")
         assert p.returncode == 0, p.stdout + p.stderr
         assert p.stdout.startswith("PASS")
+
+
+class TestNoNumpy:
+    def test_runs_without_numpy(self):
+        # ringres has no runtime dependency: a plain import leaves numpy
+        # unloaded, and with numpy blocked selfcheck and a res over Z/10007
+        # at degree 64 still give the expected answers
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        plain = subprocess.run(
+            [sys.executable, "-c", "import sys, ringres, ringres.cli; "
+             "print('numpy' in sys.modules)"], capture_output=True, text=True, env=env)
+        assert plain.returncode == 0 and plain.stdout.strip() == "False", plain.stderr
+        script = """
+import sys
+sys.modules["numpy"] = None
+from ringres.cli import main
+f = ",".join(str((i * i + 3) % 10007) for i in range(64)) + ",1"
+g = ",".join(str((7 * i + 1) ** 3 % 10007) for i in range(65)) + ",1"
+sys.exit(main(["selfcheck"]) or main(["res", "--mod", "10007", f, g]))
+"""
+        p = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert p.returncode == 0, p.stdout + p.stderr
+        assert p.stdout.split("\n")[:2] == ["PASS (287 cases)", "4667"], p.stdout
 
 
 class TestInvariants:

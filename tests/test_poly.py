@@ -91,7 +91,7 @@ class TestArithmetic:
         assert (f * g) * h == f * (g * h)
 
     def test_scale_matches_coefficientwise(self):
-        # lengths on both sides of the int64 path's threshold, n up to 2^25
+        # moduli from 2 to 2^25, short and long operands
         rng = random.Random(7)
         for n in (2, 10007, 9699690, 2**25):
             R = Zmod(n)

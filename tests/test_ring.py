@@ -12,6 +12,9 @@ from ringres import (
     find_irreducible,
     parse_ring,
 )
+from ringres.ring import _fp_is_irreducible
+
+from oracles import is_irreducible_trial
 
 moduli = st.integers(min_value=2, max_value=10**6)
 
@@ -165,6 +168,7 @@ def test_find_irreducible_properties():
     for p, k in [(2, 2), (2, 5), (3, 3), (5, 2), (7, 1)]:
         lam = find_irreducible(p, k)
         assert len(lam) == k + 1 and lam[-1] == 1
+        assert is_irreducible_trial(lam, p)
         gr = GaloisRing(p, 1, lam)
         # no roots in the prime field when k > 1
         if k > 1:
@@ -176,7 +180,33 @@ def test_find_irreducible_properties():
                 assert acc != 0
 
 
+def test_irreducible_matches_trial_division():
+    # every monic lam of degree <= 4 over F_2, F_3, F_5 and <= 6 over F_2
+    for p, kmax in [(2, 6), (3, 4), (5, 4)]:
+        for k in range(1, kmax + 1):
+            for idx in range(p ** k):
+                lam = [idx // p ** i % p for i in range(k)] + [1]
+                assert _fp_is_irreducible(lam, p) == is_irreducible_trial(lam, p), (p, lam)
+
+
+def test_find_irreducible_pinned():
+    # the benchmark's Galois rings and the res_y plans depend on these
+    assert {pk: find_irreducible(*pk) for pk in
+            [(2, 3), (3, 2), (101, 4), (2, 6), (3, 4), (5, 3), (7, 2)]} == {
+        (2, 3): (1, 1, 0, 1), (3, 2): (2, 1, 1), (101, 4): (68, 37, 94, 94, 1),
+        (2, 6): (1, 0, 0, 0, 0, 1, 1), (3, 4): (2, 1, 0, 0, 1), (5, 3): (3, 3, 0, 1),
+        (7, 2): (6, 3, 1)}
+
+
 def test_parse_ring():
     assert parse_ring("12") == Zmod(12)
     gr = parse_ring("2^3;2;1,1,1")
     assert isinstance(gr, GaloisRing) and gr.p == 2 and gr.e == 3 and gr.lam == (1, 1, 1)
+    # lam = (t+1)^2 mod 2 is not irreducible, and 4 is not prime
+    with pytest.raises(ValueError, match="irreducible"):
+        parse_ring("2^3;2;1,0,1")
+    with pytest.raises(ValueError, match="prime"):
+        parse_ring("4^2;1;1,1")
+    # built directly, such a ring cannot invert the zero divisor t+1
+    with pytest.raises(NotUnitError):
+        GaloisRing(2, 3, (1, 0, 1)).inv((1, 1))
