@@ -3,9 +3,11 @@
 The resultant res_y(f, g) of f, g in (Z/nZ)[x][y] is the determinant of the
 y-Sylvester matrix with entries in (Z/nZ)[x]; it is a polynomial in x of
 degree at most B = deg_y(g)*deg_x(f) + deg_y(f)*deg_x(g).  We compute it by
-evaluating x at B+1 points whose pairwise differences are units, running the
-univariate resultant at each point, and interpolating the results by one
-O(B^2) Lagrange per branch; f and g are coerced into each branch ring once.
+evaluating x at B+1 points whose pairwise differences are units, taking the
+univariate resultant at each point at the formal degrees deg_y f, deg_y g
+(`resultant.res_at_degrees`, which also serves the ring splits of `res`),
+and interpolating the results by one O(B^2) Lagrange per branch; f and g
+are coerced into each branch ring once.
 
 Z/nZ rarely contains B+1 such points, so n is split into branches: primes
 p <= B are trial-divided out of n and each prime-power factor p^e is handled
@@ -22,7 +24,7 @@ from itertools import islice
 
 from .ring import GaloisRing, InvariantError, Zmod, find_irreducible
 from .poly import Poly, crt_poly
-from .resultant import res
+from .resultant import res_at_degrees
 
 
 @dataclass(frozen=True)
@@ -107,37 +109,6 @@ def interpolation_plan(ctx: Zmod, B: int) -> list[Branch]:
     return branches
 
 
-def _formal_res(S, pf: Poly, N: int, pg: Poly, M: int):
-    """det of the (N+M) x (N+M) Sylvester matrix of pf, pg taken at the
-    *formal* degrees N >= deg pf, M >= deg pg.
-
-    Leading-coefficient drops change the determinant relative to res(pf, pg):
-    a drop of d in the first argument contributes (-1)^(d*M) * lc(pg)^d, a
-    drop of e in the second contributes lc(pf)^e, and a simultaneous drop
-    zeroes the first column, hence the determinant.
-    """
-    if N == 0 and M == 0:
-        return S.one
-    if M == 0:
-        return S.pow_elem(pg.coeff(0), N)
-    if N == 0:
-        return S.pow_elem(pf.coeff(0), M)
-    n, m = pf.degree, pg.degree
-    if n < N and m < M:
-        return S.zero
-    if n < N:
-        if pf.is_zero():
-            return S.zero
-        d = N - n
-        val = S.mul(S.pow_elem(pg.lc, d), res(pf, pg))
-        return S.neg(val) if (d * M) % 2 else val
-    if m < M:
-        if pg.is_zero():
-            return S.zero
-        return S.mul(S.pow_elem(pf.lc, M - m), res(pf, pg))
-    return res(pf, pg)
-
-
 def _interpolate(S, points, values) -> Poly:
     """Unique polynomial p of degree <= B through the B+1 (points[i], values[i]).
 
@@ -193,8 +164,8 @@ def res_y(f: BiPoly, g: BiPoly) -> Poly:
     for br in interpolation_plan(R, B):
         S = br.ring
         fs, gs = ([c.map_ring(S) for c in h.coeffs] for h in (f, g))
-        values = [_formal_res(S, Poly(S, [c.eval(a) for c in fs]), N,
-                              Poly(S, [c.eval(a) for c in gs]), M) for a in br.points]
+        values = [res_at_degrees(Poly(S, [c.eval(a) for c in fs]), N,
+                                 Poly(S, [c.eval(a) for c in gs]), M) for a in br.points]
         interp = _interpolate(S, br.points, values)
         if isinstance(S, GaloisRing):
             pieces.append((Zmod(br.modulus), _restrict_galois(S, interp)))

@@ -277,8 +277,10 @@ def _selfcheck_cases(seed: int):
         Rp = Zmod(p)
         if not Rp.is_unit(res(f1.map_ring(Rp), g1.map_ring(Rp))):
             continue
-        out = padic_gcd(ctx, dd * f1, dd * g1)
-        yield ("padic planted", (p, k, dd.coeffs), out.delta == 0 and out.value.coeffs == dd.coeffs)
+        f, g = dd * f1, dd * g1
+        out, bez = padic_gcd(ctx, f, g), padic_gcd(ctx, f, g, track_bezout=True)
+        yield ("padic planted", (p, k, dd.coeffs), out.delta == 0 and out.value.coeffs == dd.coeffs
+               and (bez.u is None or bez.u * f + bez.v * g == bez.value))
     # number-field fixed cases
     qi = NumberFieldCtx((1, 0, 1))
     q5 = NumberFieldCtx((5, 0, 1))

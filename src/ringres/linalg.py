@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .poly import NonInvertibleLeadingCoeffError, Poly
-from .ring import Zmod, _ext_gcd
+from .ring import InvariantError, Zmod, _ext_gcd
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def _howell_core(ring: Zmod, rows):
         if {j: tuple(rt[0]) for j, rt in pivots.items()} == before:
             break
     else:
-        raise AssertionError("howell annihilator pass failed to stabilise")
+        raise InvariantError("howell annihilator pass failed to stabilise")
     # normalise pivots to canonical divisors of n
     for j in list(pivots):
         row, trans = pivots[j]
@@ -289,15 +289,15 @@ def res_bezout_linalg(f: Poly, g: Poly) -> BezoutCertificate:
         if target[j] == 0:
             continue
         if j not in pivots:
-            raise AssertionError("resultant certificate: target not in row span")
+            raise InvariantError("resultant certificate: target not in row span")
         prow, ptrans = pivots[j]
         c = R.try_divide(target[j], prow[j])
         if c is None:
-            raise AssertionError("resultant certificate: pivot does not divide")
+            raise InvariantError("resultant certificate: pivot does not divide")
         target = [(x - c * y) % nmod for x, y in zip(target, prow)]
         w = [(x + c * y) % nmod for x, y in zip(w, ptrans)]
     if any(target):
-        raise AssertionError("resultant certificate: reduction left a residue")
+        raise InvariantError("resultant certificate: reduction left a residue")
     # row i (i < m) is x^(m-1-i) * f; row m+i is x^(n-1-i) * g
     u = Poly(R, [w[m - 1 - i] for i in range(m)])
     v = Poly(R, [w[m + n - 1 - i] for i in range(n)])

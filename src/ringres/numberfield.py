@@ -106,8 +106,8 @@ def _a_part(x: int, a: int) -> int:
 
 
 def elem_norm_mod(ctx: NumberFieldCtx, alpha: FieldElem, M: int) -> int:
-    """N(alpha) mod M (for integral N(alpha); general alpha has
-    N(alpha) in Z[1/den], so the denominator part must be coprime to M)."""
+    """N(alpha) mod M for integral N(alpha); ValueError when N(alpha), a
+    priori in Z[1/den], is not integral."""
     if M < 2:
         raise ValueError("modulus must be at least 2")
     if alpha.is_zero():
@@ -120,7 +120,7 @@ def elem_norm_mod(ctx: NumberFieldCtx, alpha: FieldElem, M: int) -> int:
     gbar = Poly.from_ints(R, alpha.num)
     r = int(res(fbar, gbar))  # = d^n N(alpha) mod M d^n
     if r % d**n:
-        raise AssertionError("norm residue not divisible by den^n")
+        raise ValueError("N(alpha) is not integral")
     return (r // d**n) % M
 
 

@@ -1,13 +1,14 @@
 """Fixed-precision p-adic polynomial GCD.
 
 Elements of Z_p are represented at a fixed precision k, i.e. as residues in
-Z/p^k.  The GCD algorithm mirrors the classical Euclidean scheme but never
-divides by a non-unit leading coefficient: when the leading coefficient of
-the divisor has positive valuation, the divisor is split into a unit-like
-part (constant unit modulo p) times a monic part via Hensel lifting, the two
-parts are coprime, and the GCD distributes over the product.  The unit-like
-part is handled through the reciprocal reduction gcd(u, v) =
-rev(gcd(rev(u), rev(v))).
+Z/p^k.  The GCD algorithm is the Euclidean scheme of `res` and `rres`: runs
+of divisors with a unit leading coefficient go through one `poly.UnitChain`
+each, so the recursion depth follows the chain breaks, not the degree.  When
+the divisor's leading coefficient has positive valuation, the divisor is
+split into a unit-like part (constant unit modulo p) times a monic part via
+Hensel lifting; the parts are coprime, so the GCD distributes over the
+product.  The unit-like part goes through the reciprocal reduction
+gcd(u, v) = rev(gcd(rev(u), rev(v))).
 
 Precision loss is tracked explicitly: extracting a content p^v from an
 operand costs v digits, accumulated in a budget delta.  The returned
@@ -23,6 +24,8 @@ from dataclasses import dataclass
 from .ring import Zmod
 from .poly import (
     Poly,
+    UnitChain,
+    content,
     divide_by_scalar,
     divrem,
     fun_factor,
@@ -85,14 +88,7 @@ class PadicCtx:
     def val(self, r) -> int:
         """Valuation of a residue; an exact-zero residue reports k
         (precision-capped, not a true infinity)."""
-        r = int(r) % self.p**self.k
-        if r == 0:
-            return self.k
-        v = 0
-        while r % self.p == 0:
-            r //= self.p
-            v += 1
-        return v
+        return _val(self.p, int(r) % self.p**self.k or self.p**self.k)
 
     def poly(self, ints) -> Poly:
         return Poly.from_ints(self.ring, ints)
@@ -111,9 +107,7 @@ class PadicPoly:
 
     @property
     def content_val(self) -> int:
-        if self.poly.is_zero():
-            return self.ctx.k
-        return min(self.ctx.val(c) for c in self.poly.coeffs)
+        return _content_val(self.ctx.p, self.poly)
 
 
 def fun_factor_padic(ctx: PadicCtx, f: Poly):
@@ -139,26 +133,18 @@ class PadicGcd:
     normalized: bool
 
 
-def _ring_prec(p: int, R: Zmod) -> int:
-    """j with R = Z/p^j."""
-    j, n = 0, R.n
-    while n > 1:
-        n //= p
-        j += 1
-    return j
+def _val(p: int, x: int) -> int:
+    """Exponent of p in the positive integer x."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
 
 
 def _content_val(p: int, f: Poly) -> int:
-    cap = _ring_prec(p, f.ring)
-    best = cap
-    for c in f.coeffs:
-        v = 0
-        c = int(c)
-        while c and c % p == 0 and v < cap:
-            c //= p
-            v += 1
-        best = min(best, v if c else cap)
-    return best
+    """Valuation of the content of f over Z/p^j; j when f is zero."""
+    return _val(p, content(f) or f.ring.n)
 
 
 def _gcd(ctx: PadicCtx, f: Poly, g: Poly, delta: int, track: bool):
@@ -197,7 +183,7 @@ def _gcd(ctx: PadicCtx, f: Poly, g: Poly, delta: int, track: bool):
         # the UNSHARED content costs accuracy: the shared factor p^min
         # multiplies straight back onto the result, so the final value is
         # still correct modulo p^(prec - (max - min) - later losses).
-        prec = _ring_prec(ctx.p, R)
+        prec = _val(ctx.p, R.n)
         shared = min(vf, vg)
         drop = max(vf, vg)
         delta += drop - shared
@@ -217,11 +203,17 @@ def _gcd(ctx: PadicCtx, f: Poly, g: Poly, delta: int, track: bool):
         return d, delta, bez
 
     if R.is_unit(g.lc):
-        q, r = divrem(f, g)
-        d, delta, bez = _gcd(ctx, g, r, delta, track)
+        # divide while the divisor's leading coefficient stays a unit
+        chain = UnitChain(f, g, record=track)
+        F, G = chain.pair(monic=False)
+        d, delta, bez = _gcd(ctx, F, G, delta, track)
         if bez:
-            u, v = bez  # u*g + v*r = d and r = f - q*g
-            bez = (v, u - v * q)
+            # lift needs deg v < deg F: reduce v mod F, rescale u*F + v*G == d
+            # to the chain's monic pair (F/c_s, G/c_{s-1}) and lift to (f, g)
+            q, v = divrem(bez[1], F)
+            s = chain.steps
+            bez = chain.lift((bez[0] + q * G).scale(s[-1][3]),
+                             v.scale(s[-2][3] if len(s) >= 2 else R.one))
         return d, delta, bez
 
     # non-unit leading coefficient: split g into coprime unit-like x monic

@@ -248,29 +248,35 @@ def rres_bezout(f: Poly, g: Poly) -> RresCertificate:
 # ---------------------------------------------------------------------------
 
 def _split_res(f: Poly, g: Poly, a, ideal_mode):
-    """Split on a; recombine with degree-drop corrections.
+    """Split on a; each branch keeps the degrees of f and g as formal ones."""
+    return split_crt(f.ring, a, lambda Rb: res_at_degrees(
+        f.map_ring(Rb), f.degree, g.map_ring(Rb), g.degree, ideal_mode))
 
-    For a projection phi with deg phi(f) = deg f - d and deg phi(g) = deg g:
-    phi(res(f,g)) = (-1)^(d*deg g) * phi(lc g)^d * res(phi f, phi g);
-    symmetrically lc(f)^e (no sign) when only deg g drops, and 0 when both
-    degrees drop.
+
+def res_at_degrees(f: Poly, N: int, g: Poly, M: int, ideal_mode=False):
+    """det of the (N+M) x (N+M) Sylvester matrix of f, g taken at the
+    *formal* degrees N >= deg f, M >= deg g.
+
+    Leading-coefficient drops change the determinant relative to res(f, g):
+    a drop of d in the first argument contributes (-1)^(d*M) * lc(g)^d, a
+    drop of e in the second contributes lc(f)^e, and a simultaneous drop
+    zeroes the first column, hence the determinant.
     """
-    def branch(Rb):
-        fb, gb = f.map_ring(Rb), g.map_ring(Rb)
-        if fb.is_zero() or gb.is_zero():
-            return Rb.zero
-        d = f.degree - fb.degree
-        e = g.degree - gb.degree
-        if d > 0 and e > 0:
-            return Rb.zero
-        if e == 0:
-            val = Rb.mul(Rb.pow_elem(Rb.coerce(g.lc), d), _res(fb, gb, ideal_mode))
-            if (d * g.degree) % 2:
-                val = Rb.neg(val)
-            return val
-        return Rb.mul(Rb.pow_elem(Rb.coerce(f.lc), e), _res(fb, gb, ideal_mode))
-
-    return split_crt(f.ring, a, branch)
+    R = f.ring
+    if N == 0 and M == 0:
+        return R.one
+    if M == 0:
+        return R.pow_elem(g.coeff(0), N)
+    if N == 0:
+        return R.pow_elem(f.coeff(0), M)
+    d, e = N - f.degree, M - g.degree
+    if (d and e) or f.is_zero() or g.is_zero():
+        return R.zero
+    val = _res(f, g, ideal_mode)
+    if d:
+        val = R.mul(R.pow_elem(g.lc, d), val)
+        return R.neg(val) if (d * M) % 2 else val
+    return R.mul(R.pow_elem(f.lc, e), val) if e else val
 
 
 def _res_unit(f: Poly, u: Poly, ideal_mode):

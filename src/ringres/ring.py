@@ -507,15 +507,9 @@ class GaloisRing:
             yield tuple(out)
 
     def residue_lifts(self):
-        """Lifts of all residue-field elements: tuples with entries in [0,p)."""
-        p, k = self.p, self.k
-        for idx in range(p ** k):
-            out = []
-            m = idx
-            for _ in range(k):
-                out.append(m % p)
-                m //= p
-            yield tuple(out)
+        """Lifts of all residue-field elements: tuples with entries in [0,p),
+        in base-p digit order, as elements() of GR(p, 1, lam)."""
+        return GaloisRing(self.p, 1, self.lam).elements()
 
     def format_elem(self, a) -> str:
         return ",".join(str(c) for c in a)

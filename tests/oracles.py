@@ -15,7 +15,7 @@ import math
 
 import sympy
 
-from ringres import Matrix, Poly, Zmod, divrem, howell, res
+from ringres import Matrix, Poly, divrem, howell
 # the reduced resultant from stabilized extended-degree Howell forms lives in
 # linalg, where `ringres selfcheck` uses it too
 from ringres.linalg import rres_howell as rres_howell_oracle

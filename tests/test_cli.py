@@ -128,12 +128,19 @@ sys.exit(main(["selfcheck"]) or main(["res", "--mod", "10007", f, g]))
 
 class TestInvariants:
     def test_no_asserts_in_src(self):
-        # invariants must survive python -O, which strips assert statements
+        # invariants must survive python -O, which strips assert statements,
+        # and raise InvariantError (bad input: ValueError), not AssertionError
         src = Path(__file__).resolve().parent.parent / "src" / "ringres"
+
+        def raises_assertion(n):
+            exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+            return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
         for path in sorted(src.glob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
-            found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
-            assert not found, f"{path.name}: assert at lines {found}"
+            found = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)
+                     or (isinstance(n, ast.Raise) and n.exc and raises_assertion(n))]
+            assert not found, f"{path.name}: assert or AssertionError at lines {found}"
 
     def test_broken_invariant_is_3(self, monkeypatch, capsys):
         from ringres import Poly

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -6,7 +5,6 @@ import pytest
 from ringres import (
     FieldElem,
     Ideal2,
-    InsufficientHintError,
     NumberFieldCtx,
     elem_norm_mod,
     ideal_min,
@@ -62,6 +60,11 @@ class TestElemNorm:
         assert elem_norm_mod(ctx, FieldElem((1, 1)), 100) == 6
         # N((2 + 2 gamma)/2) = N(1 + gamma) after reduction
         assert elem_norm_mod(ctx, FieldElem((2, 2), 2), 100) == 6
+
+    def test_non_integral_norm_rejected(self):
+        # N(1/2) = 1/4 in Q(i) breaks the integral-norm precondition
+        with pytest.raises(ValueError):
+            elem_norm_mod(NumberFieldCtx((1, 0, 1)), FieldElem((1,), 2), 7)
 
     def test_against_oracle(self):
         rng = random.Random(701)

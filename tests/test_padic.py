@@ -4,7 +4,6 @@ import pytest
 
 from ringres import (
     PadicCtx,
-    PadicGcd,
     PadicPoly,
     Poly,
     PrecisionError,
@@ -200,3 +199,56 @@ class TestAdversarial:
             if out.u is not None:
                 assert out.u * f + out.v * g == out.value, (p, k, f.coeffs, g.coeffs)
             done += 1
+
+
+def planted(rng, ctx, d, dh, nilpotent_lc=False):
+    """(h, h*a, h*b): h monic of degree dh, h*a of degree d, a and b coprime
+    mod p with unit constant terms; with nilpotent_lc, half of the cofactors
+    get a leading coefficient divisible by p, which breaks the unit-lc
+    chains."""
+    p, q = ctx.p, ctx.ring.n
+    Rp = Zmod(p)
+
+    def unit():
+        while True:
+            x = rng.randrange(1, q)
+            if x % p:
+                return x
+
+    def cofactor(deg):
+        lc = p * rng.randrange(1, q // p) if nilpotent_lc and rng.random() < 0.5 else unit()
+        return ctx.poly([unit()] + [rng.randrange(q) for _ in range(deg - 1)] + [lc])
+
+    h = ctx.poly([rng.randrange(q) for _ in range(dh)] + [1])
+    while True:
+        a, b = cofactor(d - dh), cofactor(d - dh - 1 - rng.randrange(4))
+        if Rp.is_unit(res(a.map_ring(Rp), b.map_ring(Rp))):
+            return h, h * a, h * b
+
+
+class TestUnitChainPath:
+    @pytest.mark.parametrize("p, k", [(10007, 2), (2**61 - 1, 1)])
+    def test_long_chain_planted(self, p, k):
+        # about 1,090 unit-lc divisions in a row, more than the default
+        # recursion limit: one UnitChain, no Python frame per division
+        ctx = PadicCtx(p, k)
+        h, f, g = planted(random.Random(p), ctx, 1100, 8)
+        for track in (False, True):
+            out = padic_gcd(ctx, f, g, track_bezout=track)
+            assert out.value == h and out.delta == 0 and out.normalized
+            if track:
+                assert out.u * f + out.v * g == out.value
+
+    @pytest.mark.parametrize("p, k", [(3, 40), (2, 64)])
+    @pytest.mark.parametrize("d", [64, 200])
+    def test_tracked_bezout_nilpotent_cofactors(self, p, k, d):
+        # the chains break at nilpotent leading coefficients and restart
+        # after a fun_factor split
+        ctx = PadicCtx(p, k)
+        rng = random.Random(d)
+        for _ in range(4):
+            h, f, g = planted(rng, ctx, d, d // 4, nilpotent_lc=True)
+            out = padic_gcd(ctx, f, g, track_bezout=True)
+            assert out.value == h and out.delta == 0
+            if out.u is not None:
+                assert out.u * f + out.v * g == out.value

@@ -159,6 +159,12 @@ class TestGaloisRing:
         gr = GaloisRing(2, 2, (1, 1, 1))
         pts = list(gr.residue_lifts())
         assert len(pts) == 4
+        # res_y takes the first B + 1 points, so the base-p digit order
+        # (lowest t-coefficient first) is part of the contract
+        assert pts == [(0, 0), (1, 0), (0, 1), (1, 1)]
+        gr3 = GaloisRing(3, 4, (1, 2, 0, 1))
+        assert list(gr3.residue_lifts()) == [
+            (i % 3, i // 3 % 3, i // 9) for i in range(27)]
         for i, a in enumerate(pts):
             for b in pts[i + 1 :]:
                 assert gr.is_unit(gr.sub(a, b))
