@@ -279,8 +279,15 @@ def _selfcheck_cases(seed: int):
             continue
         f, g = dd * f1, dd * g1
         out, bez = padic_gcd(ctx, f, g), padic_gcd(ctx, f, g, track_bezout=True)
+        # a unit chain a -> b -> f1 that stops at the nonzero 1 + p*x, with a
+        # divisor lc 1 + p != 1 before the last step, so the tracked pair
+        # must undo both of the chain's rescales
+        b = Poly(R, [dd.coeffs[0], 1]) * f1 * Poly(R, [1 + p]) + Poly(R, [1, p])
+        a = Poly(R, [0, 1]) * b + f1
+        stop = padic_gcd(ctx, a, b, track_bezout=True)
         yield ("padic planted", (p, k, dd.coeffs), out.delta == 0 and out.value.coeffs == dd.coeffs
-               and (bez.u is None or bez.u * f + bez.v * g == bez.value))
+               and (bez.u is None or bez.u * f + bez.v * g == bez.value)
+               and stop.u is not None and stop.u * a + stop.v * b == stop.value)
     # number-field fixed cases
     qi = NumberFieldCtx((1, 0, 1))
     q5 = NumberFieldCtx((5, 0, 1))

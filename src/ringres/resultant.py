@@ -284,16 +284,43 @@ def _res_unit(f: Poly, u: Poly, ideal_mode):
     R = f.ring
     if u.degree == 0:
         return R.pow_elem(u.coeffs[0], f.degree)
+    if u.degree == 1:
+        return _res_linear(f, u.coeffs[0], u.coeffs[1])
     # strip the power of x: res(x, u) = u(0)
     s = next(i for i, c in enumerate(f.coeffs) if not R.is_zero(c))
     acc = R.pow_elem(u.coeffs[0], s)
     f2 = Poly(R, f.coeffs[s:])
     if f2.degree == 0:
         return R.mul(acc, R.pow_elem(f2.coeffs[0], u.degree))
-    val = _res(reciprocal(f2), reciprocal(u), ideal_mode)
-    if (f2.degree * u.degree) % 2:
-        val = R.neg(val)
-    return R.mul(acc, val)
+    # res(f2, u) == (-1)^(nm) res(F, U) == res(U, F) for the reciprocals,
+    # and res(U, F) == lc(U)^(n - deg r) res(U, r) with r = F mod U.  U is
+    # u(0)*y^m modulo the nilpotents, so y^(mE) == 0 modulo U (as in
+    # fun_factor) and r is the remainder of F mod y^(mE).
+    F, U = reciprocal(f2), reciprocal(u)
+    r = divrem(Poly(R, F.coeffs[:u.degree * R.E]), U)[1]
+    if r.is_zero():
+        return R.zero
+    return R.mul(acc, R.mul(R.pow_elem(U.lc, F.degree - r.degree), _res(U, r, ideal_mode)))
+
+
+def _res_linear(f: Poly, u0, u1):
+    """res(f, u0 + u1*x) == sum_i f_i * u0^i * (-u1)^(n-i), n = deg f.
+
+    Homogeneous Horner from the top: once (-u1)^j is zero, as it is from
+    j = E on when u1 is nilpotent, the lower coefficients of f add nothing
+    and the sum is u0^i times the terms read so far.
+    """
+    R = f.ring
+    b = R.neg(u1)
+    i = f.degree
+    acc, bp = f.coeffs[i], R.one
+    while i > 0:
+        bp = R.mul(bp, b)
+        if R.is_zero(bp):
+            break
+        i -= 1
+        acc = R.add(R.mul(acc, u0), R.mul(f.coeffs[i], bp))
+    return R.mul(acc, R.pow_elem(u0, i))
 
 
 def _res(f: Poly, g: Poly, ideal_mode=False):

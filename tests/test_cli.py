@@ -43,9 +43,13 @@ class TestBasicCommands:
         assert p.stdout.strip() == "q=1,6,1 r=0"
 
     def test_funfactor(self):
-        p = run("funfactor", "--mod", "8", "1,0,0,1,0,2")
-        assert p.returncode == 0
-        assert p.stdout.strip() == "u=1,4,2 monic=1,4,6,1"
+        # gap 2; gap 1 in the reversed lift; k = 1 < m
+        for f, want in (("1,0,0,1,0,2", "u=1,4,2 monic=1,4,6,1"),
+                        ("1,0,1,2", "u=5,2 monic=5,6,1"),
+                        ("1,1,2,2", "u=1,0,2 monic=1,1")):
+            p = run("funfactor", "--mod", "8", f)
+            assert p.returncode == 0
+            assert p.stdout.strip() == want
 
     def test_inv(self):
         p = run("inv", "--mod", "4", "1,2")
@@ -168,12 +172,18 @@ class TestInvariants:
         from ringres import poly
         from ringres.cli import main
 
-        # a lift that stops before its first step leaves u*gtilde != f
+        # a lift that stops before its first step leaves u*gtilde != f: on
+        # lists (gap 2), by Newton on the root in the reversed lift (gap 1)
+        # and on gtilde's root (k = 1 < m)
         lift = poly._lift
         monkeypatch.setattr(poly, "_lift", lambda G, P, S, rounds: lift(G, P, S, 0))
-        assert main(["funfactor", "--mod", "8", "1,0,0,1,0,2"]) == 3
-        out = capsys.readouterr()
-        assert out.out == "" and "InvariantError" in out.err
+        for f in ("1,0,0,1,0,2", "1,0,1,2", "3,1,2,2"):
+            assert main(["funfactor", "--mod", "8", f]) == 3, f
+            out = capsys.readouterr()
+            assert out.out == "" and "InvariantError" in out.err, f
+        # x + 1 divides 1 + x + 2x^2 + 2x^3: the starting root is exact
+        assert main(["funfactor", "--mod", "8", "1,1,2,2"]) == 0
+        assert capsys.readouterr().out.strip() == "u=1,0,2 monic=1,1"
 
     def test_packed_slot_bound_is_3(self, monkeypatch, capsys):
         from ringres import poly

@@ -20,7 +20,7 @@ from ringres import (
     is_unit_poly,
     reciprocal,
 )
-from ringres.poly import top_non_nilpotent
+from ringres.poly import _divrem_lists, _mul_lists, top_non_nilpotent
 
 from oracles import fun_factor_forward
 
@@ -260,11 +260,56 @@ class TestFunFactor:
         cases = [(7, m, low, x) for m in range(1, 8) for low, x in variants]
         cases += [(100, m, low, x) for m in (1, 2, 3) for low, x in variants]
         cases += [(24, m, low, x) for m in (9, 23, 24) for low, x in variants]
+        # k = 1 < m at d = 40 (Newton on the root of gtilde), and a lifted
+        # factor of degree 18 > _LIST_LIFT_MAX on either side
+        cases += [(d, m, low, x) for d, m in ((40, 39), (40, 18), (40, 22))
+                  for low, x in variants]
         for d, m, low, x in cases:
             f = ff_input(rng, R, r, d, m, low, x)
             fac = fun_factor(f)
             assert (fac.u, fac.gtilde, fac.k) == fun_factor_forward(f), (d, m, low, x)
             assert fac.gtilde.degree == d - m and fac.u.degree == m
+
+    @pytest.mark.parametrize("R, r, d", [(Zmod(2**6), 2, 40), (Zmod(3**4), 3, 40),
+                                         (Zmod(3**40), 3, 300),
+                                         (GaloisRing(2, 8, find_irreducible(2, 3)), 2, 40)],
+                             ids=str)
+    def test_matches_forward_lift_truncated(self, R, r, d):
+        # d > m*E + 1 for m = 1..4: the reversed lift runs on a truncation
+        # of rev(f), and only the final quotient reads all of it
+        rng = random.Random(f"fun_factor/truncated/{R}")
+        for m in range(1, 5):
+            assert m * R.E + 1 < d
+            for low, x in (("random", False), ("top", False), ("random", True)):
+                f = ff_input(rng, R, r, d, m, low, x)
+                fac = fun_factor(f)
+                assert (fac.u, fac.gtilde, fac.k) == fun_factor_forward(f), (m, low, x)
+
+    def test_truncated_error_vanishes_early(self):
+        # Z/64, E = 7: a round of the truncated lift finds E == 0 on the
+        # coefficients it reads (gap 1 Newton, gap 2 and 3 lists) before P
+        # is exact, and must not stop there
+        R = Zmod(64)
+        for cs in ([36, 29, 50, 58, 47, 9, 27, 14, 3, 14],
+                   [11, 36, 32, 23, 12, 48, 53, 51, 45, 7, 17, 43, 16, 2],
+                   [59, 38, 22, 28, 47, 28, 43, 31, 13, 43, 15, 11, 24, 42, 50]):
+            f = Poly.from_ints(R, cs)
+            fac = fun_factor(f)
+            assert (fac.u, fac.gtilde, fac.k) == fun_factor_forward(f), cs
+
+    def test_list_helpers_match_poly(self):
+        # the list lift's products and remainders are canonical residues
+        rng = random.Random(11)
+        for n in (64, 3**40, 2**64, 6**10):
+            R = Zmod(n)
+            for _ in range(50):
+                a = [rng.randrange(n) for _ in range(rng.randrange(1, 30))]
+                b = [rng.randrange(n) for _ in range(rng.randrange(1, 6))]
+                prod = _mul_lists(a, b, n)
+                assert Poly(R, prod) == Poly(R, a) * Poly(R, b)
+                q, r = _divrem_lists(a, b + [1], n)
+                assert (Poly(R, q), Poly(R, r)) == divrem(Poly(R, a), Poly(R, b + [1]))
+                assert len(r) == len(b) and all(0 <= x < n for x in prod + q + r)
 
     @given(st.sampled_from([(2, 6), (3, 4), (5, 3), (7, 2)]), st.integers(1, 14), st.data())
     @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ringres import (GaloisRing, Poly, Zmod, det, find_irreducible, res, res_ideal,
                      rres, rres_bezout, sylvester)
 from ringres.poly import _Packed
-from ringres.resultant import Reduced, SplitElem, ppa
+from ringres.resultant import Reduced, SplitElem, _res_unit, ppa
 
 from oracles import berkowitz_det, rres_howell_oracle
 
@@ -173,6 +173,43 @@ class TestGaloisRings:
                     continue
                 assert res(f, g) == berkowitz_det(R, sylvester(f, g).rows), (R, f, g)
                 done += 1
+
+
+class TestResLinearUnit:
+    """_res_unit's closed form for a unit u0 + u1*x, against det(sylvester)."""
+
+    @pytest.mark.parametrize("R, p", [(Zmod(3**40), 3), (Zmod(2**64), 2),
+                                      (GaloisRing(3, 20, find_irreducible(3, 2)), 3)],
+                             ids=str)
+    def test_matches_sylvester_det(self, R, p):
+        galois = isinstance(R, GaloisRing)
+        q = R.pe if galois else R.n
+        rng = random.Random(f"res_unit/{R}")
+
+        def elem():
+            return tuple(rng.randrange(q) for _ in range(R.k)) if galois else rng.randrange(q)
+
+        def nil(v):
+            return R.mul(elem(), R.from_int(p**v))
+
+        done = 0
+        while done < 40:
+            # u1 = p^v * c with v = 1..3: (-u1)^j vanishes from j >= e/v on
+            # (p^e == 0), below or above deg f; f may have f(0) == 0 or a
+            # nilpotent lc
+            u0, u1 = elem(), nil(rng.randrange(1, 4))
+            cs = [elem() for _ in range(rng.randrange(2, 17 if galois else 30))]
+            if rng.random() < 0.3:
+                cs[0] = R.zero
+            if rng.random() < 0.3:
+                cs[-1] = nil(1)
+            f, u = Poly(R, cs), Poly(R, [u0, u1])
+            if not R.is_unit(u0) or R.is_zero(u1) or f.degree < 1:
+                continue
+            S = sylvester(f, u)
+            want = berkowitz_det(R, S.rows) if galois else det(S)
+            assert _res_unit(f, u, False) == want, (f, u)
+            done += 1
 
 
 class TestAlgebraicIdentities:
