@@ -282,7 +282,7 @@ def _selfcheck_cases(seed: int):
         # a unit chain a -> b -> f1 that stops at the nonzero 1 + p*x, with a
         # divisor lc 1 + p != 1 before the last step, so the tracked pair
         # must undo both of the chain's rescales
-        b = Poly(R, [dd.coeffs[0], 1]) * f1 * Poly(R, [1 + p]) + Poly(R, [1, p])
+        b = dd * f1 * Poly(R, [1 + p]) + Poly(R, [1, p])
         a = Poly(R, [0, 1]) * b + f1
         stop = padic_gcd(ctx, a, b, track_bezout=True)
         yield ("padic planted", (p, k, dd.coeffs), out.delta == 0 and out.value.coeffs == dd.coeffs

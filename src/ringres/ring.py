@@ -206,29 +206,44 @@ class Zmod:
 # Galois rings
 # ---------------------------------------------------------------------------
 
-def _fp_rem(a, m, p):
-    """a mod m over F_p, without trailing zeros; m monic, lists of ints
-    ascending."""
-    a = [x % p for x in a]
-    dm = len(m) - 1
-    for i in range(len(a) - 1 - dm, -1, -1):
-        c = a[i + dm]
-        if c:
-            for j in range(dm):
-                a[i + j] = (a[i + j] - c * m[j]) % p
-    del a[dm:]
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _fp_mulmod(a, b, m, p):
+def _mul_lists(a, b, n):
+    """Schoolbook product of ascending int lists, one reduction mod n per
+    coefficient."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _fp_rem(out, m, p)
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return [z % n for z in out]
+
+
+def _divrem_lists(a, p, n):
+    """(q, r) with a == q*p + r over Z/n for ascending int lists, p monic; r
+    has deg p entries, all reduced mod n."""
+    m = len(p) - 1
+    a = list(a) + [0] * (m - len(a))
+    q = [0] * (len(a) - m)
+    low = p[:-1]
+    for i in range(len(a) - 1, m - 1, -1):
+        c = a[i] % n
+        if c:
+            q[i - m] = c
+            for j, y in enumerate(low, i - m):
+                a[j] -= c * y
+    return q, [x % n for x in a[:m]]
+
+
+def _fp_rem(a, m, p):
+    """a mod m over F_p, without trailing zeros; m monic, lists of ints
+    ascending."""
+    r = _divrem_lists(a, m, p)[1]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _fp_mulmod(a, b, m, p):
+    return _fp_rem(_mul_lists(a, b, p), m, p)
 
 
 def _fp_inv_mod(a, m, p):

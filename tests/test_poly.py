@@ -20,7 +20,8 @@ from ringres import (
     is_unit_poly,
     reciprocal,
 )
-from ringres.poly import _divrem_lists, _mul_lists, top_non_nilpotent
+from ringres.poly import top_non_nilpotent
+from ringres.ring import _divrem_lists, _mul_lists
 
 from oracles import fun_factor_forward
 

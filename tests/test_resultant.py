@@ -175,11 +175,14 @@ class TestGaloisRings:
                 done += 1
 
 
-class TestResLinearUnit:
-    """_res_unit's closed form for a unit u0 + u1*x, against det(sylvester)."""
+class TestResUnit:
+    """_res_unit for a unit u0 + u1*x + ... + um*x^m (closed form at m = 1,
+    the truncated reversal above), against det(sylvester)."""
 
     @pytest.mark.parametrize("R, p", [(Zmod(3**40), 3), (Zmod(2**64), 2),
-                                      (GaloisRing(3, 20, find_irreducible(3, 2)), 3)],
+                                      (GaloisRing(3, 20, find_irreducible(3, 2)), 3),
+                                      (Zmod(2**6), 2), (Zmod(3**4), 3),
+                                      (GaloisRing(2, 3, find_irreducible(2, 2)), 2)],
                              ids=str)
     def test_matches_sylvester_det(self, R, p):
         galois = isinstance(R, GaloisRing)
@@ -192,24 +195,29 @@ class TestResLinearUnit:
         def nil(v):
             return R.mul(elem(), R.from_int(p**v))
 
-        done = 0
-        while done < 40:
-            # u1 = p^v * c with v = 1..3: (-u1)^j vanishes from j >= e/v on
-            # (p^e == 0), below or above deg f; f may have f(0) == 0 or a
-            # nilpotent lc
-            u0, u1 = elem(), nil(rng.randrange(1, 4))
+        done = truncated = 0
+        while done < 60:
+            # u1..um = p^v * c with v = 1..3: (-u1)^j vanishes from j >= e/v
+            # on (p^e == 0), below or above deg f; f may have f(0) == 0 or a
+            # nilpotent lc.  For m >= 2 on the small rings deg f >= m*E, so
+            # the reversal of f is cut to m*E coefficients
+            m = 1 + done % 3
+            us = [elem()] + [nil(rng.randrange(1, 4)) for _ in range(m)]
             cs = [elem() for _ in range(rng.randrange(2, 17 if galois else 30))]
             if rng.random() < 0.3:
                 cs[0] = R.zero
             if rng.random() < 0.3:
                 cs[-1] = nil(1)
-            f, u = Poly(R, cs), Poly(R, [u0, u1])
-            if not R.is_unit(u0) or R.is_zero(u1) or f.degree < 1:
+            f, u = Poly(R, cs), Poly(R, us)
+            if not R.is_unit(us[0]) or u.degree != m or f.degree < 1:
                 continue
             S = sylvester(f, u)
             want = berkowitz_det(R, S.rows) if galois else det(S)
             assert _res_unit(f, u, False) == want, (f, u)
             done += 1
+            truncated += m >= 2 and f.degree - (f.coeffs[0] == R.zero) >= m * R.E
+        if R.E <= 6:
+            assert truncated >= 10
 
 
 class TestAlgebraicIdentities:
