@@ -12,9 +12,11 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import random
+import statistics
 import sys
 import time
 
@@ -298,10 +300,9 @@ def _selfcheck_cases(seed: int):
 
 
 def cmd_selfcheck(args):
-    seed = args.seed if args.seed is not None else 0
     passed = failed = 0
     first_fail = None
-    for name, case, ok in _selfcheck_cases(seed):
+    for name, case, ok in _selfcheck_cases(args.seed):
         if ok:
             passed += 1
         else:
@@ -309,7 +310,7 @@ def cmd_selfcheck(args):
             if first_fail is None:
                 first_fail = (name, case)
     if failed:
-        print(f"FAIL ({failed} of {passed + failed} cases, seed {seed}); "
+        print(f"FAIL ({failed} of {passed + failed} cases, seed {args.seed}); "
               f"first failure: {first_fail[0]} {first_fail[1]}")
         return EXIT_SELFCHECK
     print(f"PASS ({passed} cases)")
@@ -320,37 +321,48 @@ def cmd_selfcheck(args):
 # bench
 # ---------------------------------------------------------------------------
 
-def _bench_moduli():
-    # 64-bit prime, near-2^64 prime power, 8-prime-factor composite of
-    # matching bit size
-    p64 = 18446744073709551557  # largest prime < 2^64
-    prime_power = 3**40  # about 2^63.4
-    composite = 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211  # 63 bits
-    return [("prime", p64), ("prime-power", prime_power), ("composite", composite)]
+# The modulus classes of the res/rres timing sweep that `ringres bench` prints
+# and acceptance criterion 8 asserts on, all of about 64 bits.
+BENCH_MODULI = (
+    ("prime", 18446744073709551557),  # largest prime < 2^64
+    ("prime-power", 3**40),  # about 2^63.4
+    ("composite", 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211),  # 63 bits
+)
+BENCH_SIZES = (64, 128, 256, 512, 1024)
+
+
+def median_seconds(fn, n, d, rng) -> float:
+    """Median time of fn(f, g) over three fresh random monic pairs of degree
+    d over Z/n, lower coefficients rng.randrange(n): one call's time moves
+    more from run to run than the ratios criterion 8 asserts have margin to
+    their bounds."""
+    R = Zmod(n)
+    samples = []
+    for _ in range(3):
+        f = Poly(R, [rng.randrange(n) for _ in range(d)] + [1])
+        g = Poly(R, [rng.randrange(n) for _ in range(d)] + [1])
+        t0 = time.perf_counter()
+        fn(f, g)
+        samples.append(time.perf_counter() - t0)
+    return statistics.median(samples)
 
 
 def cmd_bench(args):
-    rng = random.Random(args.seed if args.seed is not None else 0)
-    rows = [("algorithm", "d", "n-class", "seconds")]
-    sizes = (64, 128, 256, 512, 1024)
-    for label, n in _bench_moduli():
-        R = Zmod(n)
-        for d in sizes:
-            f = Poly(R, [rng.randrange(1, n) for _ in range(d)] + [1])
-            g = Poly(R, [rng.randrange(1, n) for _ in range(d)] + [1])
-            t0 = time.perf_counter()
-            res(f, g)
-            rows.append(("res", d, label, round(time.perf_counter() - t0, 4)))
-            t0 = time.perf_counter()
-            rres(f, g)
-            rows.append(("rres", d, label, round(time.perf_counter() - t0, 4)))
+    # open --out before timing anything, so a bad path costs no sweep
+    try:
+        out = open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    except OSError as e:
+        raise ValueError(f"cannot write --out: {e}") from None
+    rng = random.Random(args.seed)
+    with out as fh:
+        w = csv.writer(fh)
+        w.writerow(("algorithm", "d", "n-class", "seconds"))
+        for label, n in BENCH_MODULI:
+            for d in BENCH_SIZES:
+                for alg, fn in (("res", res), ("rres", rres)):
+                    w.writerow((alg, d, label, round(median_seconds(fn, n, d, rng), 4)))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
         print(f"wrote {args.out}")
-    else:
-        w = csv.writer(sys.stdout)
-        w.writerows(rows)
     return EXIT_OK
 
 
@@ -359,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, *, polys=0, named=(), flags=("mod",)):
+    def add(name, fn, *, polys=0, named=(), flags=("mod", "json")):
         sp = sub.add_parser(name)
         if "mod" in flags:
             sp.add_argument("--mod", type=int)
@@ -376,9 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(arg)
         for i in range(polys):
             sp.add_argument("fg"[i] if polys <= 2 else f"p{i}")
-        sp.add_argument("--json", action="store_true")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out")
+        if "json" in flags:
+            sp.add_argument("--json", action="store_true")
+        if "seed" in flags:
+            sp.add_argument("--seed", type=int, default=0)
+        if "out" in flags:
+            sp.add_argument("--out")
         sp.set_defaults(fn=fn)
         return sp
 
@@ -393,11 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("howell", cmd_howell, named=("matrix",))
     add("sylvester", cmd_sylvester, polys=2)
     add("bivres", cmd_bivres, polys=2)
-    add("padic-gcd", cmd_padic_gcd, polys=2, flags=("padic",))
-    add("nf-norm", cmd_nf_norm, flags=("nf",))
-    add("nf-min", cmd_nf_min, flags=("nf",))
-    add("selfcheck", cmd_selfcheck, flags=())
-    add("bench", cmd_bench, flags=())
+    add("padic-gcd", cmd_padic_gcd, polys=2, flags=("padic", "json"))
+    add("nf-norm", cmd_nf_norm, flags=("nf", "json"))
+    add("nf-min", cmd_nf_min, flags=("nf", "json"))
+    add("selfcheck", cmd_selfcheck, flags=("seed",))
+    add("bench", cmd_bench, flags=("seed", "out"))
     return ap
 
 

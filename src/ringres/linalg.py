@@ -212,19 +212,15 @@ def howell(M: Matrix) -> Matrix:
 
 
 def rres_linalg(f: Poly, g: Poly):
-    """Reduced resultant via the Howell form of the Sylvester matrix.
-
-    Requires an invertible leading coefficient on at least one input; the
-    generator is read off the last diagonal entry and canonicalised."""
+    """Reduced resultant of f, g, one of them with an invertible leading
+    coefficient, by the Howell-form oracle rres_howell."""
     R = f.ring
     if f.is_zero() or g.is_zero():
         raise ValueError("rres_linalg requires nonzero polynomials")
     if not (R.is_unit(f.lc) or R.is_unit(g.lc)):
         raise NonInvertibleLeadingCoeffError(
             "rres_linalg requires one invertible leading coefficient")
-    H = howell(sylvester(f, g))
-    k = H.nrows
-    return R.ideal_gen(H.rows[k - 1][k - 1])
+    return rres_howell(f, g)
 
 
 def rres_howell(f: Poly, g: Poly):

@@ -240,6 +240,17 @@ def is_unit_poly(f: Poly) -> bool:
 # division
 # ---------------------------------------------------------------------------
 
+# Largest degree of a divisor or lifted factor that _divrem and _lift handle
+# on int lists over Z/n; above it they run on packed divisions.  On a 2-vCPU
+# x86 VM (CPython 3.11), over Z/3^40 and Z/2^64: divrem by degree 1-16 is
+# faster on lists at dividend degrees 32-512 (best of 5x50 calls; over 3^40,
+# 0.32 against 1.23 ms at 512 by 1, 1.41 against 2.22 ms by 16); fun_factor
+# (median of 7 inputs per d, m) 1.2 against 2.7 ms at d = 96, m = 2, 21
+# against 29 ms at d = 512, m = 16, either way at m = 32, slower from m = 40
+# (114 against 75 ms at d = 512, m = 64; 576 against 164 ms at m = 200).
+_LIST_DEG_MAX = 16
+
+
 def divrem(f: Poly, g: Poly):
     """(q, r) with f = q*g + r, deg r < deg g; needs lc(g) invertible."""
     R = f.ring
@@ -252,12 +263,21 @@ def divrem(f: Poly, g: Poly):
 
 
 def _divrem(f: Poly, g: Poly, winv):
-    """divrem with winv == lc(g)^-1 given: packed over Z/n, row by row over
-    a Galois ring or by a constant."""
+    """divrem with winv == lc(g)^-1 given: over Z/n on int lists up to
+    deg g == _LIST_DEG_MAX and packed above, row by row over a Galois ring
+    or by a constant."""
     R = f.ring
     dg = g.degree
     if f.degree < dg:
         return Poly(R, []), f
+    if R.kind == "zmod" and 1 <= dg <= _LIST_DEG_MAX:
+        # f == q*(g*winv) + r, so f == (q*winv)*g + r
+        n = R.n
+        p = g.coeffs if winv == 1 else [c * winv % n for c in g.coeffs]
+        q, r = _divrem_lists(f.coeffs, p, n)
+        if winv != 1:
+            q = [c * winv % n for c in q]
+        return Poly(R, q), Poly(R, r)
     if R.kind == "zmod" and dg >= 1:
         P = _Packed(R.n, f.degree + 2)
         q, X, dr, _ = P.divrem(P.pack(f.coeffs), f.degree, P.pack(g.coeffs), dg, winv)
@@ -551,17 +571,6 @@ class FunFactorization:
     k: int
 
 
-# Largest degree of the lifted factor that _lift lifts on plain coefficient
-# lists over Z/n; above it the rounds run on packed divisions.  fun_factor
-# over Z/3^40 and Z/2^64 on a 2-vCPU x86 VM (CPython 3.11), median of 7
-# random inputs per (d, m), lists against packed: 1.2 against 2.7 ms at
-# d = 96, m = 2; 6.7 against 7.5 ms at m = 16; 21 against 29 ms at d = 512,
-# m = 16; 3-15% faster at m = 20-24, either way at m = 32, slower from
-# m = 40 (24 against 19 ms at d = 96; 114 against 75 ms at d = 512, m = 64;
-# 576 against 164 ms at m = 200).
-_LIST_LIFT_MAX = 16
-
-
 def fun_factor(f: Poly) -> FunFactorization:
     """Hensel-lifted factorization of a primitive f.
 
@@ -589,12 +598,12 @@ def fun_factor(f: Poly) -> FunFactorization:
     rounds = max(1, math.ceil(math.log2(max(2, R.E)))) + 1
     if k < m:
         h = _lift(f, Poly(R, f.coeffs[:k + 1]).scale(w), Poly(R, [w]), rounds)
-        g = _quo(f, h)
+        g = _divrem(f, h, R.one)[0]
     else:
         G = reciprocal(f)
         P = _lift(G, Poly(R, (R.zero,) * m + (R.one,)),
                   _series_inv(Poly(R, G.coeffs[m:2 * m]), m), rounds)
-        Q = _quo(G, P)
+        Q = _divrem(G, P, R.one)[0]
         c = Q.coeffs[0]
         g = Poly(R, P.coeffs[::-1]).scale(c)
         h = Poly(R, (Q.coeffs + (R.zero,) * (k + 1 - len(Q.coeffs)))[::-1]).scale(R.inv(c))
@@ -611,7 +620,7 @@ def _lift(G: Poly, P: Poly, S: Poly, rounds: int) -> Poly:
     an ideal J of nilpotents.
 
     P of degree 1 is lifted by Newton's iteration on its root, P of degree
-    at most _LIST_LIFT_MAX over Z/n on coefficient lists, any other P on
+    at most _LIST_DEG_MAX over Z/n on coefficient lists, any other P on
     Poly divisions.  A step needs only E = G mod P and Q mod P, where
     Q = G quo P, and both come from G mod P^2 == (Q mod P)*P + E: one
     division of G per step, and every other product and remainder lives
@@ -639,7 +648,7 @@ def _lift(G: Poly, P: Poly, S: Poly, rounds: int) -> Poly:
         sizes = [len(cs)] * rounds
     if m == 1:
         return _lift_root(R, cs, R.neg(P.coeffs[0]), sizes)
-    if R.kind == "zmod" and m <= _LIST_LIFT_MAX:
+    if R.kind == "zmod" and m <= _LIST_DEG_MAX:
         S = list(S.coeffs) + [0] * (m - len(S.coeffs))
         return Poly(R, _lift_lists(R.n, cs, list(P.coeffs), S, sizes))
     two = Poly(R, [R.from_int(2)])
@@ -699,15 +708,6 @@ def _lift_lists(n, G, P, S, sizes):
         S = _divrem_lists(_mul_lists(S, T, n), P, n)[1]
         P = [(a + b) % n for a, b in zip(P, _divrem_lists(_mul_lists(S, E, n), P, n)[1])] + [1]
     return P
-
-
-def _quo(G: Poly, P: Poly) -> Poly:
-    """G quo P for monic P, over Z/n on lists up to degree _LIST_LIFT_MAX
-    (2-4x faster than packed there)."""
-    R = G.ring
-    if R.kind == "zmod" and P.degree <= _LIST_LIFT_MAX:
-        return Poly(R, _divrem_lists(G.coeffs, list(P.coeffs), R.n)[0])
-    return divrem(G, P)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ import itertools
 import math
 import os
 import random
-import statistics
 import time
 
 import pytest
@@ -35,6 +34,7 @@ from ringres import (
     rres_bezout,
     sylvester,
 )
+from ringres.cli import BENCH_MODULI, median_seconds
 
 from oracles import (
     berkowitz_det,
@@ -390,9 +390,6 @@ def test_criterion_8_complexity_shape(capsys):
     # the prime-power pairs come from their own generator, so the prime and
     # composite rows keep their inputs
     pp_rng = random.Random(1009)
-    p64 = 18446744073709551557
-    # 8 distinct prime factors, 63-bit product
-    composite = 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211
     # 3^40 / prime at d = 128 / 256 / 512: 1.5x the median ratio of twelve
     # runs of this test on a 2-vCPU x86 VM (res x9.02 / x9.21 / x8.13, rres
     # x6.67 / x8.42 / x8.28), rounded down
@@ -400,21 +397,11 @@ def test_criterion_8_complexity_shape(capsys):
     lines = []
     for alg, fn in (("res", res), ("rres", rres)):
         times = {}
-        for n_class, n, sizes, r in (("prime", p64, (128, 256, 512, 1024), rng),
-                                     ("prime-power", 3**40, (128, 256, 512), pp_rng),
-                                     ("composite", composite, (128, 256, 512, 1024), rng)):
-            R = Zmod(n)
+        for n_class, n in BENCH_MODULI:
+            r, sizes = ((pp_rng, (128, 256, 512)) if n_class == "prime-power"
+                        else (rng, (128, 256, 512, 1024)))
             for d in sizes:
-                # the median of three fresh pairs: one call's time moves
-                # more from run to run than the ratios' margin to the bounds
-                samples = []
-                for _ in range(3):
-                    f = Poly.from_ints(R, [r.randrange(n) for _ in range(d)] + [1])
-                    g = Poly.from_ints(R, [r.randrange(n) for _ in range(d)] + [1])
-                    t0 = time.perf_counter()
-                    fn(f, g)
-                    samples.append(time.perf_counter() - t0)
-                times[(n_class, d)] = statistics.median(samples)
+                times[(n_class, d)] = median_seconds(fn, n, d, r)
         for d in (256, 512, 1024):
             ratio = times[("prime", d)] / max(times[("prime", d // 2)], 1e-9)
             lines.append(f"{alg} prime d={d//2}->{d}: x{ratio:.2f}")

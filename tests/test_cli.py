@@ -98,12 +98,55 @@ class TestExitCodes:
     def test_composite_p_is_2(self):
         assert run("padic-gcd", "--p", "4", "--prec", "2", "1,1", "1").returncode == 2
 
+    def test_flag_the_subcommand_does_not_read_is_2(self, tmp_path, monkeypatch, capsys):
+        from ringres.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        for argv in (["res", "--mod", "7", "1,1", "1,2", "--seed", "3", "--out", "zz"],
+                     ["padic-gcd", "--p", "3", "--prec", "8", "2,3,1", "2,1", "--out", "zz"],
+                     ["selfcheck", "--json"], ["bench", "--json"]):
+            assert main(argv) == 2, argv
+            assert "unrecognized arguments" in capsys.readouterr().err, argv
+        assert not (tmp_path / "zz").exists()
+
 
 class TestSelfcheck:
     def test_selfcheck_passes(self):
         p = run("selfcheck", "--seed", "5")
         assert p.returncode == 0, p.stdout + p.stderr
         assert p.stdout.startswith("PASS")
+
+
+class TestBench:
+    def test_bench_rows_and_out(self, tmp_path, monkeypatch, capsys):
+        from ringres import cli
+
+        monkeypatch.setattr(cli, "BENCH_SIZES", (4, 8))
+        want = [[alg, d, label] for label in ("prime", "prime-power", "composite")
+                for d in ("4", "8") for alg in ("res", "rres")]
+        assert cli.main(["bench", "--seed", "3"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        path = tmp_path / "sweep.csv"
+        assert cli.main(["bench", "--seed", "3", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        for lines in (printed, path.read_text().splitlines()):
+            rows = [line.split(",") for line in lines]
+            assert rows[0] == ["algorithm", "d", "n-class", "seconds"]
+            assert [row[:3] for row in rows[1:]] == want
+            assert all(len(row[3].partition(".")[2]) <= 4 for row in rows[1:])
+
+    def test_unwritable_out_is_2_before_timing(self, tmp_path, monkeypatch, capsys):
+        from ringres import cli
+
+        def never(*args):
+            raise AssertionError("timed a pair before opening --out")
+
+        monkeypatch.setattr(cli, "median_seconds", never)
+        path = tmp_path / "missing" / "x.csv"
+        assert cli.main(["bench", "--out", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: cannot write --out: ")
+        assert str(path) in out.err
 
 
 class TestNoNumpy:
