@@ -77,10 +77,6 @@ def _parse_matrix(ring, text: str) -> Matrix:
     return Matrix(ring, rows)
 
 
-def _fmt_poly(p: Poly) -> str:
-    return ",".join(str(c) for c in p.coeffs) if not p.is_zero() else "0"
-
-
 def _fmt_matrix(m: Matrix) -> str:
     return ";".join(",".join(str(c) for c in row) for row in m.rows)
 
@@ -95,22 +91,13 @@ def _ring(args) -> Zmod:
     return Zmod(args.mod)
 
 
-def cmd_res(args):
-    R = _ring(args)
-    v = res(_parse_poly(R, args.f), _parse_poly(R, args.g))
-    _emit(args, str(v), {"value": int(v)})
-
-
-def cmd_rres(args):
-    R = _ring(args)
-    v = rres(_parse_poly(R, args.f), _parse_poly(R, args.g))
-    _emit(args, str(v), {"value": int(v)})
-
-
-def cmd_res_ideal(args):
-    R = _ring(args)
-    v = res_ideal(_parse_poly(R, args.f), _parse_poly(R, args.g))
-    _emit(args, str(v), {"value": int(v)})
+def _cmd_value(fn):
+    """The subcommand that prints fn(f, g), a ring element."""
+    def cmd(args):
+        R = _ring(args)
+        v = fn(_parse_poly(R, args.f), _parse_poly(R, args.g))
+        _emit(args, str(v), {"value": int(v)})
+    return cmd
 
 
 def cmd_bezout(args):
@@ -119,7 +106,7 @@ def cmd_bezout(args):
     cert = rres_bezout(f, g)
     if cert.u * f + cert.v * g != Poly.const(R, cert.value):
         raise InvariantError("certificate check failed: u*f + v*g != r")
-    plain = f"r={cert.value} u={_fmt_poly(cert.u)} v={_fmt_poly(cert.v)}"
+    plain = f"r={cert.value} u={cert.u.format()} v={cert.v.format()}"
     _emit(args, plain, {"value": int(cert.value), "u": list(cert.u.coeffs), "v": list(cert.v.coeffs)})
 
 
@@ -130,27 +117,27 @@ def cmd_divrem(args):
         q, r = divrem(f, g)
     else:
         q, r = divrem_primitive(f, g)
-    _emit(args, f"q={_fmt_poly(q)} r={_fmt_poly(r)}",
+    _emit(args, f"q={q.format()} r={r.format()}",
           {"q": list(q.coeffs), "r": list(r.coeffs)})
 
 
 def cmd_funfactor(args):
     R = _ring(args)
     fac = fun_factor(_parse_poly(R, args.f))
-    _emit(args, f"u={_fmt_poly(fac.u)} monic={_fmt_poly(fac.gtilde)}",
+    _emit(args, f"u={fac.u.format()} monic={fac.gtilde.format()}",
           {"u": list(fac.u.coeffs), "monic": list(fac.gtilde.coeffs)})
 
 
 def cmd_inv(args):
     R = _ring(args)
     v = invert_unit(_parse_poly(R, args.f))
-    _emit(args, _fmt_poly(v), {"inverse": list(v.coeffs)})
+    _emit(args, v.format(), {"inverse": list(v.coeffs)})
 
 
 def cmd_invmod(args):
     R = _ring(args)
     v = invert_mod(_parse_poly(R, args.f), _parse_poly(R, args.g))
-    _emit(args, _fmt_poly(v), {"inverse": list(v.coeffs)})
+    _emit(args, v.format(), {"inverse": list(v.coeffs)})
 
 
 def cmd_howell(args):
@@ -168,7 +155,7 @@ def cmd_sylvester(args):
 def cmd_bivres(args):
     R = _ring(args)
     v = res_y(_parse_bipoly(R, args.f), _parse_bipoly(R, args.g))
-    _emit(args, _fmt_poly(v), {"coeffs": list(v.coeffs)})
+    _emit(args, v.format(), {"coeffs": list(v.coeffs)})
 
 
 def cmd_padic_gcd(args):
@@ -178,7 +165,7 @@ def cmd_padic_gcd(args):
     f = _parse_poly(ctx.ring, args.f)
     g = _parse_poly(ctx.ring, args.g)
     out = padic_gcd(ctx, f, g)
-    plain = f"gcd={_fmt_poly(out.value)} delta={out.delta}"
+    plain = f"gcd={out.value.format()} delta={out.delta}"
     _emit(args, plain, {"gcd": list(out.value.coeffs), "delta": out.delta,
                         "normalized": out.normalized})
 
@@ -282,8 +269,8 @@ def _selfcheck_cases(seed: int):
         f, g = dd * f1, dd * g1
         out, bez = padic_gcd(ctx, f, g), padic_gcd(ctx, f, g, track_bezout=True)
         # a unit chain a -> b -> f1 that stops at the nonzero 1 + p*x, with a
-        # divisor lc 1 + p != 1 before the last step, so the tracked pair
-        # must undo both of the chain's rescales
+        # divisor lc 1 + p != 1 before the last step: the tracked pair is
+        # lifted through a divisor that is not monic
         b = dd * f1 * Poly(R, [1 + p]) + Poly(R, [1, p])
         a = Poly(R, [0, 1]) * b + f1
         stop = padic_gcd(ctx, a, b, track_bezout=True)
@@ -331,16 +318,20 @@ BENCH_MODULI = (
 BENCH_SIZES = (64, 128, 256, 512, 1024)
 
 
-def median_seconds(fn, n, d, rng) -> float:
-    """Median time of fn(f, g) over three fresh random monic pairs of degree
-    d over Z/n, lower coefficients rng.randrange(n): one call's time moves
-    more from run to run than the ratios criterion 8 asserts have margin to
-    their bounds."""
+def bench_pairs(n, d, rng):
+    """Three random monic pairs (f, g) of degree d over Z/n, lower
+    coefficients rng.randrange(n)."""
     R = Zmod(n)
+    return [tuple(Poly(R, [rng.randrange(n) for _ in range(d)] + [1]) for _ in "fg")
+            for _ in range(3)]
+
+
+def median_seconds(fn, pairs) -> float:
+    """Median time of fn(f, g) over the pairs: one call's time moves more
+    from run to run than the ratios criterion 8 asserts have margin to
+    their bounds."""
     samples = []
-    for _ in range(3):
-        f = Poly(R, [rng.randrange(n) for _ in range(d)] + [1])
-        g = Poly(R, [rng.randrange(n) for _ in range(d)] + [1])
+    for f, g in pairs:
         t0 = time.perf_counter()
         fn(f, g)
         samples.append(time.perf_counter() - t0)
@@ -360,7 +351,7 @@ def cmd_bench(args):
         for label, n in BENCH_MODULI:
             for d in BENCH_SIZES:
                 for alg, fn in (("res", res), ("rres", rres)):
-                    w.writerow((alg, d, label, round(median_seconds(fn, n, d, rng), 4)))
+                    w.writerow((alg, d, label, round(median_seconds(fn, bench_pairs(n, d, rng)), 4)))
     if args.out:
         print(f"wrote {args.out}")
     return EXIT_OK
@@ -397,10 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=fn)
         return sp
 
-    add("res", cmd_res, polys=2)
-    add("rres", cmd_rres, polys=2)
+    add("res", _cmd_value(res), polys=2)
+    add("rres", _cmd_value(rres), polys=2)
     add("bezout", cmd_bezout, polys=2)
-    add("res-ideal", cmd_res_ideal, polys=2)
+    add("res-ideal", _cmd_value(res_ideal), polys=2)
     add("divrem", cmd_divrem, polys=2)
     add("funfactor", cmd_funfactor, polys=1)
     add("inv", cmd_inv, polys=1)

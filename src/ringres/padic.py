@@ -204,16 +204,13 @@ def _gcd(ctx: PadicCtx, f: Poly, g: Poly, delta: int, track: bool):
 
     if R.is_unit(g.lc):
         # divide while the divisor's leading coefficient stays a unit
-        chain = UnitChain(f, g, record=track)
-        F, G = chain.pair(monic=False)
+        chain = UnitChain(f, g)
+        F, G = chain.pair()
         d, delta, bez = _gcd(ctx, F, G, delta, track)
         if bez:
-            # lift needs deg v < deg F: reduce v mod F, rescale u*F + v*G == d
-            # to the chain's monic pair (F/c_s, G/c_{s-1}) and lift to (f, g)
+            # lift needs deg v < deg F: reduce v mod F, then lift to (f, g)
             q, v = divrem(bez[1], F)
-            s = chain.steps
-            bez = chain.lift((bez[0] + q * G).scale(s[-1][3]),
-                             v.scale(s[-2][3] if len(s) >= 2 else R.one))
+            bez = chain.lift(bez[0] + q * G, v)
         return d, delta, bez
 
     # non-unit leading coefficient: split g into coprime unit-like x monic

@@ -355,13 +355,11 @@ class _Packed:
         w = self.w
         return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in cs]), "little")
 
-    def unpack(self, X, l, a=None):
-        """The l slots of X, times a unless a is None, reduced mod n."""
+    def unpack(self, X, l):
+        """The l slots of X, reduced mod n."""
         w, n = self.w, self.n
         buf = X.to_bytes(l * w, "little")
-        if a is None:
-            return [int.from_bytes(buf[i:i + w], "little") % n for i in range(0, l * w, w)]
-        return [int.from_bytes(buf[i:i + w], "little") * a % n for i in range(0, l * w, w)]
+        return [int.from_bytes(buf[i:i + w], "little") % n for i in range(0, l * w, w)]
 
     def submul(self, X, l, Q, Y):
         """X - Q*Y on l slots, reduced; Q packs at most K coefficients."""
@@ -410,13 +408,12 @@ class _Packed:
             F &= self.ones >> (b * (self.slots - d - 1))
         return q, F, d, c
 
-    def cofactor_step(self, U, lu, V, lv, w, qq):
-        """(w*U - qq*V, its slot count), reduced."""
+    def cofactor_step(self, U, lu, V, lv, qq):
+        """(U - qq*V, its slot count), reduced."""
         l = max(lu, lv + len(qq) - 1)
-        X = w * U
         for s in range(0, len(qq), self.K):
-            X = self.submul(X, l, self.pack(qq[s:s + self.K]) << (self.b * s), V)
-        return X, l
+            U = self.submul(U, l, self.pack(qq[s:s + self.K]) << (self.b * s), V)
+        return U, l
 
 
 class _PolyOps:
@@ -428,78 +425,66 @@ class _PolyOps:
     def pack(self, cs):
         return Poly(self.R, cs)
 
-    def unpack(self, X, l, a=None):
-        return X.coeffs if a is None else X.scale(a).coeffs
+    def unpack(self, X, l):
+        return X.coeffs
 
     def divrem(self, F, df, G, dg, ci):
         q, r = _divrem(F, G, ci)
         return q.coeffs, r, r.degree, r.coeffs[-1] if r.coeffs else self.R.zero
 
-    def cofactor_step(self, U, lu, V, lv, w, qq):
-        X = U.scale(w) - V * Poly(self.R, qq)
+    def cofactor_step(self, U, lu, V, lv, qq):
+        X = U - V * Poly(self.R, qq)
         return X, len(X.coeffs)
 
 
 class UnitChain:
-    """The Euclidean chain of f, g run while the divisor's leading coefficient
-    is a unit; needs deg f >= deg g >= 1 and lc(g) a unit.
+    """The Euclidean remainder sequence of f, g run while the divisor's
+    leading coefficient is a unit; needs deg f >= deg g >= 1 and lc(g) a unit.
 
-    Step i divides f_i by g_i; f_{i+1} = g_i / lc(g_i) and g_{i+1} = f_i mod g_i.
-    The chain stops at the first g_i that is zero, constant or has a non-unit
-    leading coefficient.  The divisions run on the plain chain F_0, G_0 = f, g,
-    F_{i+1} = G_i, G_{i+1} = F_i mod G_i, over Z/n on packed ints (_Packed);
-    then f_i = F_i / c_{i-1} and g_i = G_i / c_{i-2}, with c_i = lc G_i.
+    F_0, G_0 = f, g; step i divides F_i by G_i, F_i == q_i*G_i + G_{i+1}, and
+    F_{i+1} = G_i.  A division needs only a unit leading coefficient, so no
+    remainder is made monic.  The chain stops at the first G_s that is zero,
+    constant or has a non-unit leading coefficient.  Over Z/n the divisions
+    run on packed ints (_Packed).
 
-    steps holds (deg F_i, deg G_i, deg G_{i+1}, c_i, 1/c_i) per division.
+    steps holds (deg F_i, deg G_i, deg G_{i+1}, lc G_i) per division, and
+    quots the coefficients of q_i.
     """
 
-    def __init__(self, f: Poly, g: Poly, record: bool = False):
+    def __init__(self, f: Poly, g: Poly):
         R = self.ring = f.ring
         ops = self.ops = _Packed(R.n, f.degree + 2) if R.kind == "zmod" else _PolyOps(R)
         F, df, G, dg, c = ops.pack(f.coeffs), f.degree, ops.pack(g.coeffs), g.degree, g.lc
-        self.steps, quots = [], []
+        self.steps, self.quots = [], []
         while True:
-            ci = R.inv(c)
-            q, X, dr, cr = ops.divrem(F, df, G, dg, ci)
-            self.steps.append((df, dg, dr, c, ci))
-            if record:
-                quots.append(q)
+            q, X, dr, cr = ops.divrem(F, df, G, dg, R.inv(c))
+            self.steps.append((df, dg, dr, c))
+            self.quots.append(q)
             F, df, G, dg, c = G, dg, X, dr, cr
             if dg <= 0 or not R.is_unit(c):
                 break
         self._stop = F, df, G, dg
-        # f_i == q_i * g_i/lc(g_i) + f_i mod g_i with q_i = c_i q / c_{i-1};
-        # the lift needs 1/lc(g_i) = c_{i-2} / c_i and q_i/lc(g_i)
-        self.lifts = []
-        for i, q in enumerate(quots):
-            c2 = self.steps[i - 2][3] if i >= 2 else R.one
-            s = R.mul(c2, self.steps[i - 1][4]) if i >= 1 else c2
-            self.lifts.append((R.mul(c2, self.steps[i][4]), [R.mul(s, x) for x in q]))
 
-    def pair(self, monic: bool):
-        """(f_s, g_s) where the chain stopped; (F_s, G_s) unless monic."""
+    def pair(self):
+        """(F_s, G_s), where the chain stopped."""
         F, df, G, dg = self._stop
-        a = b = None
-        if monic:
-            a = self.steps[-1][4]
-            b = self.steps[-2][4] if len(self.steps) >= 2 else None
         R, ops = self.ring, self.ops
-        return Poly(R, ops.unpack(F, df + 1, a)), Poly(R, ops.unpack(G, dg + 1, b))
+        return Poly(R, ops.unpack(F, df + 1)), Poly(R, ops.unpack(G, dg + 1))
 
     def lift(self, u: Poly, v: Poly):
-        """Cofactors u', v' with u'*f + v'*g == r from u*f_s + v*g_s == r
-        (needs record).
+        """Cofactors u', v' with u'*f + v'*g == r from u*F_s + v*G_s == r.
 
-        With deg v < deg f_s, the cofactors of every pair (f_i, g_i) have
-        degrees below deg g_i and deg f_i: f_s is monic, so u is 0 or
-        deg u < deg g_s, and each step raises the degrees by at most
-        deg f_i - deg g_i.  A cofactor reduction modulo f_i or g_i, as
-        _rres does after a single division, therefore never applies.
+        u*F_s + v*G_s == v*F_{s-1} + (u - q_{s-1}*v)*G_{s-1}, so each step
+        back is U, V <- V, U - q_i*V.  With deg v < deg F_s, the cofactors of
+        every pair (F_i, G_i) have degrees below deg G_i and deg F_i: lc(F_s)
+        is a unit, so u is 0 or deg u < deg G_s, and each step raises the
+        degrees by at most deg F_i - deg G_i.  A cofactor reduction modulo
+        F_i or G_i, as _rres does after other steps, therefore never applies.
         """
         R, ops = self.ring, self.ops
         U, lu, V, lv = ops.pack(u.coeffs), len(u.coeffs), ops.pack(v.coeffs), len(v.coeffs)
-        for (df, dg, *_), (w, qq) in zip(reversed(self.steps), reversed(self.lifts)):
-            U, lu, (V, lv) = V, lv, ops.cofactor_step(U, lu, V, lv, w, qq)
+        for (df, dg, *_), qq in zip(reversed(self.steps), reversed(self.quots)):
+            U, lu, (V, lv) = V, lv, ops.cofactor_step(U, lu, V, lv, qq)
             if lv > df or lu > dg:
                 raise InvariantError("cofactor degrees exceed the chain's")
         return Poly(R, ops.unpack(U, lu)), Poly(R, ops.unpack(V, lv))
@@ -537,7 +522,8 @@ def invert_unit(f: Poly) -> Poly:
 def invert_mod(u: Poly, f: Poly) -> Poly:
     """Inverse of the unit u in R[x]/(f); lc(f) invertible, deg result < deg f.
 
-    Two-phase Newton iteration: powers of x up to deg f, then reduction mod f.
+    u has an exact inverse in R[x], and its residue mod f is the inverse
+    in R[x]/(f).
     """
     R = u.ring
     if not is_unit_poly(u):
@@ -545,19 +531,7 @@ def invert_mod(u: Poly, f: Poly) -> Poly:
     if f.is_zero() or not R.is_unit(f.lc):
         raise NonInvertibleLeadingCoeffError(
             "invert_mod requires an invertible leading coefficient of f")
-    if f.degree == 0:
-        return Poly.zero(R)
-    one = Poly.one(R)
-    two = Poly(R, [R.from_int(2)])
-    v = _series_inv(u, f.degree)
-    rounds = max(1, math.ceil(math.log2(max(2, R.E * max(1, u.degree))))) + 1
-    for _ in range(rounds):
-        if divrem(v * u, f)[1] == one:
-            break
-        v = divrem(v * (two - v * u), f)[1]
-    if divrem(v * u, f)[1] != one:
-        raise InvariantError("modular inversion failed to converge")
-    return v
+    return divrem(invert_unit(u), f)[1]
 
 
 # ---------------------------------------------------------------------------

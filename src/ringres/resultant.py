@@ -207,15 +207,15 @@ def _rres(f: Poly, g: Poly, bezout: bool):
             r, u, v = split_crt(
                 R, a, lambda Rb: _rres(f.map_ring(Rb), g.map_ring(Rb), bezout))
             break
-        # both primitive with an invertible top coefficient: divide
+        # both primitive with an invertible top coefficient: divide, or
+        # replace g by gtilde, which generates the same ideal with f
         if R.is_unit(g.lc):
-            step = UnitChain(f, g, record=bezout)
-            f, g = step.pair(monic=True)
+            step = UnitChain(f, g)
+            f, g = step.pair()
         else:
             fac = fun_factor(g)
-            q, rem = divrem(f, fac.gtilde)
-            step = (f, g, q, fac.u)
-            f, g = fac.gtilde, rem
+            step = (f, g, fac.u)
+            g = fac.gtilde
         if bezout:
             steps.append((swapped, step))
     if swapped:
@@ -224,10 +224,9 @@ def _rres(f: Poly, g: Poly, bezout: bool):
         if isinstance(step, UnitChain):
             u, v = step.lift(u, v)
         else:
-            # (u, v) certifies (gtilde, rem), f == q*gtilde + rem, g == unit*gtilde
-            f, g, q, unit = step
-            u, v = v, (u - v * q) * invert_unit(unit)
-            r, u, v = _reduce_cofactors(f, g, r, u, v)
+            # (u, v) certifies (f, gtilde), g == unit*gtilde
+            f, g, unit = step
+            r, u, v = _reduce_cofactors(f, g, r, u, v * invert_unit(unit))
         if swapped:
             u, v = v, u
     return r, u, v
@@ -378,14 +377,14 @@ def _res(f: Poly, g: Poly, ideal_mode=False):
             return R.mul(acc, _split_res(f, g, a, ideal_mode))
         if i == m:  # invertible leading coefficient: divide while it stays so
             chain = UnitChain(f, g)
-            for n, m, dr, c, _ in chain.steps:
+            for n, m, dr, c in chain.steps:
                 if dr < 0:
                     return R.zero
                 # res(f, g) = (-1)^(n m) lc(g)^(n - deg r) res(g, f mod g)
                 acc = R.mul(acc, R.pow_elem(c, n - dr))
                 if (n * m) % 2:
                     acc = R.neg(acc)
-            f, g = chain.pair(monic=False)
+            f, g = chain.pair()
             continue
         # nilpotent leading part: res(f, g) = res(f, u) * res(f, gtilde)
         fac = fun_factor(g)

@@ -34,7 +34,7 @@ from ringres import (
     rres_bezout,
     sylvester,
 )
-from ringres.cli import BENCH_MODULI, median_seconds
+from ringres.cli import BENCH_MODULI, bench_pairs, median_seconds
 
 from oracles import (
     berkowitz_det,
@@ -396,12 +396,20 @@ def test_criterion_8_complexity_shape(capsys):
     pp_bounds = {"res": (13.5, 13.8, 12.1), "rres": (9.9, 12.6, 12.4)}
     lines = []
     for alg, fn in (("res", res), ("rres", rres)):
-        times = {}
+        pairs = {}
         for n_class, n in BENCH_MODULI:
             r, sizes = ((pp_rng, (128, 256, 512)) if n_class == "prime-power"
                         else (rng, (128, 256, 512, 1024)))
             for d in sizes:
-                times[(n_class, d)] = median_seconds(fn, n, d, r)
+                pairs[(n_class, d)] = bench_pairs(n, d, r)
+        # the classes are timed back to back at each size, so a drift in the
+        # host's speed moves the numerator and denominator of a class ratio
+        # alike
+        times = {}
+        for d in (128, 256, 512, 1024):
+            for n_class, _ in BENCH_MODULI:
+                if (n_class, d) in pairs:
+                    times[(n_class, d)] = median_seconds(fn, pairs[(n_class, d)])
         for d in (256, 512, 1024):
             ratio = times[("prime", d)] / max(times[("prime", d // 2)], 1e-9)
             lines.append(f"{alg} prime d={d//2}->{d}: x{ratio:.2f}")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ringres import (GaloisRing, Poly, Zmod, det, find_irreducible, res, res_ideal,
                      rres, rres_bezout, sylvester)
-from ringres.poly import _Packed
+from ringres.poly import UnitChain, _Packed, divrem
 from ringres.resultant import Reduced, SplitElem, _res_unit, ppa
 
 from oracles import berkowitz_det, rres_howell_oracle
@@ -413,3 +413,59 @@ class TestPackedEuclid:
         bottom = non_unit(n) if mid and low > 0 else None
         f, g = planted_chain(rng, R, degs, bottom_lc=bottom)
         self.check(*((g, f) if swap else (f, g)))
+
+
+class TestUnitChain:
+    """UnitChain's contract, checked directly: pair() is the (F_s, G_s) that
+    repeated divrem reaches from (f, g), and lift turns cofactors of
+    (F_s, G_s) into cofactors of (f, g).  Every planted divisor and quotient
+    has a unit leading coefficient other than 1, so no step is monic."""
+
+    @pytest.mark.parametrize("R", [Zmod(3**40), Zmod(2**64), Zmod(P64),
+                                   GaloisRing(3, 20, find_irreducible(3, 2))], ids=str)
+    def test_pair_and_lift(self, R):
+        galois = R.kind == "galois"
+        rng = random.Random(f"unit-chain/{R}")
+        p = R.p if galois else non_unit(R.n)
+
+        def elem():
+            return tuple(rng.randrange(R.pe) for _ in range(R.k)) if galois else rng.randrange(R.n)
+
+        def unit():
+            while True:
+                x = elem()
+                if R.is_unit(x) and x != R.one:
+                    return x
+
+        def poly(d, lc):
+            return Poly(R, [elem() for _ in range(d)] + [lc])
+
+        for case in range(12):
+            degs = [rng.randrange(0, 3)]
+            for _ in range(rng.randrange(2, 7)):
+                degs.insert(0, degs[0] + rng.randrange(1, 4))
+            # the chain stops at a constant, a zero or a non-unit lc remainder
+            bottom = ("const", "zero", "non-unit")[case % (3 if p else 2)]
+            if bottom == "const":
+                degs[-1] = 0
+            last = (Poly.zero(R) if bottom == "zero" else
+                    poly(degs[-1], R.mul(R.from_int(p), unit()) if bottom == "non-unit"
+                         else unit()))
+            r = [poly(degs[-2], unit()), last]
+            for i in range(len(degs) - 2, 0, -1):
+                r.insert(0, poly(degs[i - 1] - degs[i], unit()) * r[0] + r[1])
+            f, g = r[0], r[1]
+            F, G, steps = f, g, []
+            while True:
+                q, rem = divrem(F, G)
+                steps.append((F.degree, G.degree, rem.degree, G.lc))
+                F, G = G, rem
+                if G.degree <= 0 or not R.is_unit(G.lc):
+                    break
+            chain = UnitChain(f, g)
+            assert chain.pair() == (F, G) == (r[-2], r[-1]), (R, degs, bottom)
+            assert chain.steps == steps
+            u, v = (poly(F.degree - 1, elem()) for _ in range(2))
+            u2, v2 = chain.lift(u, v)
+            assert u2 * f + v2 * g == u * F + v * G, (R, degs, bottom)
+            assert u2.degree < g.degree and v2.degree < f.degree
