@@ -3,6 +3,11 @@
 The determinant (fraction-free Bareiss on an integer lift) and the Howell
 strong echelon form are the independent linear-algebra route used to
 cross-check the Euclidean resultant algorithms.
+
+The Howell elimination carries rows only.  A caller that needs the transform
+appends an identity block to its rows and puts only the leading columns in
+echelon form: a pivot row (a | t) then has t*M == a (Storjohann and Mulders,
+"Fast algorithms for linear algebra modulo N", ESA 1998).
 """
 from __future__ import annotations
 
@@ -111,92 +116,74 @@ def _unit_scale(n: int, h: int) -> int:
     return u % n
 
 
-def _echelon_insert(n, pivots, row, trans):
-    """Insert a row into the pivot dict keyed by pivot column.
+def _echelon_insert(n, pivots, row, width):
+    """Insert a row into the pivot dict keyed by pivot column, looking for
+    pivots in the first `width` columns only.
 
     Eliminates left to right with unimodular 2x2 integer transforms; the
     span over Z/n is preserved exactly.
     """
     while True:
-        j = next((c for c, v in enumerate(row) if v), None)
+        j = next((c for c in range(width) if row[c]), None)
         if j is None:
             return
         if j not in pivots:
-            pivots[j] = (row, trans)
+            pivots[j] = row
             return
-        prow, ptrans = pivots[j]
+        prow = pivots[j]
         a, b = prow[j], row[j]
-        g = math.gcd(a, b)
         if b % a == 0:
             # cheap path: just eliminate
             q = b // a
             row = [(y - q * x) % n for x, y in zip(prow, row)]
-            trans = [(y - q * x) % n for x, y in zip(ptrans, trans)]
         else:
-            _, s, t = _ext_gcd(a, b)
-            new_p = [(s * x + t * y) % n for x, y in zip(prow, row)]
-            new_pt = [(s * x + t * y) % n for x, y in zip(ptrans, trans)]
+            g, s, t = _ext_gcd(a, b)
+            pivots[j] = [(s * x + t * y) % n for x, y in zip(prow, row)]
             row = [((b // g) * x - (a // g) * y) % n for x, y in zip(prow, row)]
-            trans = [((b // g) * x - (a // g) * y) % n
-                     for x, y in zip(ptrans, trans)]
-            pivots[j] = (new_p, new_pt)
 
 
-def _howell_core(ring: Zmod, rows):
-    """Howell pipeline on a list of rows; returns (pivots dict, width).
+def _howell_core(n: int, rows, width: int):
+    """Howell form over Z/n of the first `width` columns of `rows`: a dict
+    from pivot column to its row.
 
-    Each pivot maps column -> (row, transform) with transform rows tracking
-    the Z/n combination of the input rows producing each output row.
+    Columns from `width` on only ride along in the row operations.  With an
+    identity block appended to M's rows, a pivot row (a | t) has t*M == a.
     """
-    n = ring.n
-    if not rows:
-        return {}, 0
-    width = len(rows[0])
-    m = len(rows)
     pivots = {}
-    for idx, row in enumerate(rows):
-        trans = [0] * m
-        trans[idx] = 1
-        _echelon_insert(n, pivots, [c % n for c in row], trans)
+    for row in rows:
+        _echelon_insert(n, pivots, [c % n for c in row], width)
     # annihilator rows: (n / gcd(n, pivot)) * row re-enters the worklist;
     # pivot ideals only grow, so this stabilises quickly.
     for _ in range(width + 1):
-        before = {j: tuple(rt[0]) for j, rt in pivots.items()}
+        before = {j: row[:width] for j, row in pivots.items()}
         for j in sorted(pivots):
-            row, trans = pivots[j]
+            row = pivots[j]
             ann = n // math.gcd(n, row[j])
             if ann == 1:
                 continue
             arow = [(ann * c) % n for c in row]
-            if any(arow):
-                _echelon_insert(n, pivots, arow,
-                                [(ann * c) % n for c in trans])
-        if {j: tuple(rt[0]) for j, rt in pivots.items()} == before:
+            if any(arow[:width]):
+                _echelon_insert(n, pivots, arow, width)
+        if {j: row[:width] for j, row in pivots.items()} == before:
             break
     else:
         raise InvariantError("howell annihilator pass failed to stabilise")
     # normalise pivots to canonical divisors of n
-    for j in list(pivots):
-        row, trans = pivots[j]
+    for j, row in pivots.items():
         u = _unit_scale(n, row[j])
         if u != 1:
-            row = [(u * c) % n for c in row]
-            trans = [(u * c) % n for c in trans]
-        pivots[j] = (row, trans)
+            pivots[j] = [(u * c) % n for c in row]
     # size-reduce entries above each pivot
     for j in sorted(pivots):
-        prow, ptrans = pivots[j]
+        prow = pivots[j]
         h = prow[j]
         for i in sorted(pivots):
             if i >= j:
                 break
-            row, trans = pivots[i]
-            q = row[j] // h
+            q = pivots[i][j] // h
             if q:
-                row = [(x - q * y) % n for x, y in zip(row, prow)]
-                trans = [(x - q * y) % n for x, y in zip(trans, ptrans)]
-                pivots[i] = (row, trans)
-    return pivots, width
+                pivots[i] = [(x - q * y) % n for x, y in zip(pivots[i], prow)]
+    return pivots
 
 
 def howell(M: Matrix) -> Matrix:
@@ -204,10 +191,9 @@ def howell(M: Matrix) -> Matrix:
     pivot entries canonical divisors of n, entries above pivots reduced."""
     if M.nrows != M.ncols:
         raise ValueError("howell expects a square matrix")
-    pivots, width = _howell_core(M.ring, M.to_lists())
-    out = [[M.ring.zero] * width for _ in range(width)]
-    for j, (row, _) in pivots.items():
-        out[j] = [c % M.ring.n for c in row]
+    out = [[M.ring.zero] * M.ncols for _ in range(M.ncols)]
+    for j, row in _howell_core(M.ring.n, M.to_lists(), M.ncols).items():
+        out[j] = row
     return Matrix(M.ring, tuple(tuple(r) for r in out))
 
 
@@ -232,8 +218,7 @@ def rres_howell(f: Poly, g: Poly):
     R = f.ring
 
     def attempt(D):
-        md = max(f.degree, g.degree)
-        w = D + md + 1
+        w = D + max(f.degree, g.degree) + 1
         rows = []
         for p in (f, g):
             for i in range(D + 1):
@@ -241,13 +226,8 @@ def rres_howell(f: Poly, g: Poly):
                 for j, c in enumerate(p.coeffs):
                     row[w - 1 - (i + j)] = c
                 rows.append(row)
-        N = max(w, len(rows))
-        pad = N - w
-        rows = [[0] * pad + row for row in rows]
-        while len(rows) < N:
-            rows.append([0] * N)
-        H = howell(Matrix(R, rows))
-        return R.ideal_gen(H.rows[N - 1][N - 1])
+        pivots = _howell_core(R.n, rows, w)
+        return R.ideal_gen(pivots[w - 1][w - 1] if w - 1 in pivots else 0)
 
     D = f.degree + g.degree + 1
     prev = attempt(D)
@@ -277,23 +257,17 @@ def res_bezout_linalg(f: Poly, g: Poly) -> BezoutCertificate:
     r = det(S)
     n, m = f.degree, g.degree
     k = n + m
-    pivots, width = _howell_core(R, S.to_lists())
-    target = [R.zero] * (k - 1) + [r]
-    w = [R.zero] * k
-    nmod = R.n
-    for j in range(k):
-        if target[j] == 0:
-            continue
-        if j not in pivots:
+    # S | I: a pivot row (0, ..., 0, h | t) has t*S = (0, ..., 0, h)
+    rows = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(S.rows)]
+    w = [0] * k
+    if r:
+        prow = _howell_core(R.n, rows, k).get(k - 1)
+        if prow is None:
             raise InvariantError("resultant certificate: target not in row span")
-        prow, ptrans = pivots[j]
-        c = R.try_divide(target[j], prow[j])
+        c = R.try_divide(r, prow[k - 1])
         if c is None:
             raise InvariantError("resultant certificate: pivot does not divide")
-        target = [(x - c * y) % nmod for x, y in zip(target, prow)]
-        w = [(x + c * y) % nmod for x, y in zip(w, ptrans)]
-    if any(target):
-        raise InvariantError("resultant certificate: reduction left a residue")
+        w = [(c * t) % R.n for t in prow[k:]]
     # row i (i < m) is x^(m-1-i) * f; row m+i is x^(n-1-i) * g
     u = Poly(R, [w[m - 1 - i] for i in range(m)])
     v = Poly(R, [w[m + n - 1 - i] for i in range(n)])

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import statistics
 import time
 
 import pytest
@@ -380,6 +381,21 @@ def test_criterion_7_numberfield_oracle(capsys):
         print(f"PASS criterion 7: fixed ideals + {fields} random fields vs HNF oracle in {dt:.1f}s")
 
 
+_P64 = 18446744073709551557
+
+
+def _ref_seconds():
+    """Time of a fixed pure-Python big-integer kernel of about 1 ms: the
+    host's speed at this moment, as perfbench's reference kernel."""
+    t0 = time.perf_counter()
+    a, acc = list(range(1, 257)), 0
+    for _ in range(8):
+        a = [(x * 6364136223846793005 + 1442695040888963407) % _P64 for x in a]
+        for x in a:
+            acc = (acc * x + 1) % _P64
+    return time.perf_counter() - t0
+
+
 @pytest.mark.skipif(
     os.environ.get("RINGRES_BENCH") != "1",
     reason="soft complexity-shape check; set RINGRES_BENCH=1 to run "
@@ -404,12 +420,17 @@ def test_criterion_8_complexity_shape(capsys):
                 pairs[(n_class, d)] = bench_pairs(n, d, r)
         # the classes are timed back to back at each size, so a drift in the
         # host's speed moves the numerator and denominator of a class ratio
-        # alike
+        # alike; each median is divided by the reference kernel's time taken
+        # just before and after it, so a drift between sizes does not move a
+        # doubling ratio either
         times = {}
         for d in (128, 256, 512, 1024):
             for n_class, _ in BENCH_MODULI:
                 if (n_class, d) in pairs:
-                    times[(n_class, d)] = median_seconds(fn, pairs[(n_class, d)])
+                    refs = [_ref_seconds() for _ in range(3)]
+                    t = median_seconds(fn, pairs[(n_class, d)])
+                    refs += [_ref_seconds() for _ in range(3)]
+                    times[(n_class, d)] = t / statistics.median(refs)
         for d in (256, 512, 1024):
             ratio = times[("prime", d)] / max(times[("prime", d // 2)], 1e-9)
             lines.append(f"{alg} prime d={d//2}->{d}: x{ratio:.2f}")

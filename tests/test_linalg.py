@@ -105,6 +105,41 @@ class TestHowell:
                         t[j] = R.sub(t[j], R.mul(q, H.rows[col][j]))
                 assert all(R.is_zero(c) for c in t)
 
+    def test_canonical_under_unimodular_row_mixes(self):
+        # the Howell form depends on the row span only, so howell(U*M) ==
+        # howell(M) for every unimodular U; each U here is a random product of
+        # row swaps, unit scalings and row additions
+        rng = random.Random(12)
+        for n, primes in ((72, (2, 3)), (9699690, (2, 3, 5, 7)), (2**6, (2,)),
+                          (2**64, (2,)), (3**4, (3,)), (3**40, (3,))):
+            R = Zmod(n)
+            for size in range(1, 9):
+                # entries rich in zero divisors, and some dependent rows
+                base = [[rng.randrange(n) * rng.choice(primes) ** rng.randrange(4) % n
+                         for _ in range(size)] for _ in range(max(1, size - rng.randrange(3)))]
+                rows = [[sum(rng.randrange(3) * b[c] for b in base) % n for c in range(size)]
+                        for _ in range(size)]
+                mixed = [list(r) for r in rows]
+                for _ in range(4 * size):
+                    i, j = rng.randrange(size), rng.randrange(size)
+                    op = rng.randrange(3)
+                    if op == 0:
+                        mixed[i], mixed[j] = mixed[j], mixed[i]
+                    elif op == 1:
+                        u = rng.randrange(1, n)
+                        while not R.is_unit(u):
+                            u = rng.randrange(1, n)
+                        mixed[i] = [u * x % n for x in mixed[i]]
+                    elif i != j:
+                        c = rng.randrange(n)
+                        mixed[i] = [(x + c * y) % n for x, y in zip(mixed[i], mixed[j])]
+                assert howell(Matrix(R, mixed)) == howell(Matrix(R, rows)), (n, rows, mixed)
+
+    def test_empty_and_zero(self):
+        R = Zmod(12)
+        assert howell(Matrix(R, ())) == Matrix(R, ())
+        assert howell(Matrix(R, [[0]])).to_lists() == [[0]]
+
 
 class TestLinalgResultants:
     def test_rres_example(self):
@@ -121,20 +156,34 @@ class TestLinalgResultants:
             rres_linalg(f, g)
 
     def test_res_bezout_identity(self):
+        # the certificate is the last row of adj(S), so it exists for every
+        # pair: zero-divisor leading coefficients on either side and res = 0
+        # included
         rng = random.Random(9)
-        done = 0
-        while done < 60:
-            n = rng.randrange(2, 10**4)
+        moduli = [rng.randrange(2, 10**4) for _ in range(30)]
+        moduli += [4, 2**5, 2**8, 2**64, 9, 3**4, 3**40, 72]
+        seen = {"zd lc f": 0, "zd lc g": 0, "res 0": 0}
+        for n in moduli:
             R = Zmod(n)
-            f, g = rand_poly(rng, R, 5), rand_poly(rng, R, 5)
-            if f.is_zero() or g.is_zero() or f.degree + g.degree == 0:
-                continue
-            if not (R.is_unit(f.lc) or R.is_unit(g.lc)):
-                continue
-            try:
+            zero_divisors = [c for c in range(2, min(n, 300)) if not R.is_unit(c)]
+            for case in range(6):
+                f, g = rand_poly(rng, R, 5), rand_poly(rng, R, 5)
+                if case == 5:
+                    # a monic common factor makes res = 0
+                    h = Poly.from_ints(R, [rng.randrange(n), 1])
+                    f, g = f * h, g * h
+                elif zero_divisors and case % 2:
+                    f = Poly(R, (*f.coeffs[:-1], rng.choice(zero_divisors)))
+                    if case == 3:
+                        g = Poly(R, (*g.coeffs[:-1], rng.choice(zero_divisors)))
+                if f.is_zero() or g.is_zero() or f.degree + g.degree == 0:
+                    continue
                 cert = res_bezout_linalg(f, g)
-            except AssertionError:
-                continue  # inconsistent system for this instance
-            assert cert.u * f + cert.v * g == Poly.const(R, cert.value)
-            assert cert.value == det(sylvester(f, g))
-            done += 1
+                assert cert.u * f + cert.v * g == Poly.const(R, cert.value), (n, f, g)
+                assert cert.value == det(sylvester(f, g))
+                assert cert.u.is_zero() or cert.u.degree < g.degree
+                assert cert.v.is_zero() or cert.v.degree < f.degree
+                seen["zd lc f"] += not R.is_unit(f.lc)
+                seen["zd lc g"] += not R.is_unit(g.lc)
+                seen["res 0"] += R.is_zero(cert.value)
+        assert min(seen.values()) >= 10, seen
