@@ -122,33 +122,26 @@ def _interpolate(S, points, values) -> Poly:
     for a in points:
         na = S.neg(a)
         m = [m[0]] + [add(c, mul(na, h)) for c, h in zip(m[1:], m)] + [mul(na, m[-1])]
-    w = []
-    for a, r in zip(points, values):
-        d = S.one  # M'(a) = prod over b != a of (a - b)
+    ds, pre = [], [S.one]  # M'(a) = prod over b != a of (a - b); prefix products
+    for a in points:
+        d = S.one
         for b in points:
             if b != a:
                 d = mul(d, S.sub(a, b))
-        w.append(mul(r, S.inv(d)))
+        ds.append(d)
+        pre.append(mul(pre[-1], d))
+    # every 1/M'(a_i) from one S.inv: with t == 1/pre[i+1],
+    # 1/M'(a_i) == t*pre[i] and 1/pre[i] == t*M'(a_i)
+    w, t = [None] * len(ds), S.inv(pre[-1])
+    for i in range(len(ds) - 1, -1, -1):
+        w[i] = mul(values[i], mul(t, pre[i]))
+        t = mul(t, ds[i])
     s = []
     for _ in points:
         s.append(reduce(add, w))
         w = [mul(v, a) for v, a in zip(w, points)]
     rev_p = Poly(S, m) * Poly(S, s)
     return Poly(S, [rev_p.coeff(u) for u in range(len(points))][::-1])
-
-
-def _restrict_galois(gr: GaloisRing, p: Poly) -> Poly:
-    """Restrict a Galois-ring polynomial with base-ring values back to Z/p^e.
-
-    The resultant of base-ring inputs lies in the base ring, so every higher
-    t-coefficient must vanish; a nonzero one indicates an internal bug."""
-    base = Zmod(gr.pe)
-    out = []
-    for c in p.coeffs:
-        if any(c[1:]):
-            raise InvariantError("resultant left the base ring")
-        out.append(base.from_int(c[0]))
-    return Poly(base, out)
 
 
 def res_y(f: BiPoly, g: BiPoly) -> Poly:
@@ -168,9 +161,13 @@ def res_y(f: BiPoly, g: BiPoly) -> Poly:
                                  Poly(S, [c.eval(a) for c in gs]), M) for a in br.points]
         interp = _interpolate(S, br.points, values)
         if isinstance(S, GaloisRing):
-            pieces.append((Zmod(br.modulus), _restrict_galois(S, interp)))
-        else:
-            pieces.append((S, interp))
+            # base-ring inputs have a resultant in the base ring Z/p^e, so a
+            # nonzero higher t-coefficient indicates an internal bug
+            if any(x for c in interp.coeffs for x in c[1:]):
+                raise InvariantError("resultant left the base ring")
+            S = Zmod(br.modulus)
+            interp = Poly(S, [c[0] for c in interp.coeffs])
+        pieces.append((S, interp))
     ring, acc = pieces[0]
     for ring2, piece in pieces[1:]:
         combined = Zmod(ring.n * ring2.n)

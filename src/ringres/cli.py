@@ -20,7 +20,7 @@ import statistics
 import sys
 import time
 
-from .ring import GaloisRing, InvariantError, Zmod
+from .ring import GaloisRing, InvariantError, Zmod, find_irreducible
 from .poly import (
     Poly,
     divrem,
@@ -239,6 +239,23 @@ def _selfcheck_cases(seed: int):
             f = Poly(R, a)
             prod = f * f if b is a else f * Poly(R, b)
             yield ("mul=schoolbook", (str(R), len(a), len(b)), prod == Poly(R, slow))
+    # planted unit chains over Galois rings: r_(i+1) == q*r_i + r_(i-1)
+    for p, e, k in ((2, 8, 3), (101, 4, 4)):
+        R = GaloisRing(p, e, find_irreducible(p, k))
+
+        def unit_lc(d):     # c or c + 1 is a unit of the local ring R
+            c = rand_elem(R)
+            c = c if R.is_unit(c) else R.add(c, R.one)
+            return Poly(R, [rand_elem(R) for _ in range(d)] + [c])
+        for _ in range(10):
+            r = [unit_lc(rng.randrange(3)), unit_lc(rng.randrange(3, 6))]
+            for _ in range(rng.randrange(2, 6)):
+                r.append(unit_lc(rng.randrange(1, 3)) * r[-1] + r[-2])
+            q, rem = divrem(r[-1], r[-2])
+            cert = rres_bezout(r[-1], r[-2])
+            yield ("galois chain", (str(R), r[-1].degree, r[-2].degree),
+                   q * r[-2] + rem == r[-1] and rem == r[-3]
+                   and cert.u * r[-1] + cert.v * r[-2] == Poly.const(R, cert.value))
     # bivariate pointwise specialization against univariate resultants
     for _ in range(20):
         n = rng.choice([12, 27, 35, 100])

@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ring import ContextMismatchError, InvariantError, NotUnitError, _divrem_lists, _mul_lists
+from .ring import (ContextMismatchError, InvariantError, NotUnitError, Zmod, _divrem_lists,
+                   _mul_lists)
 
 NO_DEGREE = -1
 
@@ -154,35 +155,67 @@ class Poly:
 
 def _ks_mul(R, a, b):
     """Coefficients of a*b by Kronecker substitution: pack each operand into
-    one int in w-byte slots, multiply once, unpack and reduce each slot.
+    one int (_pack), multiply once, unpack and reduce each slot.  A slot sums
+    at most min(len) * k products of two entries below q, and over a Galois
+    ring one _fold multiplies that bound by at most 1 + (k-1)(q-1)."""
+    k, q = (R.k, R.pe) if R.kind == "galois" else (1, R.n)
+    w = (min(len(a), len(b)) * k * (q - 1) ** 2 * (1 + (k - 1) * (q - 1))).bit_length() // 8 + 1
+    A = _pack(R, a, w)
+    X = A * A if a is b else A * _pack(R, b, w)
+    if k > 1:
+        X = _fold(X, _fold_rows(R, w), _firsts(k, w, len(a) + len(b) - 1), 8 * w)
+    return _unpack(R, X, len(a) + len(b) - 1, w)
 
-    Over a Galois ring every coefficient is a polynomial in t of degree < k
-    and takes 2k-1 slots, room for its product before reduction mod lam.
-    A slot sums at most min(len) * k products of two entries below q, which
-    w bytes hold.
-    """
-    galois = R.kind == "galois"
-    k, q = (R.k, R.pe) if galois else (1, R.n)
-    w = (min(len(a), len(b)) * k * (q - 1) ** 2).bit_length() // 8 + 1
-    if galois:
-        pad = bytes(w * (k - 1))
 
-        def pack(cs):
-            return int.from_bytes(pad.join(
-                b"".join([c.to_bytes(w, "little") for c in x]) for x in cs), "little")
-    else:
-        def pack(cs):
-            return int.from_bytes(
-                b"".join([c.to_bytes(w, "little") for c in cs]), "little")
+def _pack(R, cs, w):
+    """cs in one int of w-byte slots, ascending: a slot per coefficient over
+    Z/n; over a Galois ring a block of 2k-1 slots, t-coefficient j in slot j,
+    slots k..2k-2 zero (room for a product before reduction mod lam)."""
+    if R.kind == "zmod":
+        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in cs]), "little")
+    return int.from_bytes(bytes(w * (R.k - 1)).join(
+        [b"".join([c.to_bytes(w, "little") for c in x]) for x in cs]), "little")
 
-    A = pack(a)
-    stride = 2 * k - 1
-    slots = (len(a) + len(b) - 1) * stride
-    buf = (A * A if a is b else A * pack(b)).to_bytes(slots * w, "little")
-    if not galois:
-        return [int.from_bytes(buf[i:i + w], "little") % q for i in range(0, slots * w, w)]
-    vals = [int.from_bytes(buf[i:i + w], "little") for i in range(0, slots * w, w)]
-    return [R.reduce_product(vals[i:i + stride]) for i in range(0, slots, stride)]
+
+def _unpack(R, X, l, w):
+    """The first l coefficients of _pack's layout in X, every slot reduced."""
+    if R.kind == "zmod":
+        n = R.n
+        buf = X.to_bytes(l * w, "little")
+        return [int.from_bytes(buf[i:i + w], "little") % n for i in range(0, l * w, w)]
+    q, k, s = R.pe, R.k, (2 * R.k - 1) * w
+    buf = X.to_bytes(l * s, "little")
+    vals = [int.from_bytes(buf[i:i + w], "little") % q
+            for j in range(0, l * s, s) for i in range(j, j + k * w, w)]
+    return list(zip(*[iter(vals)] * k))
+
+
+@lru_cache(maxsize=64)
+def _fold_rows(R, w):
+    """For j = k..2k-2 over the Galois ring R (k >= 2): t^j mod (lam, p^e),
+    entries in [0, p^e), in k w-byte slots, minus t^j in slot j."""
+    q, k, lam = R.pe, R.k, R.lam
+    row, rows = [-c % q for c in lam[:k]], []   # t^k
+    for j in range(k, 2 * k - 1):
+        rows.append(_pack(Zmod(q), row, w) - (1 << (8 * w * j)))
+        row = [-row[-1] * lam[0] % q] + [(row[i - 1] - row[-1] * lam[i]) % q  # row * t
+                                         for i in range(1, k)]
+    return rows
+
+
+def _firsts(k, w, blocks):
+    """The mask of slot 0 in each of `blocks` blocks of 2k-1 w-byte slots."""
+    return int.from_bytes((b"\xff" * w + bytes((2 * k - 2) * w)) * blocks, "little")
+
+
+def _fold(X, rows, firsts, b):
+    """X reduced mod lam in every block at once (b-bit slots): slot j >= k of
+    each block moves onto slots 0..k-1 times t^j mod lam.  A slot gains at
+    most k-1 products of a slot and a row entry; as the row entries are
+    non-negative and slot j loses exactly its value, no slot borrows."""
+    for j, row in enumerate(rows, len(rows) + 1):
+        X += ((X >> (b * j)) & firsts) * row
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +296,16 @@ def divrem(f: Poly, g: Poly):
 
 
 def _divrem(f: Poly, g: Poly, winv):
-    """divrem with winv == lc(g)^-1 given: over Z/n on int lists up to
-    deg g == _LIST_DEG_MAX and packed above, row by row over a Galois ring
-    or by a constant."""
+    """divrem with winv == lc(g)^-1 given: a constant g is a scale by winv;
+    over Z/n on int lists up to deg g == _LIST_DEG_MAX; any other divisor,
+    over Z/n or a Galois ring, on packed ints (_Packed)."""
     R = f.ring
     dg = g.degree
     if f.degree < dg:
         return Poly(R, []), f
-    if R.kind == "zmod" and 1 <= dg <= _LIST_DEG_MAX:
+    if dg == 0:
+        return f.scale(winv), Poly(R, [])
+    if R.kind == "zmod" and dg <= _LIST_DEG_MAX:
         # f == q*(g*winv) + r, so f == (q*winv)*g + r
         n = R.n
         p = g.coeffs if winv == 1 else [c * winv % n for c in g.coeffs]
@@ -278,24 +313,9 @@ def _divrem(f: Poly, g: Poly, winv):
         if winv != 1:
             q = [c * winv % n for c in q]
         return Poly(R, q), Poly(R, r)
-    if R.kind == "zmod" and dg >= 1:
-        P = _Packed(R.n, f.degree + 2)
-        q, X, dr, _ = P.divrem(P.pack(f.coeffs), f.degree, P.pack(g.coeffs), dg, winv)
-        return Poly(R, q), Poly(R, P.unpack(X, dr + 1))
-    rem = list(f.coeffs)
-    q = [R.zero] * (f.degree - dg + 1)
-    gcs = g.coeffs[:-1]     # row i cancels rem[i], which is not read again
-    monic = winv == R.one
-    for i in range(f.degree, dg - 1, -1):
-        c = rem[i]
-        if R.is_zero(c):
-            continue
-        qc = c if monic else R.mul(c, winv)
-        q[i - dg] = qc
-        off = i - dg
-        for j, gc in enumerate(gcs):
-            rem[off + j] = R.sub(rem[off + j], R.mul(qc, gc))
-    return Poly(R, q), Poly(R, rem[:dg])
+    P = _Packed(R, f.degree + 2)
+    q, X, dr, _ = P.divrem(P.pack(f.coeffs), f.degree, P.pack(g.coeffs), dg, winv)
+    return Poly(R, q), Poly(R, P.unpack(X, dr + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -308,72 +328,99 @@ def _slot_bytes(n: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _layout(n: int):
-    """(w, a, h, m, K, OFF slot) of _Packed over Z/n."""
+def _layout(n: int, k: int):
+    """(w, a, h, m, K, OFF slot) of _Packed modulo n, t-degree below k (k == 1
+    over Z/n); the extra bytes for k >= 2 keep K >= 2."""
     t = n.bit_length()
-    w = _slot_bytes(n)
+    w = _slot_bytes(n) + (k.bit_length() + 2) // 4
     L = t - 1 + 4 * w
     big = (n - 1) * (3 * n - 1)     # a coefficient times a reduced slot
-    # OFF + big must stay below 2^L, so at most K products per step
-    K = ((1 << L) - 1 - big) // n * n // big
-    off = -(-K * big // n) * n
-    if K < 2 or off < K * big or not big + off < 1 << L <= 1 << 8 * w:
+    # OFF + big must stay below 2^L, so at most K*k products per slot
+    K = ((1 << L) - 1 - big) // n * n // big // k
+    off = -(-K * k * big // n) * n
+    if K < 2 or off < K * k * big or not big + off < 1 << L <= 1 << 8 * w:
         raise InvariantError(f"{w}-byte packed slots are too narrow for Z/{n}")
     return w, t - 1, 4 * w, (1 << L) // n, K, off
 
 
 class _Packed:
-    """Polynomials over Z/n (n >= 2) packed into one int, one w-byte slot per
-    coefficient, ascending, every slot value below 3n.
+    """Polynomials over Z/n (n >= 2) or GR(p^e, k) (n = p^e) packed into one
+    int in _pack's layout of w-byte slots, every slot value below 3n.
 
-    A step adds OFF to X and subtracts T, a sum of at most K products of a
-    coefficient below n and a slot.  Each OFF slot is a multiple of n at least
-    as large as any slot of T, so no slot goes negative or borrows, and every
-    slot stays below 2^L, L = bits(n) - 1 + 4w.  The step then reduces every
-    slot at once with one Barrett step: with a = bits(n) - 1, h = 4w and
+    A step adds OFF to X and subtracts T, the product of a packed quotient of
+    at most K coefficients and Y, so a slot of T sums at most K*k products of
+    a t-coefficient below n and a slot.  Each OFF slot is a multiple of n at
+    least as large as any slot of T, so no slot goes negative or borrows, and
+    every slot stays below 2^L, L = bits(n) - 1 + 4w.  The step then reduces
+    every slot at once with one Barrett step: with a = bits(n) - 1, h = 4w and
     m = 2^L // n, the estimate ((x >> a) * m) >> h is at most 2 below x // n,
     and both of its factors are below 2^h, so no product spills into the next
-    slot.  OFF, the Barrett mask and the all-ones mask are kept for `slots`
-    slots and grow on demand, so each chain or division owns its _Packed.
+    slot.  For k >= 2 one _fold then reduces every block mod lam, leaving
+    slots below 3n + (k-1)(3n-1)(n-1) < OFF, and a second Barrett step
+    follows.  OFF and the masks cover `slots` blocks and grow on demand, so
+    each chain or division owns its _Packed.
     """
 
-    def __init__(self, n, slots):
-        self.n = n
-        self.w, self.a, self.h, self.m, self.K, self.off_slot = _layout(n)
+    def __init__(self, R, slots):
+        self.R, self.zero, self.galois = R, R.zero, R.kind == "galois"
+        self.n, self.k = (R.pe, R.k) if self.galois else (R.n, 1)
+        self.w, self.a, self.h, self.m, self.K, self.off_slot = _layout(self.n, self.k)
         self.b = 8 * self.w
+        self.bb = self.b * (2 * self.k - 1)         # bits per block
         self.slot_mask = (1 << self.b) - 1
+        self.coeff_mask = (1 << (self.b * self.k)) - 1
+        # quotient coefficients per division step: over a Galois ring each
+        # costs up to J scalar products, so at most 3 (on fun_factor at
+        # d = 100, m = 37 over GR(2,8,3), 2, 3 and 8 all ran 25-27 ms)
+        self.J = min(self.K, 3) if self.galois else self.K
+        if self.k > 1:
+            self.rows = _fold_rows(R, self.w)
         self._grow(slots)
 
     def _grow(self, slots):
         self.slots = slots
-        rep = int.from_bytes((b"\x01" + bytes(self.w - 1)) * slots, "little")
+        rep = int.from_bytes((b"\x01" + bytes(self.w - 1)) * (slots * (2 * self.k - 1)), "little")
         self.offs = rep * self.off_slot
         self.mask = rep * ((1 << self.h) - 1)
-        self.ones = (1 << (self.b * slots)) - 1
+        self.ones = (1 << (self.bb * slots)) - 1
+        if self.k > 1:
+            self.firsts = _firsts(self.k, self.w, slots)
 
     def pack(self, cs):
-        w = self.w
-        return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in cs]), "little")
+        return _pack(self.R, cs, self.w)
 
     def unpack(self, X, l):
-        """The l slots of X, reduced mod n."""
-        w, n = self.w, self.n
-        buf = X.to_bytes(l * w, "little")
-        return [int.from_bytes(buf[i:i + w], "little") % n for i in range(0, l * w, w)]
+        return _unpack(self.R, X, l, self.w)
+
+    def _coeff(self, X, i):
+        """The reduced coefficient i of X."""
+        x = (X >> (self.bb * i)) & self.coeff_mask
+        if not self.galois:
+            return x % self.n
+        sm, n = self.slot_mask, self.n
+        return tuple([((x >> s) & sm) % n for s in range(0, self.b * self.k, self.b)])
 
     def submul(self, X, l, Q, Y):
-        """X - Q*Y on l slots, reduced; Q packs at most K coefficients."""
+        """X - Q*Y on l blocks, reduced; Q packs at most K coefficients."""
         if l > self.slots:
             self._grow(2 * l)
-        X = X + (self.offs >> (self.b * (self.slots - l))) - Q * Y
-        mask = self.mask
-        return X - (((((X >> self.a) & mask) * self.m) >> self.h) & mask) * self.n
+        X = X + (self.offs >> (self.bb * (self.slots - l))) - Q * Y
+        mask, a, h, m, n = self.mask, self.a, self.h, self.m, self.n
+        X -= (((((X >> a) & mask) * m) >> h) & mask) * n
+        if self.k > 1:
+            X = _fold(X, self.rows, self.firsts, self.b)
+            X -= (((((X >> a) & mask) * m) >> h) & mask) * n
+        return X
 
     def divrem(self, F, df, G, dg, ci):
-        """(q, R, deg R, lc R) with F == q*G + R; ci == lc(G)^-1, dg >= 1."""
-        n, b, sm, K = self.n, self.b, self.slot_mask, self.K
-        if df == dg + 1:
-            # the usual step, a quotient of degree 1
+        """(q, R, deg R, lc R) with F == q*G + R; ci == lc(G)^-1, dg >= 1.
+
+        Quotient coefficients come from scalar ring operations on the top
+        coefficients of F and G, J per step; every step updates all of F by
+        one submul."""
+        n, b, sm, bb, J, galois = self.n, self.b, self.slot_mask, self.bb, self.J, self.galois
+        if df == dg + 1 and not galois:
+            # the usual step over Z/n, a quotient of degree 1
             top = F >> (b * (df - 1))
             q1 = (top >> b) * ci % n
             q0 = ((top & sm) - q1 * ((G >> (b * (dg - 1))) & sm)) * ci % n
@@ -383,58 +430,39 @@ class _Packed:
             F &= self.ones >> (b * (self.slots - dg))
         else:
             hi = df - dg
-            q = [0] * (hi + 1)
-            gt = [(G >> (b * (dg - k))) & sm for k in range(min(K, hi + 1, dg + 1))]
+            q = [self.zero] * (hi + 1)
+            gt = [self._coeff(G, dg - i) for i in range(min(J, hi + 1, dg + 1))]
+            mul, sub = self.R.mul, self.R.sub
+            one = ci == self.R.one
         while df >= dg:
-            # the top j quotient coefficients, from the top j slots of F
-            j = min(K, hi + 1)
-            ft = [(F >> (b * (df - k))) & sm for k in range(j)]
-            Q = 0
-            for k in range(j):
-                c = q[hi - k] = ft[k] * ci % n
-                Q = (Q << b) | c
-                for i in range(k + 1, min(j, k + len(gt))):
-                    ft[i] -= c * gt[i - k]
-            F = self.submul(F, df + 1, Q << (b * (hi - j + 1)), G)
+            # the top j quotient coefficients, from the top j coefficients of F
+            j = min(J, hi + 1)
+            if galois:
+                ft = [self._coeff(F, df - i) for i in range(j)]
+                for i in range(j):
+                    c = q[hi - i] = ft[i] if one else mul(ft[i], ci)
+                    for s in range(i + 1, min(j, i + len(gt))):
+                        ft[s] = sub(ft[s], mul(c, gt[s - i]))
+                Q = self.pack(q[hi - j + 1:hi + 1])
+            else:   # on ints, reduced only when a coefficient is read
+                ft, Q = [(F >> (b * (df - i))) & sm for i in range(j)], 0
+                for i in range(j):
+                    c = q[hi - i] = ft[i] * ci % n
+                    Q = (Q << b) | c
+                    for s in range(i + 1, min(j, i + len(gt))):
+                        ft[s] -= c * gt[s - i]
+            F = self.submul(F, df + 1, Q << (bb * (hi - j + 1)), G)
             df, hi = df - j, hi - j
-            F &= self.ones >> (b * (self.slots - df - 1))
-        d, c = df, 0
+            F &= self.ones >> (bb * (self.slots - df - 1))
+        d, c = df, self.zero
         while d >= 0:
-            c = ((F >> (b * d)) & sm) % n
-            if c:
+            c = self._coeff(F, d) if galois else ((F >> (b * d)) & sm) % n
+            if c != self.zero:
                 break
             d -= 1
         if d < df:
-            F &= self.ones >> (b * (self.slots - d - 1))
+            F &= self.ones >> (bb * (self.slots - d - 1))
         return q, F, d, c
-
-    def cofactor_step(self, U, lu, V, lv, qq):
-        """(U - qq*V, its slot count), reduced."""
-        l = max(lu, lv + len(qq) - 1)
-        for s in range(0, len(qq), self.K):
-            U = self.submul(U, l, self.pack(qq[s:s + self.K]) << (self.b * s), V)
-        return U, l
-
-
-class _PolyOps:
-    """_Packed's operations on Poly values, for rings with no packed form."""
-
-    def __init__(self, R):
-        self.R = R
-
-    def pack(self, cs):
-        return Poly(self.R, cs)
-
-    def unpack(self, X, l):
-        return X.coeffs
-
-    def divrem(self, F, df, G, dg, ci):
-        q, r = _divrem(F, G, ci)
-        return q.coeffs, r, r.degree, r.coeffs[-1] if r.coeffs else self.R.zero
-
-    def cofactor_step(self, U, lu, V, lv, qq):
-        X = U - V * Poly(self.R, qq)
-        return X, len(X.coeffs)
 
 
 class UnitChain:
@@ -444,8 +472,9 @@ class UnitChain:
     F_0, G_0 = f, g; step i divides F_i by G_i, F_i == q_i*G_i + G_{i+1}, and
     F_{i+1} = G_i.  A division needs only a unit leading coefficient, so no
     remainder is made monic.  The chain stops at the first G_s that is zero,
-    constant or has a non-unit leading coefficient.  Over Z/n the divisions
-    run on packed ints (_Packed).
+    constant or has a non-unit leading coefficient.  The divisions and the
+    cofactor steps of lift run on packed ints (_Packed), over Z/n and over a
+    Galois ring alike.
 
     steps holds (deg F_i, deg G_i, deg G_{i+1}, lc G_i) per division, and
     quots the coefficients of q_i.
@@ -453,7 +482,7 @@ class UnitChain:
 
     def __init__(self, f: Poly, g: Poly):
         R = self.ring = f.ring
-        ops = self.ops = _Packed(R.n, f.degree + 2) if R.kind == "zmod" else _PolyOps(R)
+        ops = self.ops = _Packed(R, f.degree + 2)
         F, df, G, dg, c = ops.pack(f.coeffs), f.degree, ops.pack(g.coeffs), g.degree, g.lc
         self.steps, self.quots = [], []
         while True:
@@ -484,7 +513,10 @@ class UnitChain:
         R, ops = self.ring, self.ops
         U, lu, V, lv = ops.pack(u.coeffs), len(u.coeffs), ops.pack(v.coeffs), len(v.coeffs)
         for (df, dg, *_), qq in zip(reversed(self.steps), reversed(self.quots)):
-            U, lu, (V, lv) = V, lv, ops.cofactor_step(U, lu, V, lv, qq)
+            l = max(lu, lv + len(qq) - 1)       # U - qq*V, K quotient coefficients at a time
+            for s in range(0, len(qq), ops.K):
+                U = ops.submul(U, l, ops.pack(qq[s:s + ops.K]) << (ops.bb * s), V)
+            U, lu, V, lv = V, lv, U, l
             if lv > df or lu > dg:
                 raise InvariantError("cofactor degrees exceed the chain's")
         return Poly(R, ops.unpack(U, lu)), Poly(R, ops.unpack(V, lv))
@@ -595,10 +627,10 @@ def _lift(G: Poly, P: Poly, S: Poly, rounds: int) -> Poly:
 
     P of degree 1 is lifted by Newton's iteration on its root, P of degree
     at most _LIST_DEG_MAX over Z/n on coefficient lists, any other P on
-    Poly divisions.  A step needs only E = G mod P and Q mod P, where
-    Q = G quo P, and both come from G mod P^2 == (Q mod P)*P + E: one
-    division of G per step, and every other product and remainder lives
-    modulo P.  S == Q^-1 mod P.
+    Poly divisions, which run packed over both ring kinds.  A step needs
+    only E = G mod P and Q mod P, where Q = G quo P, and both come from
+    G mod P^2 == (Q mod P)*P + E: one division of G per step, and every
+    other product and remainder lives modulo P.  S == Q^-1 mod P.
 
     When P == y^m, as in fun_factor's reversed lift, every lifted P' is
     y^m modulo J, so y^(mj) == (y^m - P')^j lies in J^j[y] modulo P'.  As

@@ -370,27 +370,19 @@ class GaloisRing:
         return tuple((-x) % q for x in a)
 
     def mul(self, a, b):
-        prod = [0] * (2 * self.k - 1)
+        """a*b: the product of t-polynomials, reduced mod (lam, p^e)."""
+        q, k, lam = self.pe, self.k, self.lam
+        prod = [0] * (2 * k - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        return self.reduce_product(prod)
-
-    def reduce_product(self, prod):
-        """Canonical element for the t-polynomial prod (a list of 2k-1 ints,
-        ascending, overwritten): prod mod (lam, p^e)."""
-        q = self.pe
-        k = self.k
-        lam = self.lam
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
         for i in range(2 * k - 2, k - 1, -1):
             c = prod[i] % q
             if c:
-                off = i - k
                 for j in range(k):
-                    prod[off + j] -= c * lam[j]
-            prod[i] = 0
-        return tuple(c % q for c in prod[:k])
+                    prod[i - k + j] -= c * lam[j]
+        return tuple([c % q for c in prod[:k]])
 
     def pow_elem(self, a, k: int):
         acc = self.one
@@ -407,15 +399,9 @@ class GaloisRing:
 
     def val(self, a) -> int:
         """p-adic valuation: min over coefficients, capped at e."""
-        v = self.e
-        for c in a:
-            c %= self.pe
-            if c:
-                w = 0
-                while c % self.p == 0:
-                    c //= self.p
-                    w += 1
-                v = min(v, w)
+        g, v = math.gcd(self.pe, *a), 0     # p^v, as it divides p^e
+        while g > 1:
+            g, v = g // self.p, v + 1
         return v
 
     def unit_part(self, a):
@@ -478,10 +464,7 @@ class GaloisRing:
         return self.from_int(self.p ** vb), self.zero, self.inv(self.unit_part(b))
 
     def gcd_many(self, elems):
-        v = self.e
-        for x in elems:
-            if not self.is_zero(x):
-                v = min(v, self.val(x))
+        v = min(map(self.val, elems), default=self.e)     # val(0) == e
         return self.from_int(self.p ** v) if v < self.e else self.zero
 
     def ideal_gen(self, a):

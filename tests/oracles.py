@@ -5,6 +5,7 @@ resultants come from a stabilized extended-degree Howell form, bivariate
 resultants from symbolic cofactor expansion, their interpolation from the
 textbook Lagrange formula, irreducibility over F_p from trial division,
 determinants over Galois rings from Berkowitz's division-free algorithm,
+Galois-ring division from the schoolbook row loop,
 divisibility from module membership, and number-field data from an integer
 Hermite-normal-form computation on the underlying Z-module.
 """
@@ -358,3 +359,21 @@ def normal_presentation(rng, cs, disc, small_primes=(2, 3, 5, 7, 11, 13)):
         if na and na % norm == 0 and math.gcd(abs(na) // norm, a) == 1:
             return a, alpha, norm, oracle_min
     return None
+
+
+# ---------------------------------------------------------------------------
+# division: the schoolbook row loop
+# ---------------------------------------------------------------------------
+
+def divrem_rowwise(f, g):
+    """(q, r) with f == q*g + r and deg r < deg g, one ring product and one
+    difference per coefficient pair; lc(g) must be a unit."""
+    R = f.ring
+    winv, dg = R.inv(g.lc), g.degree
+    rem = list(f.coeffs)
+    q = [R.zero] * max(0, f.degree - dg + 1)
+    for i in range(f.degree, dg - 1, -1):
+        qc = q[i - dg] = R.mul(rem[i], winv)
+        for j, gc in enumerate(g.coeffs):
+            rem[i - dg + j] = R.sub(rem[i - dg + j], R.mul(qc, gc))
+    return Poly(R, q), Poly(R, rem[:dg])

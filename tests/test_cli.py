@@ -170,7 +170,7 @@ sys.exit(main(["selfcheck"]) or main(["res", "--mod", "10007", f, g]))
 """
         p = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert p.returncode == 0, p.stdout + p.stderr
-        assert p.stdout.split("\n")[:2] == ["PASS (287 cases)", "4667"], p.stdout
+        assert p.stdout.split("\n")[:2] == ["PASS (307 cases)", "4667"], p.stdout
 
 
 class TestInvariants:

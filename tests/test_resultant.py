@@ -9,7 +9,7 @@ from ringres import (GaloisRing, Poly, Zmod, det, find_irreducible, res, res_ide
 from ringres.poly import UnitChain, _Packed, divrem
 from ringres.resultant import Reduced, SplitElem, _res_unit, ppa
 
-from oracles import berkowitz_det, rres_howell_oracle
+from oracles import berkowitz_det, divrem_rowwise, rres_howell_oracle
 
 P64 = 18446744073709551557          # largest 64-bit prime
 COMPOSITE = 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211
@@ -350,7 +350,7 @@ class TestPackedEuclid:
     def test_packed_step_at_the_slot_bound(self, n):
         # the largest operands one packed step admits: X slots (n-1)(3n-1),
         # Y slots 3n-1 (reduced, not canonical), K coefficients n-1
-        P = _Packed(n, 16)
+        P = _Packed(Zmod(n), 16)
         top, l = 3 * n - 1, P.K + 3
         xs, ys, cs = [(n - 1) * top] * l, [top] * 4, [n - 1] * P.K
         Z = P.submul(P.pack(xs), l, P.pack(cs), P.pack(ys))
@@ -415,6 +415,85 @@ class TestPackedEuclid:
         self.check(*((g, f) if swap else (f, g)))
 
 
+GALOIS_PACKED = [GaloisRing(p, e, find_irreducible(p, k)) for p, e, k in (
+    (2, 8, 3), (3, 20, 2), (101, 4, 4), (2, 4, 5), (2, 4, 6), (5, 1, 2), (7, 3, 1))]
+
+
+class TestPackedGalois:
+    """Division over a Galois ring runs on packed ints, k-slot blocks folded
+    mod lam after every step; each quotient and remainder must equal the
+    schoolbook row loop's."""
+
+    @staticmethod
+    def elem(rng, R):
+        return tuple(rng.randrange(R.pe) for _ in range(R.k))
+
+    @staticmethod
+    def unit(rng, R):
+        while True:
+            x = TestPackedGalois.elem(rng, R)
+            if R.is_unit(x) and x != R.one:
+                return x
+
+    @pytest.mark.parametrize("R", GALOIS_PACKED, ids=str)
+    def test_divrem_matches_rowwise(self, R):
+        # quotients longer than the J coefficients of a packed step, and
+        # longer than K where K is small enough to test
+        rng = random.Random(f"packed-galois/{R}")
+        P = _Packed(R, 8)
+        assert P.J == min(P.K, 3)
+        for dg in range(41):
+            g = Poly(R, [self.elem(rng, R) for _ in range(dg)]
+                     + [R.one if dg % 3 == 0 else self.unit(rng, R)])
+            hi = max(P.J, P.K if P.K <= 48 else 0) + 1 + rng.randrange(3)
+            f = Poly(R, [self.elem(rng, R) for _ in range(dg + hi)] + [self.unit(rng, R)])
+            q, r = divrem(f, g)
+            assert (q, r) == divrem_rowwise(f, g), (R, dg)
+            assert len(q.coeffs) == hi + 1
+        for dg in (1, 2, 5, 17, 40):   # dividends shorter than the divisor
+            f = Poly(R, [self.elem(rng, R) for _ in range(dg)])
+            g = Poly(R, [self.elem(rng, R) for _ in range(dg)] + [self.unit(rng, R)])
+            assert divrem(f, g) == (Poly.zero(R), f) == divrem_rowwise(f, g)
+
+    @pytest.mark.parametrize("R", GALOIS_PACKED, ids=str)
+    def test_all_top_coefficients(self, R):
+        # every t-coefficient p^e - 1 gives the largest slot sums of a step
+        top = (R.pe - 1,) * R.k
+        for df, dg in ((12, 11), (30, 7), (40, 40), (45, 1), (9, 0)):
+            f = Poly(R, [top] * (df + 1))
+            for lc in (top, R.one, R.from_int(R.pe - 1)):
+                g = Poly(R, [top] * dg + [lc])
+                if R.is_unit(lc):
+                    assert divrem(f, g) == divrem_rowwise(f, g), (R, df, dg, lc)
+        h = Poly(R, [top] * 20 + [R.one])
+        f = h * h + Poly(R, [top] * 7)
+        chain = UnitChain(f, h)
+        F, G = chain.pair()
+        u, v = (Poly(R, [top] * max(0, d)) for d in (G.degree, F.degree))
+        u2, v2 = chain.lift(u, v)
+        assert u2 * f + v2 * h == u * F + v * G, R
+
+    @pytest.mark.parametrize("R", GALOIS_PACKED, ids=str)
+    def test_packed_step_at_the_slot_bound(self, R):
+        # the largest operands one packed step admits: X slots (q-1)(3q-1),
+        # Y slots 3q-1, K quotient coefficients with every entry q-1
+        q, k = R.pe, R.k
+        P = _Packed(R, 16)
+        l = P.K + 3
+        xs = [((q - 1) * (3 * q - 1),) * k] * l
+        ys, cs = [(3 * q - 1,) * k] * 4, [(q - 1,) * k] * P.K
+        Z = P.submul(P.pack(xs), l, P.pack(cs), P.pack(ys))
+        raw = Z.to_bytes(l * (2 * k - 1) * P.w, "little")
+        slots = [int.from_bytes(raw[i:i + P.w], "little") for i in range(0, len(raw), P.w)]
+        for i in range(l):
+            block = slots[i * (2 * k - 1):(i + 1) * (2 * k - 1)]
+            assert all(z < 3 * q for z in block[:k]) and not any(block[k:]), (R, i)
+            want = R.coerce(xs[i])
+            for j in range(max(0, i - 3), min(i + 1, len(cs))):
+                want = R.sub(want, R.mul(R.coerce(cs[j]), R.coerce(ys[i - j])))
+            assert R.coerce(tuple(block[:k])) == want, (R, i)
+
+
 class TestUnitChain:
     """UnitChain's contract, checked directly: pair() is the (F_s, G_s) that
     repeated divrem reaches from (f, g), and lift turns cofactors of
@@ -422,7 +501,11 @@ class TestUnitChain:
     has a unit leading coefficient other than 1, so no step is monic."""
 
     @pytest.mark.parametrize("R", [Zmod(3**40), Zmod(2**64), Zmod(P64),
-                                   GaloisRing(3, 20, find_irreducible(3, 2))], ids=str)
+                                   GaloisRing(3, 20, find_irreducible(3, 2)),
+                                   GaloisRing(2, 8, find_irreducible(2, 3)),
+                                   GaloisRing(101, 4, find_irreducible(101, 4)),
+                                   GaloisRing(7, 3, find_irreducible(7, 1)),
+                                   GaloisRing(2, 4, find_irreducible(2, 6))], ids=str)
     def test_pair_and_lift(self, R):
         galois = R.kind == "galois"
         rng = random.Random(f"unit-chain/{R}")
