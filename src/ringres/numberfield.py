@@ -128,8 +128,9 @@ def ideal_norm(ctx: NumberFieldCtx, I: Ideal2) -> int:
     """N(I) = gcd(a^n, N(alpha)) up to the denominator correction.
 
     With d = den(alpha) split as d = c*u (c the a-part), only the c-part can
-    interfere with a; we compute res(f, num) mod a^n c^n = c^n u^n N(alpha)
-    and divide off c^n before taking the gcd."""
+    interfere with a: the norm of num/c mod a^n, computed as res(f, num) mod
+    a^n c^n = c^n u^n N(alpha) with c^n divided off, has the same gcd with
+    a^n as N(alpha)."""
     n = ctx.degree
     a = I.a
     if a == 1:
@@ -137,17 +138,13 @@ def ideal_norm(ctx: NumberFieldCtx, I: Ideal2) -> int:
     if I.alpha.is_zero():
         return a**n
     c = _a_part(I.alpha.den, a)
-    M = a**n * c**n
-    R = Zmod(max(M, 2))
-    fbar = Poly.from_ints(R, ctx.minpoly)
-    gbar = Poly.from_ints(R, I.alpha.num)
-    r = int(res(fbar, gbar))  # = d^n N(alpha) mod a^n c^n, d = c*u
-    if r % c**n:
+    try:
+        return math.gcd(a**n, elem_norm_mod(ctx, FieldElem(I.alpha.num, c), a**n))
+    except ValueError:
         raise InsufficientHintError(
             "norm residue not divisible by the a-part of den^n; "
             "the presentation is not normal for this order"
-        )
-    return math.gcd(a**n, r // c**n)
+        ) from None
 
 
 def ideal_min(ctx: NumberFieldCtx, I: Ideal2) -> int:

@@ -243,6 +243,25 @@ def divide_by_scalar(f: Poly, c):
     return Poly(R, out)
 
 
+def primitive_part(f: Poly):
+    """(c, h) with f == c*h, c the content of f and h primitive; (1, f) when
+    f is primitive.  NeedsSplitError carries the content of f or of h when
+    it is a splitting element."""
+    R = f.ring
+    c = content(f)
+    if R.is_unit(c):
+        return R.one, f
+    if R.is_splitting(c):
+        raise NeedsSplitError(c)
+    h = divide_by_scalar(f, c)
+    ch = content(h)
+    if R.is_splitting(ch):
+        raise NeedsSplitError(ch)
+    if not R.is_unit(ch):
+        raise InvariantError("content of the primitive part must be a unit")
+    return c, h
+
+
 def top_non_nilpotent(f: Poly):
     """(i, a_i) for the highest-degree non-nilpotent coefficient, or None."""
     R = f.ring
@@ -751,11 +770,10 @@ def divrem_primitive(f: Poly, g: Poly):
         raise ValueError("divisor must be primitive and nonzero")
     if g.degree == 0:
         return f.scale(R.inv(g.coeffs[0])), Poly.zero(R)
-    i, a = top_non_nilpotent(g)
-    if R.is_unit(a):
+    try:
         fac = fun_factor(g)
-        q0, r = divrem(f, fac.gtilde)
-        return q0 * invert_unit(fac.u), r
-    # a is splitting: recurse over the factor rings and recombine
-    return split_crt(
-        R, a, lambda Rb: divrem_primitive(f.map_ring(Rb), g.map_ring(Rb)))
+    except NeedsSplitError as e:
+        return split_crt(
+            R, e.element, lambda Rb: divrem_primitive(f.map_ring(Rb), g.map_ring(Rb)))
+    q0, r = divrem(f, fac.gtilde)
+    return q0 * invert_unit(fac.u), r

@@ -2,7 +2,10 @@
 
 Euclidean-style algorithms over principal Artinian rings: non-invertible
 leading coefficients are handled by content extraction, Hensel factorization
-into unit * monic, and ring splitting with CRT recombination.
+into unit * monic, and ring splitting with CRT recombination.  A step that
+meets a splitting element (primitive_part, fun_factor, ppa) raises
+NeedsSplitError(element); each engine catches it in one place and splits the
+pair it held before the step.
 
 Conventions:
   * res(f, g) == det(sylvester(f, g)) for all nonzero f, g; swapping the
@@ -16,19 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ring import InvariantError
-from .poly import (Poly, UnitChain, content, divide_by_scalar, divrem,
-                   fun_factor, invert_unit, reciprocal, split_crt,
-                   top_non_nilpotent)
+from .poly import (NeedsSplitError, Poly, UnitChain, content, divide_by_scalar,
+                   divrem, fun_factor, invert_unit, primitive_part, reciprocal,
+                   split_crt, top_non_nilpotent)
 
 
 # ---------------------------------------------------------------------------
 # ppa: one content-reduction step
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SplitElem:
-    element: object
-
 
 @dataclass(frozen=True)
 class Reduced:
@@ -48,17 +46,18 @@ class Reduced:
 def ppa(f: Poly, g: Poly):
     """One primitive-pair reduction step on nonconstant f, g.
 
-    Returns SplitElem(a) when a ring split is required, else a Reduced, which
-    is Reduced(1, f, g) exactly when both inputs are primitive.
+    Returns a Reduced, which is Reduced(1, f, g) exactly when both inputs
+    are primitive; NeedsSplitError carries the element when a ring split is
+    required.
     """
     R = f.ring
     cf, cg = content(f), content(g)
     if R.is_unit(cf) and R.is_unit(cg):
         return Reduced(R.one, f, g)
     if R.is_splitting(cf):
-        return SplitElem(cf)
+        raise NeedsSplitError(cf)
     if R.is_splitting(cg):
-        return SplitElem(cg)
+        raise NeedsSplitError(cg)
     if R.is_nilpotent(cf) and R.is_nilpotent(cg):
         d = R.gcd_bezout(cf, cg)[0]
         return Reduced(d, divide_by_scalar(f, d), divide_by_scalar(g, d))
@@ -66,9 +65,6 @@ def ppa(f: Poly, g: Poly):
     swapped = not R.is_nilpotent(cf)
     if swapped:
         f, g, cf = g, f, cg
-    i, a = top_non_nilpotent(g)
-    if not R.is_unit(a):
-        return SplitElem(a)
     fac = fun_factor(g)
     if fac.gtilde.degree == 0:
         # g is a unit of R[x], so (f, g) = (1) regardless of f's content
@@ -106,22 +102,13 @@ def _rres0(f: Poly, bezout: bool):
     if f.degree == 0:
         return f.coeffs[0], Poly.one(R) if bezout else None
 
-    def split(a):
-        return split_crt(R, a, lambda Rb: _rres0(f.map_ring(Rb), bezout))
-
-    c = content(f)
-    if R.is_splitting(c):
-        return split(c)
-    if R.is_unit(c):
-        c, h = R.one, f
-    else:
-        h = divide_by_scalar(f, c)
-    ch = content(h)
-    if R.is_splitting(ch):
-        return split(ch)
-    i, a = top_non_nilpotent(h)
-    if R.is_splitting(a):
-        return split(a)
+    try:
+        c, h = primitive_part(f)
+        i, a = top_non_nilpotent(h)
+        if R.is_splitting(a):
+            raise NeedsSplitError(a)
+    except NeedsSplitError as e:
+        return split_crt(R, e.element, lambda Rb: _rres0(f.map_ring(Rb), bezout))
     if i > 0:
         # fun_factor(h) has a monic factor of degree i, which blocks constants
         return R.zero, Poly.zero(R) if bezout else None
@@ -197,15 +184,17 @@ def _rres(f: Poly, g: Poly, bezout: bool):
         if g.degree <= 0:
             r, u, v = _rres_const(f, g, bezout)
             break
-        red = ppa(f, g)
-        if isinstance(red, Reduced) and (red.unit is not None
-                                         or not R.is_unit(red.c)):
-            r, u, v = _rres_reduced(f, g, red, bezout)
-            break
-        a = red.element if isinstance(red, SplitElem) else top_non_nilpotent(g)[1]
-        if R.is_splitting(a):
+        try:
+            red = ppa(f, g)
+            primitive = red.unit is None and R.is_unit(red.c)
+            if primitive and not R.is_unit(g.lc):
+                fac = fun_factor(g)
+        except NeedsSplitError as e:
             r, u, v = split_crt(
-                R, a, lambda Rb: _rres(f.map_ring(Rb), g.map_ring(Rb), bezout))
+                R, e.element, lambda Rb: _rres(f.map_ring(Rb), g.map_ring(Rb), bezout))
+            break
+        if not primitive:
+            r, u, v = _rres_reduced(f, g, red, bezout)
             break
         # both primitive with an invertible top coefficient: divide, or
         # replace g by gtilde, which generates the same ideal with f
@@ -213,7 +202,6 @@ def _rres(f: Poly, g: Poly, bezout: bool):
             step = UnitChain(f, g)
             f, g = step.pair()
         else:
-            fac = fun_factor(g)
             step = (f, g, fac.u)
             g = fac.gtilde
         if bezout:
@@ -245,12 +233,6 @@ def rres_bezout(f: Poly, g: Poly) -> RresCertificate:
 # ---------------------------------------------------------------------------
 # resultant
 # ---------------------------------------------------------------------------
-
-def _split_res(f: Poly, g: Poly, a, ideal_mode):
-    """Split on a; each branch keeps the degrees of f and g as formal ones."""
-    return split_crt(f.ring, a, lambda Rb: res_at_degrees(
-        f.map_ring(Rb), f.degree, g.map_ring(Rb), g.degree, ideal_mode))
-
 
 def res_at_degrees(f: Poly, N: int, g: Poly, M: int, ideal_mode=False):
     """det of the (N+M) x (N+M) Sylvester matrix of f, g taken at the
@@ -346,36 +328,21 @@ def _res(f: Poly, g: Poly, ideal_mode=False):
             if (n * m) % 2:
                 acc = R.neg(acc)
 
-        # content extraction: res(c*f, g) = c^deg(g) * res(f, g) (degree kept)
-        for first in (True, False):
-            p = f if first else g
-            other_deg = g.degree if first else f.degree
-            c = content(p)
-            if R.is_splitting(c):
-                return R.mul(acc, _split_res(f, g, c, ideal_mode))
-            if not R.is_unit(c):
-                acc = R.mul(acc, R.pow_elem(c, other_deg))
-                if R.is_zero(acc):
-                    return R.zero
-                p = divide_by_scalar(p, c)
-                c2 = content(p)
-                if R.is_splitting(c2):
-                    if first:
-                        f = p
-                    else:
-                        g = p
-                    return R.mul(acc, _split_res(f, g, c2, ideal_mode))
-                if not R.is_unit(c2):
-                    raise InvariantError(
-                        "content of the primitive part must be a unit")
-            if first:
-                f = p
-            else:
-                g = p
-        i, a = top_non_nilpotent(g)
-        if R.is_splitting(a):
-            return R.mul(acc, _split_res(f, g, a, ideal_mode))
-        if i == m:  # invertible leading coefficient: divide while it stays so
+        try:
+            cf, pf = primitive_part(f)
+            cg, pg = primitive_part(g)
+            # content extraction: res(c*f, g) = c^deg(g) * res(f, g) (degree kept)
+            acc1 = acc if cf == cg == R.one else R.mul(
+                acc, R.mul(R.pow_elem(cf, m), R.pow_elem(cg, n)))
+            if R.is_zero(acc1):
+                return R.zero
+            fac = None if R.is_unit(pg.lc) else fun_factor(pg)
+        except NeedsSplitError as e:
+            # each branch keeps the degrees of f and g as formal ones
+            return R.mul(acc, split_crt(R, e.element, lambda Rb: res_at_degrees(
+                f.map_ring(Rb), n, g.map_ring(Rb), m, ideal_mode)))
+        f, g, acc = pf, pg, acc1
+        if fac is None:  # invertible leading coefficient: divide while it stays so
             chain = UnitChain(f, g)
             for n, m, dr, c in chain.steps:
                 if dr < 0:
@@ -387,7 +354,6 @@ def _res(f: Poly, g: Poly, ideal_mode=False):
             f, g = chain.pair()
             continue
         # nilpotent leading part: res(f, g) = res(f, u) * res(f, gtilde)
-        fac = fun_factor(g)
         if ideal_mode and R.is_unit(f.lc):
             r1 = R.one  # res(f, u) is a unit when lc(f) is invertible
         else:

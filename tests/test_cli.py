@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 CLI = [sys.executable, "-m", "ringres.cli"]
 
 
@@ -110,6 +112,40 @@ class TestExitCodes:
         assert not (tmp_path / "zz").exists()
 
 
+# Pairs that meet a ring split at one site each (SPLIT_SITES in
+# test_resultant.py), with the stdout of res, res-ideal, rres, bezout and
+# divrem; divrem needs a primitive divisor.  A split signal that escaped an
+# engine would reach main as a ValueError and exit 2 on valid input.
+SPLIT_RUNS = [
+    ("18", "2,4,2,2", "5,3,1", ("16", "2", "2", "r=10 u=16,12 v=10,16,12", "q=14,2 r=4,6")),
+    ("18", "5,3,0,1", "2,4,2", ("8", "2", "2", "r=10 u=4,12 v=4,10,12", None)),
+    ("18", "0,48,0,48", "5,1", ("12", "6", "6", "r=6 u=1 v=12,6,6", "q=6,12,12 r=6")),
+    ("18", "1,1,0,0,1", "1,1,4,6", ("3", "3", "3", "r=3 u=5,10,6 v=16,5,5,17",
+                                    "q=0,17,1,3 r=1,2")),
+    ("18", "6,0,0,6,6", "1,4,6", ("0", "0", "3", "r=3 u=2 v=9,0,0,6", "q=0,0,0,6 r=6")),
+    ("72", "2,4,2,2", "5,3,1", ("52", "4", "2", "r=10 u=34,3 v=46,16,66", "q=68,2 r=22,6")),
+    ("72", "5,3,0,1", "2,4,2", ("8", "8", "2", "r=10 u=22,12 v=58,1,66", None)),
+    ("72", "0,48,0,48", "5,1", ("48", "24", "24", "r=24 u=1 v=48,24,24", "q=24,48,48 r=24")),
+    ("72", "1,1,0,0,1", "1,1,4,6", ("3", "3", "3", "r=57 u=23,10,6 v=34,5,59,71",
+                                    "q=18,71,1,39,36,18,36,36 r=55,56")),
+    ("72", "6,0,0,6,6", "1,4,6", ("36", "36", "3", "r=57 u=56 v=9,36,18,24,36",
+                                  "q=54,0,36,6,54,36,36 r=24")),
+]
+
+
+class TestSplitExitCodes:
+    def test_planted_splits_exit_0(self, capsys):
+        from ringres.cli import main
+
+        for mod, f, g, outs in SPLIT_RUNS:
+            for cmd, want in zip(("res", "res-ideal", "rres", "bezout", "divrem"), outs):
+                if want is None:
+                    continue
+                argv = [cmd, "--mod", mod, f, g]
+                assert main(argv) == 0, argv
+                assert capsys.readouterr().out == want + "\n", argv
+
+
 class TestSelfcheck:
     def test_selfcheck_passes(self):
         p = run("selfcheck", "--seed", "5")
@@ -147,6 +183,24 @@ class TestBench:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: cannot write --out: ")
         assert str(path) in out.err
+
+
+class TestBenchmarkNames:
+    def test_spans_resolve_every_wrapped_name(self, monkeypatch):
+        # perfbench/spans.py looks each wrapped function and method up by
+        # name at the start of every benchmark worker run; a missing name
+        # makes every workload exit non-zero
+        pytest.importorskip("numpy")
+        root = Path(__file__).resolve().parent.parent
+        monkeypatch.syspath_prepend(str(root / "perfbench"))
+        import ringres
+        import spans
+
+        assert Path(ringres.__file__).parent == root / "src" / "ringres"
+        origs = spans.originals()
+        assert set(origs) == set(spans.FUNCTIONS) | {f"{c}.{a}" for c, a in spans.METHODS}
+        assert all(callable(obj) and obj.__module__.startswith("ringres")
+                   for obj, _ in origs.values())
 
 
 class TestNoNumpy:

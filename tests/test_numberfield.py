@@ -5,6 +5,7 @@ import pytest
 from ringres import (
     FieldElem,
     Ideal2,
+    InsufficientHintError,
     NumberFieldCtx,
     elem_norm_mod,
     ideal_min,
@@ -112,6 +113,12 @@ class TestFixedIdeals:
         I = Ideal2(6, FieldElem(()))
         assert ideal_norm(ctx, I) == 36
         assert ideal_min(ctx, I) == 6
+
+    def test_non_integral_norm_is_insufficient_hint(self):
+        # (2, 1/2) in Z[i]: N(1/2) = 1/4 is not integral at a = 2
+        ctx = NumberFieldCtx((1, 0, 1))
+        with pytest.raises(InsufficientHintError, match="not normal for this order"):
+            ideal_norm(ctx, Ideal2(2, FieldElem((1,), 2)))
 
 
 class TestAgainstHnfOracle:

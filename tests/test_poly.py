@@ -20,7 +20,7 @@ from ringres import (
     is_unit_poly,
     reciprocal,
 )
-from ringres.poly import top_non_nilpotent
+from ringres.poly import primitive_part, top_non_nilpotent
 from ringres.ring import _divrem_lists, _mul_lists
 
 from oracles import fun_factor_forward
@@ -342,6 +342,30 @@ class TestHelpers:
         assert content(Poly.from_ints(R, [4, 8])) == 4
         assert is_primitive(Poly.from_ints(R, [3, 4]))
         assert not is_primitive(Poly.from_ints(R, [2, 4]))
+
+    def test_primitive_part(self):
+        R = Zmod(18)        # 6 and 12 are nilpotent, 2 and 4 splitting
+        f = Poly.from_ints(R, [5, 3, 1])
+        c, h = primitive_part(f)
+        assert c == 1 and h is f
+        c, h = primitive_part(Poly.from_ints(R, [6, 0, 12]))
+        assert (c, h.coeffs) == (6, (1, 0, 2))
+        # the content 2 of f, and the content 2 of 12x's primitive part 2x
+        for cs in ([2, 4], [0, 12]):
+            with pytest.raises(NeedsSplitError) as e:
+                primitive_part(Poly.from_ints(R, cs))
+            assert e.value.element == 2
+
+    def test_primitive_part_galois_never_splits(self):
+        rng = random.Random(14)
+        for R, r in FF_RINGS:
+            if R.kind != "galois":
+                continue
+            for v in range(R.e):
+                f = ff_input(rng, R, r, rng.randrange(1, 8), rng.randrange(0, 3))
+                c, h = primitive_part(f.scale(R.from_int(r ** v)))
+                assert c == R.from_int(r ** v) and is_primitive(h)
+                assert h.scale(c) == f.scale(c)
 
     def test_reciprocal(self):
         R = Zmod(7)

@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringres import (GaloisRing, Poly, Zmod, det, find_irreducible, res, res_ideal,
-                     rres, rres_bezout, sylvester)
-from ringres.poly import UnitChain, _Packed, divrem
-from ringres.resultant import Reduced, SplitElem, _res_unit, ppa
+from ringres import (GaloisRing, NeedsSplitError, Poly, Zmod, det, find_irreducible, res,
+                     res_ideal, rres, rres_bezout, sylvester)
+from ringres.poly import (UnitChain, _Packed, divrem, divrem_primitive, fun_factor,
+                          is_primitive, primitive_part)
+from ringres.resultant import Reduced, _res_unit, ppa
 
 from oracles import berkowitz_det, divrem_rowwise, rres_howell_oracle
 
@@ -80,10 +81,9 @@ class TestFixedExamples:
         R = Zmod(6)
         f = Poly.from_ints(R, [2, 1])
         g = Poly.from_ints(R, [4, 2])
-        out = ppa(f, g)
-        assert isinstance(out, (SplitElem, Reduced))
-        if isinstance(out, SplitElem):
-            assert R.is_splitting(out.element)
+        with pytest.raises(NeedsSplitError) as e:
+            ppa(f, g)
+        assert e.value.element == 2
 
 
 class TestAgainstOracles:
@@ -329,22 +329,58 @@ def non_unit(n):
     return None if p == n else p
 
 
+# Pairs over Z/18 and Z/72 that meet a ring split at one site each, with the
+# step that raises it and its splitting element: 2 and 4 split both rings,
+# 6 and 12 are nilpotent in both, and 48 == 12 mod 18.
+SPLIT_SITES = {
+    "content of f": ([2, 4, 2, 2], [5, 3, 1], lambda f, g: primitive_part(f), 2),
+    "content of g": ([5, 3, 0, 1], [2, 4, 2], lambda f, g: primitive_part(g), 2),
+    # content 6 (or 24 mod 72) is nilpotent, the primitive part 2x + 2x^3 splits
+    "content of a primitive part": ([0, 48, 0, 48], [5, 1],
+                                    lambda f, g: primitive_part(f), 2),
+    "top coefficient": ([1, 1, 0, 0, 1], [1, 1, 4, 6], lambda f, g: fun_factor(g), 4),
+    # f has the nilpotent content 6, g is primitive
+    "ppa, one nilpotent content": ([6, 0, 0, 6, 6], [1, 4, 6], ppa, 4),
+}
+
+
+def check_pair(f, g):
+    """res against det(sylvester), rres against the Howell form, and the
+    certificate by re-multiplication."""
+    R = f.ring
+    if f.degree + g.degree >= 1:
+        assert res(f, g) == det(sylvester(f, g)), (R, f, g)
+    r = rres(f, g)
+    assert res_ideal(f, g) == R.ideal_gen(res(f, g))
+    assert r == rres_howell_oracle(f, g), (R, f, g)
+    cert = rres_bezout(f, g)
+    assert cert.u * f + cert.v * g == Poly.const(R, cert.value), (R, f, g)
+    assert R.ideal_gen(cert.value) == r
+
+
+class TestSplitSites:
+    @pytest.mark.parametrize("n", (18, 72))
+    @pytest.mark.parametrize("site", SPLIT_SITES)
+    def test_planted_split(self, n, site):
+        R = Zmod(n)
+        fs, gs, step, element = SPLIT_SITES[site]
+        f, g = Poly.from_ints(R, fs), Poly.from_ints(R, gs)
+        with pytest.raises(NeedsSplitError) as e:
+            step(f, g)
+        assert e.value.element == element
+        check_pair(f, g)
+        if is_primitive(g):
+            q, r = divrem_primitive(f, g)
+            assert q * g + r == f and r.degree < g.degree
+
+
 class TestPackedEuclid:
     """Euclidean chains over Z/n whose divisors have unit leading
     coefficients run on packed integers; every result is checked against an
     oracle: res against det(sylvester), rres against the Howell form, and
     every certificate by re-multiplication."""
 
-    def check(self, f, g):
-        R = f.ring
-        if f.degree + g.degree >= 1:
-            assert res(f, g) == det(sylvester(f, g)), (R, f, g)
-        r = rres(f, g)
-        assert res_ideal(f, g) == R.ideal_gen(res(f, g))
-        assert r == rres_howell_oracle(f, g), (R, f, g)
-        cert = rres_bezout(f, g)
-        assert cert.u * f + cert.v * g == Poly.const(R, cert.value), (R, f, g)
-        assert R.ideal_gen(cert.value) == r
+    check = staticmethod(check_pair)
 
     @pytest.mark.parametrize("n", PACKED_MODULI)
     def test_packed_step_at_the_slot_bound(self, n):
