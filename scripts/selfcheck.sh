@@ -3,6 +3,7 @@
 # once under python -O (invariant checks must not be asserts), the res/rres
 # timing sweep of `ringres bench` (about 12 s; it must write its 30 rows), then
 # a 1 s benchmark run per workload that must check every answer and fail no call.
+# Last, it prints the non-blank line count of src/ringres (not a gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -20,3 +21,4 @@ w, r = sys.argv[1], json.load(sys.stdin)
 print("benchmark smoke", w, "correct:", r["correct"], "failed:", r["failed"], "of", r["attempted"])
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$w"
 done
+echo "non-blank lines in src/ringres: $(cat src/ringres/*.py | grep -cv '^[[:space:]]*$')"

@@ -18,10 +18,9 @@ if delta reaches k a `PrecisionError` is raised.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
-from .ring import Zmod
+from .ring import Zmod, is_probable_prime
 from .poly import (
     Poly,
     UnitChain,
@@ -36,36 +35,6 @@ from .poly import (
 
 class PrecisionError(ArithmeticError):
     """The accumulated precision loss reached the working precision."""
-
-
-def is_probable_prime(n: int, rounds: int = 32) -> bool:
-    """Miller-Rabin: deterministic below 3.3e24, random bases beyond."""
-    if n < 2:
-        return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for q in small:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    if n < 3317044064679887385961981:
-        bases = small
-    else:
-        rng = random.Random(n)
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(rounds))
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .ring import (ContextMismatchError, InvariantError, NotUnitError, Zmod, _divrem_lists,
-                   _mul_lists)
+from .ring import ContextMismatchError, InvariantError, NotUnitError, Zmod
 
 NO_DEGREE = -1
 
@@ -129,12 +128,17 @@ class Poly:
         return Poly(R, [R.mul(x, c) for x in self.coeffs])
 
     def shift(self, s: int):
-        """Multiply by x^s."""
+        """Multiply by x^s, s >= 0."""
+        if s < 0:
+            raise ValueError("shift needs a non-negative exponent")
         if self.is_zero() or s == 0:
-            return self if s == 0 else self
+            return self
         return Poly(self.ring, (self.ring.zero,) * s + self.coeffs)
 
     def mod_xpow(self, t: int):
+        """Remainder mod x^t, t >= 0."""
+        if t < 0:
+            raise ValueError("mod_xpow needs a non-negative exponent")
         return Poly(self.ring, self.coeffs[:t])
 
     def eval(self, a):
@@ -301,6 +305,33 @@ def is_unit_poly(f: Poly) -> bool:
 # against 29 ms at d = 512, m = 16, either way at m = 32, slower from m = 40
 # (114 against 75 ms at d = 512, m = 64; 576 against 164 ms at m = 200).
 _LIST_DEG_MAX = 16
+
+
+def _mul_lists(a, b, n):
+    """Schoolbook product of ascending int lists, one reduction mod n per
+    coefficient."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return [z % n for z in out]
+
+
+def _divrem_lists(a, p, n):
+    """(q, r) with a == q*p + r over Z/n for ascending int lists, p monic; r
+    has deg p entries, all reduced mod n."""
+    m = len(p) - 1
+    a = list(a) + [0] * (m - len(a))
+    q = [0] * (len(a) - m)
+    low = p[:-1]
+    for i in range(len(a) - 1, m - 1, -1):
+        c = a[i] % n
+        if c:
+            q[i - m] = c
+            for j, y in enumerate(low, i - m):
+                a[j] -= c * y
+    return q, [x % n for x in a[:m]]
 
 
 def divrem(f: Poly, g: Poly):
@@ -768,8 +799,6 @@ def divrem_primitive(f: Poly, g: Poly):
     R = f.ring
     if g.is_zero() or not is_primitive(g):
         raise ValueError("divisor must be primitive and nonzero")
-    if g.degree == 0:
-        return f.scale(R.inv(g.coeffs[0])), Poly.zero(R)
     try:
         fac = fun_factor(g)
     except NeedsSplitError as e:

@@ -145,20 +145,14 @@ def _rres_const(f: Poly, g: Poly, bezout: bool):
 def _rres_reduced(f: Poly, g: Poly, red: Reduced, bezout: bool):
     """_rres from ppa(f, g) == red when red.c is not a unit or red.unit is set."""
     R = f.ring
-    if red.g.degree == 0:
-        # g0 == red.unit is a unit of R[x]; its inverse witnesses (1)
-        if not bezout:
-            return R.one, None, None
-        r, u, v = R.one, Poly.zero(R), invert_unit(red.unit)
-    else:
-        Rq = R.ann_quotient(red.c)
-        r0, u, v = _rres(red.f.map_ring(Rq), red.g.map_ring(Rq), bezout)
-        r = R.mul(red.c, R.coerce(r0))
-        if not bezout:
-            return r, None, None
-        u, v = u.map_ring(R), v.map_ring(R)
-        if red.unit is not None:
-            v = v.scale(red.c) * invert_unit(red.unit)
+    Rq = R.ann_quotient(red.c)
+    r0, u, v = _rres(red.f.map_ring(Rq), red.g.map_ring(Rq), bezout)
+    r = R.mul(red.c, R.coerce(r0))
+    if not bezout:
+        return r, None, None
+    u, v = u.map_ring(R), v.map_ring(R)
+    if red.unit is not None:
+        v = v.scale(red.c) * invert_unit(red.unit)
     if red.swapped:
         u, v = v, u
     return _reduce_cofactors(f, g, r, u, v)

@@ -46,6 +46,36 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def is_probable_prime(n: int, rounds: int = 32) -> bool:
+    """Miller-Rabin: deterministic below 3.3e24, random bases beyond."""
+    if n < 2:
+        return False
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    for q in small:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    if n < 3317044064679887385961981:
+        bases = small
+    else:
+        rng = random.Random(n)
+        bases = tuple(rng.randrange(2, n - 1) for _ in range(rounds))
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Zmod:
     """The ring Z/nZ.  n == 1 is the zero ring (allowed in quotients)."""
@@ -101,7 +131,7 @@ class Zmod:
         return a % self.n == 0
 
     def is_unit(self, a) -> bool:
-        return self.n == 1 or math.gcd(a, self.n) == 1
+        return math.gcd(a, self.n) == 1
 
     def is_nilpotent(self, a) -> bool:
         return pow(a, self.E, self.n) == 0
@@ -111,35 +141,25 @@ class Zmod:
         return a != 0 and not self.is_unit(a) and not self.is_nilpotent(a)
 
     def inv(self, a):
-        if self.n == 1:
-            return 0
         if math.gcd(a, self.n) != 1:
             raise NotUnitError(f"{a} is not a unit mod {self.n}")
         return pow(a, -1, self.n)
 
     def try_divide(self, a, b):
         """Smallest c with b*c == a mod n, or None if no such c exists."""
-        if self.n == 1:
-            return 0
         a %= self.n
         b %= self.n
         g = math.gcd(b, self.n)
         if a % g:
             return None
         nn = self.n // g
-        if nn == 1:
-            return 0
         return ((a // g) * pow(b // g, -1, nn)) % nn
 
     def gcd_bezout(self, a, b):
         """(g, s, t): g canonical generator of (a, b), s*a + t*b == g mod n."""
-        if self.n == 1:
-            return 0, 0, 0
         a %= self.n
         b %= self.n
         g0, s0, t0 = _ext_gcd(a, b)
-        if g0 == 0:
-            return 0, 0, 0
         g = math.gcd(g0, self.n)
         # u*g0 == g mod n for some u (exists since g = gcd(g0, n)).
         u = _ext_gcd(g0, self.n)[1]
@@ -183,14 +203,11 @@ class Zmod:
 
     def ann_quotient(self, c):
         """R / Ann(c) as a ring context."""
-        g = math.gcd(c % self.n, self.n)
-        if g == 0:
-            g = self.n
-        return Zmod(self.n // g)
+        return Zmod(self.n // math.gcd(c, self.n))
 
     def quotient_by(self, c):
         """R / (c) as a ring context."""
-        return Zmod(math.gcd(c % self.n, self.n) or self.n)
+        return Zmod(math.gcd(c, self.n))
 
     def elements(self):
         return range(self.n)
@@ -206,50 +223,13 @@ class Zmod:
 # Galois rings
 # ---------------------------------------------------------------------------
 
-def _mul_lists(a, b, n):
-    """Schoolbook product of ascending int lists, one reduction mod n per
-    coefficient."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return [z % n for z in out]
-
-
-def _divrem_lists(a, p, n):
-    """(q, r) with a == q*p + r over Z/n for ascending int lists, p monic; r
-    has deg p entries, all reduced mod n."""
-    m = len(p) - 1
-    a = list(a) + [0] * (m - len(a))
-    q = [0] * (len(a) - m)
-    low = p[:-1]
-    for i in range(len(a) - 1, m - 1, -1):
-        c = a[i] % n
-        if c:
-            q[i - m] = c
-            for j, y in enumerate(low, i - m):
-                a[j] -= c * y
-    return q, [x % n for x in a[:m]]
-
-
-def _fp_rem(a, m, p):
-    """a mod m over F_p, without trailing zeros; m monic, lists of ints
-    ascending."""
-    r = _divrem_lists(a, m, p)[1]
-    while r and not r[-1]:
-        r.pop()
-    return r
-
-
-def _fp_mulmod(a, b, m, p):
-    return _fp_rem(_mul_lists(a, b, p), m, p)
-
-
 def _fp_inv_mod(a, m, p):
     """a^-1 mod m over F_p, or None when gcd(a, m) != 1; m monic of degree
-    >= 1.  Extended Euclid keeping s_i with s_i * a == r_i mod m."""
-    r0, r1 = [x % p for x in m], _fp_rem(a, m, p)
+    >= 1, deg a < deg m.  Extended Euclid keeping s_i with s_i * a == r_i
+    mod m."""
+    r0, r1 = [x % p for x in m], [x % p for x in a]
+    while r1 and not r1[-1]:
+        r1.pop()
     s0, s1 = [], [1]
     while r1:
         # r0 <- r0 mod r1 and s0 <- s0 - (r0 quo r1) * s1, term by term
@@ -279,18 +259,13 @@ def _fp_is_irreducible(lam, p):
     14.9): lam, monic of degree k >= 1 over F_p with ascending coefficients,
     is irreducible iff x^(p^i) - x is invertible mod lam for every i <= k/2,
     since a reducible lam has an irreducible factor of degree i <= k/2, and
-    those divide x^(p^i) - x."""
-    h = [0, 1]
-    for _ in range((len(lam) - 1) // 2):
-        acc = [1]
-        for bit in bin(p)[2:]:      # h <- h^p mod lam, left to right
-            acc = _fp_mulmod(acc, acc, lam, p)
-            if bit == "1":
-                acc = _fp_mulmod(acc, h, lam, p)
-        h = acc
-        d = h + [0] * (2 - len(h))
-        d[1] -= 1
-        if _fp_inv_mod(d, lam, p) is None:
+    those divide x^(p^i) - x.  GaloisRing(p, 1, lam) multiplies in
+    F_p[x]/(lam) for any monic lam."""
+    F = GaloisRing(p, 1, tuple(lam))
+    x = h = (0, 1) + (0,) * (F.k - 2)     # x, read only when k >= 2
+    for _ in range(F.k // 2):
+        h = F.pow_elem(h, p)
+        if _fp_inv_mod(F.sub(h, x), lam, p) is None:
             return False
     return True
 
@@ -411,7 +386,7 @@ class GaloisRing:
         return tuple((c % self.pe) // pv for c in a)
 
     def is_unit(self, a) -> bool:
-        return self.e == 0 or self.val(a) == 0
+        return self.val(a) == 0
 
     def is_nilpotent(self, a) -> bool:
         return self.val(a) >= 1 or self.e == 0
@@ -442,34 +417,25 @@ class GaloisRing:
     def try_divide(self, a, b):
         if self.is_zero(a):
             return self.zero
-        if self.is_zero(b):
-            return None
-        va, vb = self.val(a), self.val(b)
+        va, vb = self.val(a), self.val(b)      # val(0) == e
         if vb > va:
             return None
         c = self.mul(self.unit_part(a), self.inv(self.unit_part(b)))
         return self.mul(self.from_int(self.p ** (va - vb)), c)
 
     def gcd_bezout(self, a, b):
-        az, bz = self.is_zero(a), self.is_zero(b)
-        if az and bz:
+        if self.is_zero(a) and self.is_zero(b):
             return self.zero, self.zero, self.zero
-        if az:
-            return self.ideal_gen(b), self.zero, self.inv(self.unit_part(b))
-        if bz:
-            return self.ideal_gen(a), self.inv(self.unit_part(a)), self.zero
         va, vb = self.val(a), self.val(b)
         if va <= vb:
             return self.from_int(self.p ** va), self.inv(self.unit_part(a)), self.zero
         return self.from_int(self.p ** vb), self.zero, self.inv(self.unit_part(b))
 
     def gcd_many(self, elems):
-        v = min(map(self.val, elems), default=self.e)     # val(0) == e
-        return self.from_int(self.p ** v) if v < self.e else self.zero
+        return self.from_int(self.p ** min(map(self.val, elems), default=self.e))
 
     def ideal_gen(self, a):
-        v = self.val(a)
-        return self.from_int(self.p ** v) if v < self.e else self.zero
+        return self.from_int(self.p ** self.val(a))     # val(0) == e
 
     def colon(self, a, b):
         va = self.val(a)
@@ -486,23 +452,16 @@ class GaloisRing:
 
     def ann_quotient(self, c):
         # Ann(p^v u) = (p^(e-v)), so R/Ann(c) keeps only e-v levels.
-        v = self.e if self.is_zero(c) else self.val(c)
-        return GaloisRing(self.p, self.e - v, self.lam)
+        return GaloisRing(self.p, self.e - self.val(c), self.lam)
 
     def quotient_by(self, c):
         return GaloisRing(self.p, self.val(c), self.lam)
 
     def elements(self):
-        q = self.pe
-        k = self.k
-        total = q ** k
-        for idx in range(total):
-            out = []
-            m = idx
-            for _ in range(k):
-                out.append(m % q)
-                m //= q
-            yield tuple(out)
+        """All elements, lazily, in base-p^e digit order (t-coefficient 0
+        fastest)."""
+        q, k = self.pe, self.k
+        return (tuple(i // q ** j % q for j in range(k)) for i in range(q ** k))
 
     def residue_lifts(self):
         """Lifts of all residue-field elements: tuples with entries in [0,p),
@@ -535,7 +494,6 @@ def parse_ring(text: str):
     if len(lam) != k + 1:
         raise ValueError("lam must have k+1 coefficients")
     R = GaloisRing(p, e, lam)
-    from .padic import is_probable_prime    # padic imports this module
     if not is_probable_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if not _fp_is_irreducible(lam, p):

@@ -20,8 +20,7 @@ from ringres import (
     is_unit_poly,
     reciprocal,
 )
-from ringres.poly import primitive_part, top_non_nilpotent
-from ringres.ring import _divrem_lists, _mul_lists
+from ringres.poly import _divrem_lists, _mul_lists, primitive_part, top_non_nilpotent
 
 from oracles import fun_factor_forward
 
@@ -140,6 +139,9 @@ class TestArithmetic:
         f = Poly.from_ints(R, [1, 2, 3])
         assert f.eval(R.from_int(2)) == (1 + 4 + 12) % 35
         assert f.shift(2).coeffs == (0, 0, 1, 2, 3)
+        for negative in (lambda: f.shift(-2), lambda: f.mod_xpow(-1)):
+            with pytest.raises(ValueError):
+                negative()
 
 
 class TestDivision:

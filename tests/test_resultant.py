@@ -65,17 +65,17 @@ class TestFixedExamples:
         assert out.f.coeffs == (1, 0, 1) and out.g.coeffs == (1, 1)
 
     def test_rres_unit_polynomial_partner(self):
-        # 3+6x is a unit of (Z/8)[x] (unit constant term, nilpotent above),
-        # so the pair generates the whole ring even though g has content 2.
-        # The content-extraction shortcut must not fire here.
-        R = Zmod(8)
-        f = Poly.from_ints(R, [3, 6])
-        g = Poly.from_ints(R, [0, 0, 4, 6, 2, 6])
-        assert rres(f, g) == 1
-        assert rres(g, f) == 1
-        cert = rres_bezout(f, g)
-        assert cert.u * f + cert.v * g == Poly.const(R, cert.value)
-        assert R.ideal_gen(cert.value) == 1
+        # 3+6x is a unit of (Z/8)[x] and of GR(8, 2)[x] (unit constant term,
+        # nilpotent above), so the pair generates the whole ring even though
+        # g has content 2.  The content-extraction shortcut must not fire here.
+        for R in (Zmod(8), GaloisRing(2, 3, find_irreducible(2, 2))):
+            f = Poly.from_ints(R, [3, 6])
+            g = Poly.from_ints(R, [0, 0, 4, 6, 2, 6])
+            assert rres(f, g) == R.one
+            assert rres(g, f) == R.one
+            cert = rres_bezout(f, g)
+            assert cert.u * f + cert.v * g == Poly.const(R, cert.value)
+            assert R.ideal_gen(cert.value) == R.one
 
     def test_ppa_splitting_example(self):
         R = Zmod(6)
@@ -171,7 +171,9 @@ class TestGaloisRings:
                         for _ in range(2))
                 if f.is_zero() or g.is_zero() or f.degree + g.degree < 1:
                     continue
-                assert res(f, g) == berkowitz_det(R, sylvester(f, g).rows), (R, f, g)
+                d = berkowitz_det(R, sylvester(f, g).rows)
+                assert res(f, g) == d, (R, f, g)
+                assert res_ideal(f, g) == R.ideal_gen(d), (R, f, g)
                 done += 1
 
 
