@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Everything here deliberately avoids the code paths under test: reduced
-resultants come from a stabilized extended-degree Howell form, bivariate
+resultants come from a stabilized extended-degree Howell form (over Galois
+rings, the chain-ring form of rres_galois_oracle), bivariate
 resultants from symbolic cofactor expansion, their interpolation from the
 textbook Lagrange formula, irreducibility over F_p from trial division,
 determinants over Galois rings from Berkowitz's division-free algorithm,
@@ -22,6 +23,59 @@ from ringres import Matrix, Poly, divrem, howell
 from ringres.linalg import rres_howell as rres_howell_oracle
 
 _x = sympy.Symbol("x")
+
+
+# ---------------------------------------------------------------------------
+# reduced resultant over a Galois ring: a chain-ring Howell form
+# ---------------------------------------------------------------------------
+
+def rres_galois_oracle(f, g):
+    """Canonical generator of (f, g) ∩ R for nonzero f, g over GR(p^e, k),
+    from the Howell forms of extended-degree Sylvester matrices (rows x^i f
+    and x^i g for i <= D, constant term in the last column), raising D until
+    the generator is stable, as rres_howell does over Z/n.
+
+    A Galois ring is a chain ring: every element is p^v times a unit.  Each
+    column pivots on an entry of least valuation v, which divides every other
+    entry of the column; the rows a*pivot that vanish in the column are the
+    multiples of p^(e-v)*pivot, so that row joins the rows still to reduce.
+    The last column's pivot then generates the span's vectors that are zero
+    outside it."""
+    R = f.ring
+
+    def attempt(D):
+        w = D + max(f.degree, g.degree) + 1
+        rows = []
+        for h in (f, g):
+            for i in range(D + 1):
+                row = [R.zero] * w
+                for j, c in enumerate(h.coeffs):
+                    row[w - 1 - (i + j)] = c
+                rows.append(row)
+        for col in range(w):
+            live = [r for r in rows if not R.is_zero(r[col])]
+            piv = min(live, key=lambda r: R.val(r[col]), default=None)
+            if piv is None:
+                continue
+            v = R.val(piv[col])
+            pv, ainv = R.p ** v, R.inv(R.unit_part(piv[col]))
+            rows = [r for r in rows if r is not piv]
+            for r in live:
+                if r is not piv:    # r[col] == (r[col] / p^v) * ainv * piv[col]
+                    c = R.mul(tuple(x // pv for x in r[col]), ainv)
+                    r[col:] = [R.sub(x, R.mul(c, y)) for x, y in zip(r[col:], piv[col:])]
+            if v:
+                pe_v = R.from_int(R.p ** (R.e - v))
+                rows.append([R.mul(pe_v, y) for y in piv])
+        return R.ideal_gen(piv[w - 1]) if piv is not None else R.zero
+
+    D = f.degree + g.degree + 1
+    prev = attempt(D)
+    while True:
+        cur = attempt(D + 1)
+        if cur == prev:
+            return cur
+        prev, D = cur, D + 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from ringres.poly import (UnitChain, _Packed, divrem, divrem_primitive, fun_fact
                           is_primitive, primitive_part)
 from ringres.resultant import Reduced, _res_unit, ppa
 
-from oracles import berkowitz_det, divrem_rowwise, rres_howell_oracle
+from oracles import berkowitz_det, divrem_rowwise, rres_galois_oracle, rres_howell_oracle
 
 P64 = 18446744073709551557          # largest 64-bit prime
 COMPOSITE = 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211
@@ -155,9 +155,34 @@ class TestGaloisRings:
                     continue
                 cert = rres_bezout(f, g)
                 r = rres(f, g)
+                assert r == rres_galois_oracle(f, g), (R, f, g)
                 assert cert.u * f + cert.v * g == Poly.const(R, cert.value), (R, f, g)
                 assert R.ideal_gen(cert.value) == r, (R, f, g)
                 assert R.val(r) <= R.val(res(f, g)), (R, f, g)
+
+    def test_oracle_rejects_p_times_rres(self):
+        # a copy of rres that returned p*r, with the certificate scaled by
+        # p, passes the membership check and the valuation bound whenever
+        # val(r) < val(res); only the oracle tells r from p*r
+        rng = random.Random(111)
+        caught = 0
+        for p, e, k in ((2, 5, 3), (3, 3, 3), (2, 8, 2), (5, 2, 1)):
+            R = GaloisRing(p, e, find_irreducible(p, k))
+            P = R.from_int(p)
+            for _ in range(30):
+                f, g = (Poly(R, [self.rand_elem(rng, R)
+                                 for _ in range(rng.randrange(2, 6))])
+                        for _ in range(2))
+                if f.degree < 1 or g.degree < 1:
+                    continue
+                cert = rres_bezout(f, g)
+                r = R.mul(P, cert.value)
+                if R.is_zero(r) or R.val(r) > R.val(res(f, g)):
+                    continue
+                assert cert.u.scale(P) * f + cert.v.scale(P) * g == Poly.const(R, r)
+                assert rres_galois_oracle(f, g) == rres(f, g) != R.ideal_gen(r), (R, f, g)
+                caught += 1
+        assert caught >= 20
 
     def test_res_matches_berkowitz_det(self):
         # the last two are the res_y branch rings of Z/15120 at B = 24
