@@ -1,0 +1,114 @@
+"""One SHA-256 over the outputs of a seeded corpus of public calls.
+
+    PYTHONPATH=src python3 scripts/outputs_digest.py --seed 1 --calls 100000
+
+Call i draws its operation, ring and operands from random.Random(f"{seed}/{i}"):
+res, res_ideal, rres and rres_bezout (value, u and v) over Z/n (primes,
+prime powers, composites with and without square factors) and over Galois
+rings, and padic_gcd (value, delta, normalized, whether u is None and, when
+it is not, whether u*f + v*g == value).  Coefficients are biased toward zero
+divisors, so Euclidean chains meet nilpotent and splitting leading
+coefficients.  Two trees that print the same digest gave the same outputs on
+every call; an exception is recorded by its class name.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import random
+
+from ringres import (GaloisRing, PadicCtx, Poly, Zmod, find_irreducible, padic_gcd, res,
+                     res_ideal, rres, rres_bezout)
+
+P64 = 18446744073709551557
+ZMOD = [  # (n, its prime factors)
+    (10007, (10007,)), (P64, (P64,)),
+    (3**40, (3,)), (2**64, (2,)), (5**7, (5,)),
+    (72, (2, 3)), (360, (2, 3, 5)), (2**10 * 3**5, (2, 3)), (15120, (2, 3, 5, 7)),
+    (9699690, (2, 3, 5, 7, 11, 13, 17, 19)), (30, (2, 3, 5)),
+]
+GALOIS = [(2, 8, 3), (3, 20, 2), (101, 4, 4), (2, 5, 3), (3, 3, 3), (2, 4, 5)]
+PADIC = [(3, 40), (2, 64), (5, 6), (2, 10)]
+OPS = {"res": res, "res_ideal": res_ideal, "rres": rres}
+
+
+def _elem(rng, R, primes):
+    """A coefficient, times a power of a prime factor of the modulus half the time."""
+    if R.kind == "galois":
+        x = tuple(rng.randrange(R.pe) for _ in range(R.k))
+    else:
+        x = rng.randrange(R.n)
+    if rng.random() < 0.5:
+        x = R.mul(x, R.from_int(rng.choice(primes) ** rng.randrange(1, 4)))
+    return x
+
+
+def _poly(rng, R, primes, d):
+    return Poly(R, [_elem(rng, R, primes) for _ in range(d)] + [_elem(rng, R, primes)])
+
+
+def _out(x):
+    """Ring elements, polynomials and tuples of them as JSON values."""
+    if isinstance(x, Poly):
+        return [_out(c) for c in x.coeffs]
+    if isinstance(x, tuple):
+        return [_out(c) for c in x]
+    return x
+
+
+def call(seed, i):
+    """The record of call i: [operation, ring, operands, output]."""
+    rng = random.Random(f"{seed}/{i}")
+    op = rng.choice(["res", "res_ideal", "rres", "rres_bezout", "padic_gcd"])
+    if op == "padic_gcd":
+        ctx = PadicCtx(*rng.choice(PADIC))
+        R, primes = ctx.ring, (ctx.p,)
+        h = _poly(rng, R, primes, rng.randrange(0, 4))
+        f, g = (h * _poly(rng, R, primes, rng.randrange(1, 12)) for _ in range(2))
+        if f.is_zero() and g.is_zero():
+            return [op, str(R), [], "zero"]
+        track = rng.random() < 0.5
+        try:
+            out = padic_gcd(ctx, f, g, track_bezout=track)
+            holds = None if out.u is None else out.u * f + out.v * g == out.value
+            got = [_out(out.value), out.delta, out.normalized, out.u is None, holds]
+        except ArithmeticError as e:
+            got = type(e).__name__
+        return [op, str(R), [_out(f), _out(g), track], got]
+    if rng.random() < 0.3:
+        p, e, k = rng.choice(GALOIS)
+        R, primes, dmax = GaloisRing(p, e, find_irreducible(p, k)), (p,), 10
+    else:
+        n, primes = rng.choice(ZMOD)
+        R, dmax = Zmod(n), 24
+    f, g = (_poly(rng, R, primes, rng.randrange(0, dmax)) for _ in range(2))
+    if rng.random() < 0.3:
+        h = _poly(rng, R, primes, rng.randrange(1, 4))
+        f, g = f * h, g * h
+    if f.is_zero() or g.is_zero():
+        return [op, str(R), [], "zero"]
+    try:
+        if op == "rres_bezout":
+            c = rres_bezout(f, g)
+            got = [_out(c.value), _out(c.u), _out(c.v)]
+        else:
+            got = _out(OPS[op](f, g))
+    except (ArithmeticError, ValueError, RecursionError) as e:
+        got = type(e).__name__
+    return [op, str(R), [_out(f), _out(g)], got]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--calls", type=int, default=1000)
+    args = ap.parse_args(argv)
+    h = hashlib.sha256()
+    for i in range(args.calls):
+        h.update(json.dumps(call(args.seed, i), separators=(",", ":")).encode() + b"\n")
+    print(h.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

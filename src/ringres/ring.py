@@ -360,13 +360,15 @@ class GaloisRing:
         return tuple([c % q for c in prod[:k]])
 
     def pow_elem(self, a, k: int):
-        acc = self.one
-        base = a
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
+        """a^k by square-and-multiply from the top bit of k >= 0: bits(k) - 1
+        squarings and popcount(k) - 1 products."""
+        if k == 0:
+            return self.one
+        acc = a
+        for bit in bin(k)[3:]:
+            acc = self.mul(acc, acc)
+            if bit == "1":
+                acc = self.mul(acc, a)
         return acc
 
     def is_zero(self, a) -> bool:

@@ -126,6 +126,24 @@ class TestGaloisRing:
         with pytest.raises(ContextMismatchError):
             gr.crt(gr, gr.one, gr, gr.one)
 
+    @pytest.mark.parametrize("p, e, k", [(2, 3, 2), (3, 20, 2), (101, 4, 4), (2, 8, 3)])
+    def test_pow_elem_square_and_multiply(self, p, e, k, monkeypatch):
+        # values as repeated mul; bits(j) - 1 squarings and popcount(j) - 1
+        # products, so a^1 costs none and a^2 one
+        R = GaloisRing(p, e, find_irreducible(p, k))
+        a = tuple((3 * i + p) % R.pe for i in range(1, k + 1))
+        want, powers = R.one, []
+        for _ in range(65):
+            powers.append(want)
+            want = R.mul(want, a)
+        calls = []
+        mul = GaloisRing.mul
+        monkeypatch.setattr(GaloisRing, "mul", lambda self, x, y: calls.append(1) or mul(self, x, y))
+        for j, want in enumerate(powers):
+            calls.clear()
+            assert R.pow_elem(a, j) == want, (R, j)
+            assert len(calls) == (j.bit_length() + bin(j).count("1") - 2 if j else 0), (R, j)
+
     def test_val_unit_inverse(self):
         gr = GaloisRing(2, 3, (1, 1, 1))
         a = (3, 2)
