@@ -1,13 +1,13 @@
 """Fixed-precision p-adic polynomial GCD.
 
 Elements of Z_p are represented at a fixed precision k, i.e. as residues in
-Z/p^k.  The GCD algorithm is the Euclidean scheme of `res` and `rres`: runs
-of divisors with a unit leading coefficient go through one `poly.UnitChain`
-each, so the recursion depth follows the chain breaks, not the degree.  When
-the divisor's leading coefficient has positive valuation, the divisor is
-split into a unit-like part (constant unit modulo p) times a monic part via
-Hensel lifting; the parts are coprime, so the GCD distributes over the
-product.  The unit-like part goes through the reciprocal reduction
+Z/p^k.  The GCD algorithm is the Euclidean scheme of `res` and `rres`: each
+primitive pair goes through one `poly.UnitChain`, so the recursion depth
+follows the content extractions, not the degree.  The chain divides by unit
+leading coefficients and splits a divisor whose leading coefficient has
+positive valuation into a unit-like part u (constant unit modulo p) times a
+monic part by Hensel lifting; the parts are coprime, so the GCD gains the
+factor gcd(F, u), taken by the reciprocal reduction
 gcd(u, v) = rev(gcd(rev(u), rev(v))).
 
 Precision loss is tracked explicitly: extracting a content p^v from an
@@ -21,16 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ring import Zmod, is_probable_prime
-from .poly import (
-    Poly,
-    UnitChain,
-    content,
-    divide_by_scalar,
-    divrem,
-    fun_factor,
-    invert_unit,
-    reciprocal,
-)
+from .poly import Poly, UnitChain, content, divide_by_scalar, fun_factor, reciprocal
 
 
 class PrecisionError(ArithmeticError):
@@ -171,29 +162,20 @@ def _gcd(ctx: PadicCtx, f: Poly, g: Poly, delta: int, track: bool):
             bez = None
         return d, delta, bez
 
-    if R.is_unit(g.lc):
-        # divide while the divisor's leading coefficient stays a unit
-        chain = UnitChain(f, g)
-        F, G = chain.pair()
-        d, delta, bez = _gcd(ctx, F, G, delta, track)
-        if bez:
-            # lift needs deg v < deg F: reduce v mod F, then lift to (f, g)
-            q, v = divrem(bez[1], F)
-            bez = chain.lift(bez[0] + q * G, v)
-        return d, delta, bez
-
-    # non-unit leading coefficient: split g into coprime unit-like x monic
-    u_part, monic_part = fun_factor_padic(ctx, g)
-    d2, delta, bez2 = _gcd(ctx, f, monic_part, delta, track)
-    d1, delta = _gcd_unitlike(ctx, f, u_part, delta)
-    d = d1 * d2
-    bez = None
-    if bez2:
-        # monic_part = invert_unit(u_part) * g, so the d2-identity rewrites
-        # over (f, g); multiplying through by d1 keeps it exact.
-        u2, v2 = bez2
-        bez = (d1 * u2, d1 * v2 * invert_unit(u_part))
-    return d, delta, bez
+    # G == u*gtilde at a factorisation step of the chain: u and gtilde are
+    # coprime, so gcd(F, G) == gcd(F, u) * gcd(F, gtilde), and the chain
+    # goes on with (F, gtilde)
+    chain = UnitChain(f, g)
+    d, delta, bez = _gcd(ctx, *chain.pair(), delta, track)
+    D = one
+    for step in chain.steps:
+        if len(step) == 3:
+            d1, delta = _gcd_unitlike(ctx, step[0], step[2], delta)
+            D = D * d1
+    # lift keeps the value: u*f + v*g == d, so (D*u)*f + (D*v)*g == D*d
+    if bez:
+        bez = tuple(D * x for x in chain.lift(*bez))
+    return D * d, delta, bez
 
 
 def _gcd_unitlike(ctx: PadicCtx, f: Poly, u: Poly, delta: int):

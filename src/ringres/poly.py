@@ -369,7 +369,7 @@ def _divrem(f: Poly, g: Poly, winv):
 
 
 # ---------------------------------------------------------------------------
-# Euclidean chains while the divisor's leading coefficient is a unit
+# Euclidean chains: divisions, and factorisations at nilpotent lc
 # ---------------------------------------------------------------------------
 
 def _slot_bytes(n: int) -> int:
@@ -516,32 +516,51 @@ class _Packed:
 
 
 class UnitChain:
-    """The Euclidean remainder sequence of f, g run while the divisor's
-    leading coefficient is a unit; needs deg f >= deg g >= 1 and lc(g) a unit.
+    """The Euclidean remainder sequence of f, g (deg f >= deg g >= 1, g
+    primitive), with each divisor of nilpotent leading coefficient replaced
+    by its monic factor.
 
-    F_0, G_0 = f, g; step i divides F_i by G_i, F_i == q_i*G_i + G_{i+1}, and
-    F_{i+1} = G_i.  A division needs only a unit leading coefficient, so no
-    remainder is made monic.  The chain stops at the first G_s that is zero,
-    constant or has a non-unit leading coefficient.  The divisions and the
-    cofactor steps of lift run on packed ints (_Packed), over Z/n and over a
-    Galois ring alike.
+    F_0, G_0 = f, g.  A divisor G_i with a unit leading coefficient divides
+    F_i == q_i*G_i + G_{i+1}, and F_{i+1} = G_i; no remainder is made monic.
+    A divisor with a nilpotent leading coefficient and unit content is
+    factored (fun_factor), G_i == u*gtilde with u a unit of R[x] and gtilde
+    monic, and gtilde, which generates the same ideal with F_i, divides F_i
+    next.  The chain stops at the first G_s that is zero or constant, or
+    whose leading coefficient is not nilpotent, whose content is not a unit,
+    or whose factorisation meets a splitting element: the caller's next pass
+    splits the ring.  Only the first divisor raises NeedsSplitError, so every
+    chain takes a step.  Divisions and lift run on packed ints (_Packed),
+    over Z/n and Galois rings alike.
 
-    steps holds (deg F_i, deg G_i, deg G_{i+1}, lc G_i) per division, and
-    quots the coefficients of q_i.
+    steps holds, in order, (deg F_i, deg G_i, deg G_{i+1}, lc G_i, q_i) per
+    division and (F_i, G_i, u) per factorisation.
     """
 
     def __init__(self, f: Poly, g: Poly):
         R = self.ring = f.ring
         ops = self.ops = _Packed(R, f.degree + 2)
         F, df, G, dg, c = ops.pack(f.coeffs), f.degree, ops.pack(g.coeffs), g.degree, g.lc
-        self.steps, self.quots = [], []
-        while True:
+        steps = self.steps = []
+        while dg > 0:
+            if not R.is_unit(c):
+                if steps and not R.is_nilpotent(c):     # before anything is unpacked
+                    break
+                Fp, Gp = (f, g) if not steps else (
+                    Poly(R, ops.unpack(F, df + 1)), Poly(R, ops.unpack(G, dg + 1)))
+                if steps and not is_primitive(Gp):
+                    break
+                try:
+                    fac = fun_factor(Gp)
+                except NeedsSplitError:
+                    if not steps:
+                        raise
+                    break
+                steps.append((Fp, Gp, fac.u))
+                G, dg, c = ops.pack(fac.gtilde.coeffs), fac.gtilde.degree, R.one
+                continue
             q, X, dr, cr = ops.divrem(F, df, G, dg, R.inv(c))
-            self.steps.append((df, dg, dr, c))
-            self.quots.append(q)
+            steps.append((df, dg, dr, c, q))
             F, df, G, dg, c = G, dg, X, dr, cr
-            if dg <= 0 or not R.is_unit(c):
-                break
         self._stop = F, df, G, dg
 
     def pair(self):
@@ -551,18 +570,27 @@ class UnitChain:
         return Poly(R, ops.unpack(F, df + 1)), Poly(R, ops.unpack(G, dg + 1))
 
     def lift(self, u: Poly, v: Poly):
-        """Cofactors u', v' with u'*f + v'*g == r from u*F_s + v*G_s == r.
+        """Cofactors u', v' with u'*f + v'*g == r from u*F_s + v*G_s == r,
+        where r is a constant or divides F_s.
 
-        u*F_s + v*G_s == v*F_{s-1} + (u - q_{s-1}*v)*G_{s-1}, so each step
-        back is U, V <- V, U - q_i*V.  With deg v < deg F_s, the cofactors of
-        every pair (F_i, G_i) have degrees below deg G_i and deg F_i: lc(F_s)
-        is a unit, so u is 0 or deg u < deg G_s, and each step raises the
-        degrees by at most deg F_i - deg G_i.  A cofactor reduction modulo
-        F_i or G_i, as _rres does after other steps, therefore never applies.
+        (u, v) is first reduced (reduce_cofactors), so deg v < deg F_s.  Back
+        through a division, u*F_{i+1} + v*G_{i+1} == v*F_i + (u - q_i*v)*G_i,
+        so U, V <- V, U - q_i*V.  Back through a factorisation
+        G_i == unit*gtilde, v becomes v*unit^-1, and the pair is reduced
+        again.  As lc(F_i) is a unit for i > 0 and deg r < deg F_i + deg G_i,
+        deg v < deg F_i gives deg u < deg G_i: no cofactor outgrows its pair.
         """
         R, ops = self.ring, self.ops
+        u, v = reduce_cofactors(*self.pair(), u, v)
         U, lu, V, lv = ops.pack(u.coeffs), len(u.coeffs), ops.pack(v.coeffs), len(v.coeffs)
-        for (df, dg, *_), qq in zip(reversed(self.steps), reversed(self.quots)):
+        for step in reversed(self.steps):
+            if len(step) == 3:
+                F, G, unit = step
+                u, v = reduce_cofactors(F, G, Poly(R, ops.unpack(U, lu)),
+                                        Poly(R, ops.unpack(V, lv)) * invert_unit(unit))
+                U, lu, V, lv = ops.pack(u.coeffs), len(u.coeffs), ops.pack(v.coeffs), len(v.coeffs)
+                continue
+            df, dg, _, _, qq = step
             l = max(lu, lv + len(qq) - 1)       # U - qq*V, K quotient coefficients at a time
             for s in range(0, len(qq), ops.K):
                 U = ops.submul(U, l, ops.pack(qq[s:s + ops.K]) << (ops.bb * s), V)
@@ -570,6 +598,19 @@ class UnitChain:
             if lv > df or lu > dg:
                 raise InvariantError("cofactor degrees exceed the chain's")
         return Poly(R, ops.unpack(U, lu)), Poly(R, ops.unpack(V, lv))
+
+
+def reduce_cofactors(f: Poly, g: Poly, u: Poly, v: Poly):
+    """(u', v') with u'*f + v'*g == u*f + v*g: v reduced modulo f when lc(f)
+    is a unit, else u modulo g when lc(g) is."""
+    R = f.ring
+    if f.degree >= 1 and R.is_unit(f.lc) and v.degree >= f.degree:
+        q, v = divrem(v, f)
+        u = u + q * g
+    elif g.degree >= 1 and R.is_unit(g.lc) and u.degree >= g.degree:
+        q, u = divrem(u, g)
+        v = v + q * f
+    return u, v
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Resultants, reduced resultants and Bezout certificates.
 
-Euclidean-style algorithms over principal Artinian rings: non-invertible
-leading coefficients are handled by content extraction, Hensel factorization
-into unit * monic, and ring splitting with CRT recombination.  A step that
-meets a splitting element (primitive_part, fun_factor, ppa) raises
-NeedsSplitError(element); each engine catches it in one place and splits the
-pair it held before the step.
+Euclidean-style algorithms over principal Artinian rings.  One
+poly.UnitChain per pass owns the Euclidean steps: it divides by a unit
+leading coefficient and replaces a divisor whose leading coefficient is
+nilpotent by its monic Hensel factor.  Contents are extracted before each
+chain; a step that meets a splitting element (primitive_part, ppa, the first
+divisor's factorization) raises NeedsSplitError(element), and each engine
+catches it in one place and splits, by CRT, the pair it held before the step.
 
 Conventions:
   * res(f, g) == det(sylvester(f, g)) for all nonzero f, g; swapping the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from .ring import InvariantError
 from .poly import (NeedsSplitError, Poly, UnitChain, content, divide_by_scalar,
                    divrem, fun_factor, invert_unit, primitive_part, reciprocal,
-                   split_crt, top_non_nilpotent)
+                   reduce_cofactors, split_crt, top_non_nilpotent)
 
 
 # ---------------------------------------------------------------------------
@@ -83,17 +84,6 @@ class RresCertificate:
     v: Poly
 
 
-def _reduce_cofactors(f, g, r, u, v):
-    R = f.ring
-    if f.degree >= 1 and R.is_unit(f.lc) and v.degree >= f.degree:
-        q, v = divrem(v, f)
-        u = u + q * g
-    elif g.degree >= 1 and R.is_unit(g.lc) and u.degree >= g.degree:
-        q, u = divrem(u, g)
-        v = v + q * f
-    return r, u, v
-
-
 def _rres0(f: Poly, bezout: bool):
     """(r, s) with (r) = (f) ∩ R and s*f == r; s is None unless bezout."""
     R = f.ring
@@ -139,7 +129,7 @@ def _rres_const(f: Poly, g: Poly, bezout: bool):
         w = divide_by_scalar(P - Poly.const(R, r0), c)
     u = s.scale(tau)
     v = Poly.const(R, sig) - w.scale(tau)
-    return _reduce_cofactors(f, g, r, u, v)
+    return (r, *reduce_cofactors(f, g, u, v))
 
 
 def _rres_reduced(f: Poly, g: Poly, red: Reduced, bezout: bool):
@@ -155,7 +145,7 @@ def _rres_reduced(f: Poly, g: Poly, red: Reduced, bezout: bool):
         v = v.scale(red.c) * invert_unit(red.unit)
     if red.swapped:
         u, v = v, u
-    return _reduce_cofactors(f, g, r, u, v)
+    return (r, *reduce_cofactors(f, g, u, v))
 
 
 def _rres(f: Poly, g: Poly, bezout: bool):
@@ -163,14 +153,14 @@ def _rres(f: Poly, g: Poly, bezout: bool):
     unless bezout.
 
     The Euclidean chain can be as long as the input degree, so it is a loop:
-    with bezout, each division step is recorded and the cofactors are lifted
-    through the steps in reverse.  Runs of divisors with a unit leading
-    coefficient go through one UnitChain each.  Splits and quotient-ring
-    recursions stay recursive; their depth is bounded by the factor structure
-    of the modulus.
+    each pass reduces the contents (ppa) and hands a primitive pair to one
+    UnitChain, which divides and factors until it stops; with bezout, the
+    chains are kept and the cofactors are lifted back through them in
+    reverse.  Splits and quotient-ring recursions stay recursive; their depth
+    is bounded by the factor structure of the modulus.
     """
     R = f.ring
-    steps = []
+    chains = []
     while True:
         swapped = f.degree < g.degree
         if swapped:
@@ -181,8 +171,8 @@ def _rres(f: Poly, g: Poly, bezout: bool):
         try:
             red = ppa(f, g)
             primitive = red.unit is None and R.is_unit(red.c)
-            if primitive and not R.is_unit(g.lc):
-                fac = fun_factor(g)
+            if primitive:
+                chain = UnitChain(f, g)
         except NeedsSplitError as e:
             r, u, v = split_crt(
                 R, e.element, lambda Rb: _rres(f.map_ring(Rb), g.map_ring(Rb), bezout))
@@ -190,25 +180,13 @@ def _rres(f: Poly, g: Poly, bezout: bool):
         if not primitive:
             r, u, v = _rres_reduced(f, g, red, bezout)
             break
-        # both primitive with an invertible top coefficient: divide, or
-        # replace g by gtilde, which generates the same ideal with f
-        if R.is_unit(g.lc):
-            step = UnitChain(f, g)
-            f, g = step.pair()
-        else:
-            step = (f, g, fac.u)
-            g = fac.gtilde
+        f, g = chain.pair()
         if bezout:
-            steps.append((swapped, step))
+            chains.append((swapped, chain))
     if swapped:
         u, v = v, u
-    for swapped, step in reversed(steps):
-        if isinstance(step, UnitChain):
-            u, v = step.lift(u, v)
-        else:
-            # (u, v) certifies (f, gtilde), g == unit*gtilde
-            f, g, unit = step
-            r, u, v = _reduce_cofactors(f, g, r, u, v * invert_unit(unit))
+    for swapped, chain in reversed(chains):
+        u, v = chain.lift(u, v)
         if swapped:
             u, v = v, u
     return r, u, v
@@ -330,30 +308,25 @@ def _res(f: Poly, g: Poly, ideal_mode=False):
                 acc, R.mul(R.pow_elem(cf, m), R.pow_elem(cg, n)))
             if R.is_zero(acc1):
                 return R.zero
-            fac = None if R.is_unit(pg.lc) else fun_factor(pg)
+            chain = UnitChain(pf, pg)
         except NeedsSplitError as e:
             # each branch keeps the degrees of f and g as formal ones
             return R.mul(acc, split_crt(R, e.element, lambda Rb: res_at_degrees(
                 f.map_ring(Rb), n, g.map_ring(Rb), m, ideal_mode)))
-        f, g, acc = pf, pg, acc1
-        if fac is None:  # invertible leading coefficient: divide while it stays so
-            chain = UnitChain(f, g)
-            for n, m, dr, c in chain.steps:
-                if dr < 0:
-                    return R.zero
-                # res(f, g) = (-1)^(n m) lc(g)^(n - deg r) res(g, f mod g)
-                acc = R.mul(acc, R.pow_elem(c, n - dr))
-                if (n * m) % 2:
-                    acc = R.neg(acc)
-            f, g = chain.pair()
-            continue
-        # nilpotent leading part: res(f, g) = res(f, u) * res(f, gtilde)
-        if ideal_mode and R.is_unit(f.lc):
-            r1 = R.one  # res(f, u) is a unit when lc(f) is invertible
-        else:
-            r1 = _res_unit(f, fac.u, ideal_mode)
-        acc = R.mul(acc, r1)
-        g = fac.gtilde
+        acc = acc1
+        for step in chain.steps:
+            if len(step) == 3:  # G == u*gtilde: res(F, G) = res(F, u) * res(F, gtilde)
+                if not (ideal_mode and R.is_unit(step[0].lc)):  # else res(F, u) is a unit
+                    acc = R.mul(acc, _res_unit(step[0], step[2], ideal_mode))
+                continue
+            n, m, dr, c, _ = step
+            if dr < 0:
+                return R.zero
+            # res(F, G) = (-1)^(n m) lc(G)^(n - deg r) res(G, F mod G)
+            acc = R.mul(acc, R.pow_elem(c, n - dr))
+            if (n * m) % 2:
+                acc = R.neg(acc)
+        f, g = chain.pair()
 
 
 def res(f: Poly, g: Poly):

@@ -360,8 +360,7 @@ class GaloisRing:
         return tuple([c % q for c in prod[:k]])
 
     def pow_elem(self, a, k: int):
-        """a^k by square-and-multiply from the top bit of k >= 0: bits(k) - 1
-        squarings and popcount(k) - 1 products."""
+        """a^k, k >= 0: bits(k) - 1 squarings, popcount(k) - 1 products."""
         if k == 0:
             return self.one
         acc = a

@@ -242,8 +242,8 @@ class TestUnitChainPath:
     @pytest.mark.parametrize("p, k", [(3, 40), (2, 64)])
     @pytest.mark.parametrize("d", [64, 200])
     def test_tracked_bezout_nilpotent_cofactors(self, p, k, d):
-        # the chains break at nilpotent leading coefficients and restart
-        # after a fun_factor split
+        # the chains meet nilpotent leading coefficients, factor those
+        # divisors and go on dividing by their monic factors
         ctx = PadicCtx(p, k)
         rng = random.Random(d)
         for _ in range(4):

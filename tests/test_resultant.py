@@ -444,8 +444,8 @@ class TestPackedEuclid:
 
     @pytest.mark.parametrize("n", [n for n in PACKED_MODULI if non_unit(n)])
     def test_non_unit_lc_mid_chain(self, n):
-        # the chain leaves the packed kernel at the planted remainder, then
-        # splits (squarefree n) or Hensel-lifts (prime powers) and re-enters
+        # the chain stops at the planted remainder and the next pass splits
+        # (squarefree n), or it factors the remainder and goes on (prime powers)
         rng = random.Random(n % 997)
         R = Zmod(n)
         for degs in ((12, 11, 10, 9), (9, 8, 6, 5)):
@@ -557,22 +557,69 @@ class TestPackedGalois:
             assert R.coerce(tuple(block[:k])) == want, (R, i)
 
 
-class TestUnitChain:
-    """UnitChain's contract, checked directly: pair() is the (F_s, G_s) that
-    repeated divrem reaches from (f, g), and lift turns cofactors of
-    (F_s, G_s) into cofactors of (f, g).  Every planted divisor and quotient
-    has a unit leading coefficient other than 1, so no step is monic."""
+def plant_chain(rng, R, degs, gaps, bottom, elem, unit, nil):
+    """(f, g, pair, steps) for a chain that UnitChain(f, g) must take.
 
-    @pytest.mark.parametrize("R", [Zmod(3**40), Zmod(2**64), Zmod(P64),
-                                   GaloisRing(3, 20, find_irreducible(3, 2)),
-                                   GaloisRing(2, 8, find_irreducible(2, 3)),
-                                   GaloisRing(101, 4, find_irreducible(101, 4)),
-                                   GaloisRing(7, 3, find_irreducible(7, 1)),
-                                   GaloisRing(2, 4, find_irreducible(2, 6))], ids=str)
-    def test_pair_and_lift(self, R):
+    r_0 = f, r_1, ..., r_s are the divisors, of the degrees degs; level i in
+    gaps reaches the chain as G_i == u_i*r_i with r_i monic and u_i a unit of
+    R[x] of degree gaps[i] (nilpotent higher coefficients, the top one
+    nonzero), any other level as r_i with a unit leading coefficient.  The
+    chain stops at level s, where r_s is bottom, or the constant 1 when s is
+    in gaps.  A quotient above a factored level makes it monic; every other
+    one has a unit leading coefficient other than 1.  steps lists (deg F, deg G, deg r, lc G, q) per division and
+    (F, G, u) per factorisation."""
+    s = len(degs) - 1
+
+    def poly(d, lc):
+        return Poly(R, [elem() for _ in range(d)] + [lc])
+
+    u = {i: Poly(R, [unit()] + [nil() for _ in range(m - 1)] + [R.mul(nil(), unit())])
+         for i, m in gaps.items()}
+    r, seen, q = [None] * (s + 1), [None] * (s + 1), {}
+    for i in range(s, -1, -1):
+        if i == s:
+            r[i] = Poly.one(R) if s in gaps else bottom
+        elif i == s - 1:
+            r[i] = poly(degs[i], R.one if i in gaps else unit())
+        else:
+            assert seen[i + 2].degree < r[i + 1].degree
+            q[i] = poly(degs[i] - degs[i + 1], R.inv(r[i + 1].lc) if i in gaps else unit())
+            r[i] = q[i] * r[i + 1] + seen[i + 2]
+        seen[i] = u[i] * r[i] if i in gaps else r[i]
+    steps = []
+    for i in range(1, s + 1):
+        if i in gaps:
+            steps.append((r[i - 1], seen[i], u[i]))
+        if i < s:
+            steps.append((r[i - 1].degree, r[i].degree, seen[i + 1].degree, r[i].lc,
+                          list(q[i - 1].coeffs)))
+    return r[0], seen[1], (r[s - 1], r[s]), steps
+
+
+UNIT_CHAIN_RINGS = [Zmod(3**40), Zmod(2**64), Zmod(P64),
+                    GaloisRing(3, 20, find_irreducible(3, 2)),
+                    GaloisRing(2, 8, find_irreducible(2, 3)),
+                    GaloisRing(101, 4, find_irreducible(101, 4)),
+                    GaloisRing(7, 3, find_irreducible(7, 1)),
+                    GaloisRing(2, 4, find_irreducible(2, 6))]
+
+
+class TestUnitChain:
+    """UnitChain's contract, checked on planted chains: it divides while the
+    divisor's leading coefficient is a unit, factors a divisor G == u*gtilde
+    whose leading coefficient is nilpotent and whose content is a unit and
+    goes on dividing by gtilde, and stops only at a zero or constant
+    remainder or at a divisor it cannot factor.  pair() and every step must
+    be the planted ones, and lift turns cofactors of (F_s, G_s) into
+    cofactors of (f, g) with the same value, through divisions and
+    factorisations alike."""
+
+    @staticmethod
+    def tools(R, rng):
+        """elem, unit (not 1) and nil samplers over R; nil gives p times a
+        unit, nonzero and nilpotent over a prime power, None over a field."""
         galois = R.kind == "galois"
-        rng = random.Random(f"unit-chain/{R}")
-        p = R.p if galois else non_unit(R.n)
+        p = R.from_int(R.p) if galois else non_unit(R.n)
 
         def elem():
             return tuple(rng.randrange(R.pe) for _ in range(R.k)) if galois else rng.randrange(R.n)
@@ -583,35 +630,127 @@ class TestUnitChain:
                 if R.is_unit(x) and x != R.one:
                     return x
 
-        def poly(d, lc):
-            return Poly(R, [elem() for _ in range(d)] + [lc])
+        return elem, unit, (lambda: R.mul(p, unit())) if p else None
 
-        for case in range(12):
-            degs = [rng.randrange(0, 3)]
-            for _ in range(rng.randrange(2, 7)):
-                degs.insert(0, degs[0] + rng.randrange(1, 4))
-            # the chain stops at a constant, a zero or a non-unit lc remainder
-            bottom = ("const", "zero", "non-unit")[case % (3 if p else 2)]
-            if bottom == "const":
-                degs[-1] = 0
-            last = (Poly.zero(R) if bottom == "zero" else
-                    poly(degs[-1], R.mul(R.from_int(p), unit()) if bottom == "non-unit"
-                         else unit()))
-            r = [poly(degs[-2], unit()), last]
-            for i in range(len(degs) - 2, 0, -1):
-                r.insert(0, poly(degs[i - 1] - degs[i], unit()) * r[0] + r[1])
-            f, g = r[0], r[1]
-            F, G, steps = f, g, []
-            while True:
-                q, rem = divrem(F, G)
-                steps.append((F.degree, G.degree, rem.degree, G.lc))
-                F, G = G, rem
-                if G.degree <= 0 or not R.is_unit(G.lc):
-                    break
+    @staticmethod
+    def check_lift(rng, chain, f, g, elem):
+        # cofactors of (F_s, G_s) in the range the engines hand back, then
+        # the same value unreduced: lift reduces it first
+        R = f.ring
+        F, G = chain.pair()
+        u = Poly(R, [elem() for _ in range(max(1, G.degree))])
+        v = Poly(R, [elem() for _ in range(F.degree)])
+        u2, v2 = chain.lift(u, v)
+        assert u2 * f + v2 * g == u * F + v * G
+        assert u2.degree < g.degree and v2.degree < f.degree
+        t = Poly(R, [elem() for _ in range(3)])
+        assert chain.lift(u + t * G, v - t * F) == (u2, v2)
+
+    @pytest.mark.parametrize("R", UNIT_CHAIN_RINGS, ids=str)
+    def test_pair_and_lift(self, R):
+        # every stop, with factorisations of gaps 1-4 planted at random
+        # levels (the first divisor and the last included) where R has
+        # nilpotents; each case checks that the chain goes on past them
+        rng = random.Random(f"unit-chain/{R}")
+        elem, unit, nil = self.tools(R, rng)
+        kinds = ("const", "zero", "content", "unit") if nil else ("const", "zero")
+        gap = 0
+        for case in range(16):
+            bottom = kinds[case % len(kinds)]
+            levels = rng.randrange(2, 7)
+            gaps = {}
+            if nil:
+                for i in range(1, levels):
+                    if rng.random() < 0.5:
+                        gaps[i] = gap % 4 + 1
+                        gap += 1
+                if bottom == "unit":
+                    gaps[levels] = gap % 4 + 1
+                    gap += 1
+            degs = [1 if bottom == "content" else 0]
+            for i in range(levels, 0, -1):
+                degs.insert(0, degs[0] + gaps.get(i, 0) + rng.randrange(1, 4))
+            # a "unit" bottom is the planted factorisation of gaps[levels]
+            last = (Poly.const(R, unit()) if bottom == "const" else
+                    Poly(R, [elem(), unit()]).scale(nil()) if bottom == "content" else
+                    Poly.zero(R))
+            f, g, pair, steps = plant_chain(rng, R, degs, gaps, last, elem, unit, nil)
             chain = UnitChain(f, g)
-            assert chain.pair() == (F, G) == (r[-2], r[-1]), (R, degs, bottom)
-            assert chain.steps == steps
-            u, v = (poly(F.degree - 1, elem()) for _ in range(2))
-            u2, v2 = chain.lift(u, v)
-            assert u2 * f + v2 * g == u * F + v * G, (R, degs, bottom)
-            assert u2.degree < g.degree and v2.degree < f.degree
+            assert [len(s) == 3 for s in chain.steps] == [len(s) == 3 for s in steps]
+            assert chain.steps == steps, (R, degs, gaps, bottom)
+            assert chain.pair() == pair, (R, degs, gaps, bottom)
+            self.check_lift(rng, chain, f, g, elem)
+        assert gap >= 4 or not nil
+
+    @pytest.mark.parametrize("R", [Zmod(3**40), Zmod(2**64), UNIT_CHAIN_RINGS[3],
+                                   UNIT_CHAIN_RINGS[4]], ids=str)
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_mid_chain_factorisation(self, R, m):
+        # one divisor of gap m between two runs of divisions: a single chain
+        # takes all of them, and res, rres and the certificate agree with
+        # the oracles
+        rng = random.Random(f"mid-chain/{R}/{m}")
+        elem, unit, nil = self.tools(R, rng)
+        for _ in range(2):
+            degs = [0]
+            for i in range(6, 0, -1):
+                degs.insert(0, degs[0] + (m if i == 3 else 0) + rng.randrange(1, 3))
+            f, g, pair, steps = plant_chain(rng, R, degs, {3: m}, Poly.const(R, unit()),
+                                            elem, unit, nil)
+            chain = UnitChain(f, g)
+            assert [len(s) for s in chain.steps] == [5, 5, 3, 5, 5, 5]
+            assert chain.steps == steps and chain.pair() == pair
+            assert steps[2][1].degree - steps[3][1] == m
+            self.check_lift(rng, chain, f, g, elem)
+            assert res(f, g) == berkowitz_det(R, sylvester(f, g).rows)
+            want = rres_galois_oracle(f, g) if R.kind == "galois" else rres_howell_oracle(f, g)
+            cert = rres_bezout(f, g)
+            assert rres(f, g) == want == R.ideal_gen(cert.value)
+            assert cert.u * f + cert.v * g == Poly.const(R, cert.value)
+
+    def test_stops_at_a_divisor_it_cannot_factor(self, monkeypatch):
+        # over Z/72 = Z/8 x Z/9: lc 2 is not nilpotent, so the chain stops
+        # without unpacking; lc 6 with unit content over a splitting 4 stops
+        # it after fun_factor fails; either divisor as the first one raises
+        R = Zmod(72)
+        rng = random.Random(72)
+        elem, unit, nil = self.tools(R, rng)
+        unpacked = []
+        unpack = _Packed.unpack
+        monkeypatch.setattr(_Packed, "unpack", lambda *a: unpacked.append(1) or unpack(*a))
+        for bottom, element in ((Poly.from_ints(R, [5, 7, 2]), 2),
+                                (Poly.from_ints(R, [1, 0, 4, 6]), 4)):
+            degs = [bottom.degree]
+            for _ in range(4):
+                degs.insert(0, degs[0] + rng.randrange(1, 3))
+            f, g, pair, steps = plant_chain(rng, R, degs, {}, bottom, elem, unit, nil)
+            unpacked.clear()
+            chain = UnitChain(f, g)
+            assert bool(unpacked) == (element == 4)
+            assert chain.steps == steps and chain.pair() == pair
+            self.check_lift(rng, chain, f, g, elem)
+            with pytest.raises(NeedsSplitError) as e:
+                UnitChain(*pair)
+            assert e.value.element == element
+            check_pair(f, g)
+
+    def test_squarefree_modulus_does_no_extra_work(self, monkeypatch):
+        # over squarefree n no non-unit is nilpotent, so a chain stops at a
+        # non-unit leading coefficient without unpacking anything
+        R = Zmod(9699690)
+        rng = random.Random(9699690)
+        unpacked = []
+        unpack = _Packed.unpack
+        monkeypatch.setattr(_Packed, "unpack", lambda *a: unpacked.append(1) or unpack(*a))
+        chains = 0
+        for _ in range(200):
+            f, g = rand_poly(rng, R, 30), rand_poly(rng, R, 30)
+            if f.degree < g.degree:
+                f, g = g, f
+            if g.degree < 1 or not is_primitive(g) or not R.is_unit(g.lc):
+                continue
+            unpacked.clear()
+            UnitChain(f, g)
+            assert not unpacked
+            chains += 1
+        assert chains >= 20
