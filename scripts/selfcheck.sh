@@ -2,8 +2,11 @@
 # Quick health check: CLI self-test, the full pytest suite, run once as is and
 # once under python -O (invariant checks must not be asserts), the res/rres
 # timing sweep of `ringres bench` (about 12 s; it must write its 30 rows), then
-# a 1 s benchmark run per workload that must check every answer and fail no call.
-# Last, it prints the non-blank line count of src/ringres (not a gate).
+# a 1 s benchmark run per workload that must check every answer and fail no call,
+# and the outputs digest of a 5,000-call seeded corpus (about 5 s), which must
+# equal DIGEST: the factorisations and reduced cofactors behind every output are
+# unique, so a faster path must not change a byte.  Last, it prints the
+# non-blank line count of src/ringres (not a gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -21,4 +24,8 @@ w, r = sys.argv[1], json.load(sys.stdin)
 print("benchmark smoke", w, "correct:", r["correct"], "failed:", r["failed"], "of", r["attempted"])
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$w"
 done
+DIGEST=2e3ccff5d3fc92e4a3e0fa87cfbb83e6fcf49f4c2ea5fe4120e3eb725e995530
+got=$(python3 scripts/outputs_digest.py --seed 1 --calls 5000)
+test "$got" = "$DIGEST" || { echo "outputs digest: $got, expected $DIGEST" >&2; exit 1; }
+echo "outputs digest: $got"
 echo "non-blank lines in src/ringres: $(cat src/ringres/*.py | grep -cv '^[[:space:]]*$')"

@@ -169,8 +169,8 @@ def _gcd(ctx: PadicCtx, f: Poly, g: Poly, delta: int, track: bool):
     d, delta, bez = _gcd(ctx, *chain.pair(), delta, track)
     D = one
     for step in chain.steps:
-        if len(step) == 3:
-            d1, delta = _gcd_unitlike(ctx, step[0], step[2], delta)
+        if len(step) == 6:
+            d1, delta = _gcd_unitlike(ctx, chain.ops, step[0], step[1], step[4], delta)
             D = D * d1
     # lift keeps the value: u*f + v*g == d, so (D*u)*f + (D*v)*g == D*d
     if bez:
@@ -178,26 +178,23 @@ def _gcd(ctx: PadicCtx, f: Poly, g: Poly, delta: int, track: bool):
     return D * d, delta, bez
 
 
-def _gcd_unitlike(ctx: PadicCtx, f: Poly, u: Poly, delta: int):
-    """gcd(f, u) for f primitive and u constant-unit modulo p.
+def _gcd_unitlike(ctx: PadicCtx, ops, F, df, u: Poly, delta: int):
+    """gcd(f, u) for f primitive, packed in ops as F of degree df, and u
+    constant-unit modulo p.
 
     The reciprocal reduction gcd = rev(gcd(rev(a), rev(b))) needs BOTH
     operands to have unit constant terms, so f is first reduced to its own
-    unit-like factor: powers of x and the monic factor of f are coprime to
-    u and contribute nothing."""
-    R = f.ring
+    unit-like factor f1: powers of x and the monic factor of f are coprime
+    to u and contribute nothing.  f1 is that of f's top coefficients alone
+    (_Packed.factor with window)."""
+    R = u.ring
     one = Poly.const(R, R.one)
     if u.degree == 0:
         return one, delta
-    s = 0
-    while R.is_zero(f.coeff(s)):
-        s += 1
-    fhat = Poly(R, f.coeffs[s:])  # x does not divide u
-    if fhat.degree == 0:
-        return one, delta  # unit constant
-    f1 = fun_factor(fhat).u  # gcd(monic part, u) = 1
-    if f1.degree == 0:
-        return one, delta
+    k, _ = ops.top_non_nilpotent(F, df)   # a unit, as f is primitive
+    if k == df:
+        return one, delta   # f1 is a constant
+    f1 = ops.factor(F, df, k, window=True)[0]
     d, delta, _ = _gcd(ctx, reciprocal(f1), reciprocal(u), delta, False)
     return reciprocal(d), delta
 

@@ -335,22 +335,18 @@ def _divrem_lists(a, p, n):
 
 
 def divrem(f: Poly, g: Poly):
-    """(q, r) with f = q*g + r, deg r < deg g; needs lc(g) invertible."""
+    """(q, r) with f = q*g + r, deg r < deg g; needs lc(g) invertible.
+
+    A constant g is a scale by winv = lc(g)^-1; over Z/n a divisor of
+    degree up to _LIST_DEG_MAX divides on int lists; any other divisor, over
+    Z/n or a Galois ring, on packed ints (_Packed)."""
     R = f.ring
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if not R.is_unit(g.lc):
         raise NonInvertibleLeadingCoeffError(
             "divrem requires an invertible leading coefficient")
-    return _divrem(f, g, R.inv(g.lc))
-
-
-def _divrem(f: Poly, g: Poly, winv):
-    """divrem with winv == lc(g)^-1 given: a constant g is a scale by winv;
-    over Z/n on int lists up to deg g == _LIST_DEG_MAX; any other divisor,
-    over Z/n or a Galois ring, on packed ints (_Packed)."""
-    R = f.ring
-    dg = g.degree
+    winv, dg = R.inv(g.lc), g.degree
     if f.degree < dg:
         return Poly(R, []), f
     if dg == 0:
@@ -514,6 +510,102 @@ class _Packed:
             F &= self.ones >> (bb * (self.slots - d - 1))
         return q, F, d, c
 
+    def submuls(self, X, l, cs, Y):
+        """X - cs*Y on l blocks for reduced coefficients cs, K at a time."""
+        K = self.K
+        for s in range(0, len(cs), K):
+            X = self.submul(X, l, self.pack(cs[s:s + K]) << (self.bb * s), Y)
+        return X
+
+    def lowdiv(self, X, D, dd, ci, nq):
+        """(Q, X') with X == Q*D + x^nq * X' and Q packing nq coefficients: X,
+        of at most nq + dd blocks, divided from the bottom by D, of dd + 1
+        coefficients with ci == D(0)^-1.  J quotient coefficients per step, as
+        in divrem, from the bottom slots of X; a step touches only the j + dd
+        blocks it changes, which it reads from and writes back to X's bytes,
+        so a division costs O(deg X) big-int work whatever J is."""
+        R, b, J, s = self.R, self.b, self.J, self.bb // 8
+        buf = bytearray(X.to_bytes((nq + dd) * s, "little"))
+        d1 = [self._coeff(D, i) for i in range(1, dd + 1)]
+        pad, q = [self.zero] * dd, []
+        for lo in range(0, nq, J):
+            j = min(J, nq - lo)
+            Y = int.from_bytes(buf[lo * s:(lo + j + dd) * s], "little")
+            if self.galois:
+                ft = [self._coeff(Y, i) for i in range(j)] + pad
+                for i in range(j):
+                    c = ft[i] = R.mul(ft[i], ci)
+                    for t, y in enumerate(d1, i + 1):
+                        ft[t] = R.sub(ft[t], R.mul(c, y))
+            else:   # on ints, reduced only when a coefficient is read
+                n, sm = self.n, self.slot_mask
+                ft = [(Y >> (b * i)) & sm for i in range(j)] + pad
+                # gap 1, the usual break, one term per step: the 635 gap-1
+                # breaks of the local-hensel seed-1 pool took 114 against 130 us
+                # each with the general loop (one run each, 2-vCPU x86 VM)
+                if dd == 1:
+                    c, y = 0, d1[0]
+                    for i in range(j):
+                        c = ft[i] = (ft[i] - c * y) * ci % n
+                else:
+                    for i in range(j):
+                        c = ft[i] = ft[i] * ci % n
+                        for t, y in enumerate(d1, i + 1):
+                            ft[t] -= c * y
+            Y = self.submul(Y, j + dd, self.pack(ft[:j]), D)
+            buf[lo * s:(lo + j + dd) * s] = Y.to_bytes((j + dd) * s, "little")
+            q += ft[:j]
+        return self.pack(q), int.from_bytes(buf[nq * s:], "little")
+
+    def top(self, X, dx, l):
+        """The coefficients dx, dx - 1, ... of X, l of them or down to 0."""
+        s = max(0, dx + 1 - l)
+        return self.unpack(X >> (self.bb * s), dx + 1 - s)[::-1]
+
+    def trim(self, X, l):
+        """(X', l') for the first l coefficients of X: l' without the zero top
+        ones, X' without the slots above them."""
+        while l and self._coeff(X, l - 1) == self.zero:
+            l -= 1
+        return X & ((1 << (self.bb * l)) - 1), l
+
+    def top_non_nilpotent(self, X, dx):
+        """(i, X_i) for the highest non-nilpotent coefficient, (-1, zero) if none."""
+        for i in range(dx, -1, -1):
+            c = self._coeff(X, i)
+            if not self.R.is_nilpotent(c):
+                return i, c
+        return -1, self.zero
+
+    def factor(self, G, dg, k, window=False):
+        """(u, j, gtilde) with G == u*gtilde for G of degree dg whose highest
+        non-nilpotent coefficient G_k, k < dg, is a unit: u a unit of R[x] of
+        degree at most m = dg - k, gtilde monic of degree k (packed), and j the
+        index of the ideal J of G's top m coefficients (_nil_index), so u^-1
+        has at most (j - 1)*deg u + 1 coefficients.  With window, gtilde is
+        that of G's top m*j + 1 coefficients, which have the same u.
+
+        rev(G) == P*Q with P = rev(u)/u(0) monic of degree m and P == y^m
+        modulo J, so y^(mj) == (y^m - P)^j == 0 modulo P: _lift finds P from
+        rev(G) mod y^(mj).  G divided by rev(P) from the bottom is then
+        u(0)*gtilde, and a zero remainder with u(0) a unit and P nilpotent
+        below its top certifies G == u*gtilde.
+        """
+        R, m = self.R, dg - k
+        j = _nil_index(R, [self._coeff(G, i) for i in range(k + 1, dg + 1)])
+        W = min(dg + 1, m * j + 1)
+        if window:
+            G, dg, k = G >> (self.bb * (dg + 1 - W)), W - 1, k - (dg + 1 - W)
+        P = _lift(R, self.top(G, dg, W), m, j)
+        Q, X = self.lowdiv(G, self.pack(P[::-1]), m, R.one, k + 1)
+        if any(c != self.zero for c in self.top(X, m - 1, m)):
+            raise InvariantError("Hensel lifting failed to converge")
+        u0 = self._coeff(Q, k)
+        if not R.is_unit(u0) or not all(map(R.is_nilpotent, P[:-1])):
+            raise InvariantError("unit factor is not a unit of R[x]")
+        return (Poly(R, [R.mul(u0, c) for c in reversed(P)]), j,
+                self.submul(0, k + 1, self.pack([R.neg(R.inv(u0))]), Q))
+
 
 class UnitChain:
     """The Euclidean remainder sequence of f, g (deg f >= deg g >= 1, g
@@ -522,18 +614,20 @@ class UnitChain:
 
     F_0, G_0 = f, g.  A divisor G_i with a unit leading coefficient divides
     F_i == q_i*G_i + G_{i+1}, and F_{i+1} = G_i; no remainder is made monic.
-    A divisor with a nilpotent leading coefficient and unit content is
-    factored (fun_factor), G_i == u*gtilde with u a unit of R[x] and gtilde
+    A divisor with a nilpotent leading coefficient whose highest
+    non-nilpotent coefficient is a unit is factored in place from its top
+    slots (_Packed.factor), G_i == u*gtilde with u a unit of R[x] and gtilde
     monic, and gtilde, which generates the same ideal with F_i, divides F_i
     next.  The chain stops at the first G_s that is zero or constant, or
-    whose leading coefficient is not nilpotent, whose content is not a unit,
-    or whose factorisation meets a splitting element: the caller's next pass
-    splits the ring.  Only the first divisor raises NeedsSplitError, so every
-    chain takes a step.  Divisions and lift run on packed ints (_Packed),
-    over Z/n and Galois rings alike.
+    whose highest non-nilpotent coefficient is missing or not a unit: the
+    caller's next pass splits the ring or reduces the content.  Only the
+    first divisor raises NeedsSplitError, so every chain takes a step.
+    Divisions, factorisations and lift run on packed ints (_Packed), over
+    Z/n and Galois rings alike, and nothing is unpacked before pair().
 
     steps holds, in order, (deg F_i, deg G_i, deg G_{i+1}, lc G_i, q_i) per
-    division and (F_i, G_i, u) per factorisation.
+    division and (F_i, deg F_i, G_i, deg G_i, u, j) per factorisation, F_i
+    and G_i packed and j as in _Packed.factor.
     """
 
     def __init__(self, f: Poly, g: Poly):
@@ -543,20 +637,16 @@ class UnitChain:
         steps = self.steps = []
         while dg > 0:
             if not R.is_unit(c):
-                if steps and not R.is_nilpotent(c):     # before anything is unpacked
-                    break
-                Fp, Gp = (f, g) if not steps else (
-                    Poly(R, ops.unpack(F, df + 1)), Poly(R, ops.unpack(G, dg + 1)))
-                if steps and not is_primitive(Gp):
-                    break
-                try:
-                    fac = fun_factor(Gp)
-                except NeedsSplitError:
-                    if not steps:
-                        raise
-                    break
-                steps.append((Fp, Gp, fac.u))
-                G, dg, c = ops.pack(fac.gtilde.coeffs), fac.gtilde.degree, R.one
+                k, a = ops.top_non_nilpotent(G, dg)
+                if not R.is_unit(a):
+                    if steps:
+                        break
+                    if R.is_splitting(a):
+                        raise NeedsSplitError(a)
+                    raise ValueError("the first divisor must be primitive")
+                u, j, Gt = ops.factor(G, dg, k)
+                steps.append((F, df, G, dg, u, j))
+                G, dg, c = Gt, k, R.one
                 continue
             q, X, dr, cr = ops.divrem(F, df, G, dg, R.inv(c))
             steps.append((df, dg, dr, c, q))
@@ -576,25 +666,33 @@ class UnitChain:
         (u, v) is first reduced (reduce_cofactors), so deg v < deg F_s.  Back
         through a division, u*F_{i+1} + v*G_{i+1} == v*F_i + (u - q_i*v)*G_i,
         so U, V <- V, U - q_i*V.  Back through a factorisation
-        G_i == unit*gtilde, v becomes v*unit^-1, and the pair is reduced
-        again.  As lc(F_i) is a unit for i > 0 and deg r < deg F_i + deg G_i,
-        deg v < deg F_i gives deg u < deg G_i: no cofactor outgrows its pair.
+        G_i == unit*gtilde, V becomes V*unit^-1 and then, when lc(F_i) is a
+        unit, V mod F_i, adding the quotient times G_i to U, as
+        reduce_cofactors does.  As lc(F_i) is a unit for i > 0 and
+        deg r < deg F_i + deg G_i, deg v < deg F_i gives deg u < deg G_i: no
+        cofactor outgrows its pair.
         """
         R, ops = self.ring, self.ops
         u, v = reduce_cofactors(*self.pair(), u, v)
         U, lu, V, lv = ops.pack(u.coeffs), len(u.coeffs), ops.pack(v.coeffs), len(v.coeffs)
         for step in reversed(self.steps):
-            if len(step) == 3:
-                F, G, unit = step
-                u, v = reduce_cofactors(F, G, Poly(R, ops.unpack(U, lu)),
-                                        Poly(R, ops.unpack(V, lv)) * invert_unit(unit))
-                U, lu, V, lv = ops.pack(u.coeffs), len(u.coeffs), ops.pack(v.coeffs), len(v.coeffs)
+            if len(step) == 6:
+                F, df, G, dg, unit, j = step
+                # V*unit^-1, of at most lv + (j - 1)*m coefficients: an exact
+                # division from the bottom, which leaves a zero remainder
+                m, lq = unit.degree, lv + (j - 1) * unit.degree
+                V, X = ops.lowdiv(V, ops.pack(unit.coeffs), m, R.inv(unit.coeffs[0]), lq)
+                if any(c != R.zero for c in ops.top(X, m - 1, m)):
+                    raise InvariantError("unit inversion failed to converge")
+                (V, lv), c = ops.trim(V, lq), ops._coeff(F, df)
+                if lv > df and R.is_unit(c):
+                    q, V, dr, _ = ops.divrem(V, lv - 1, F, df, R.inv(c))
+                    l, lv = max(lu, len(q) + dg), dr + 1
+                    U, lu = ops.trim(ops.submuls(U, l, [R.neg(x) for x in q], G), l)
                 continue
             df, dg, _, _, qq = step
-            l = max(lu, lv + len(qq) - 1)       # U - qq*V, K quotient coefficients at a time
-            for s in range(0, len(qq), ops.K):
-                U = ops.submul(U, l, ops.pack(qq[s:s + ops.K]) << (ops.bb * s), V)
-            U, lu, V, lv = V, lv, U, l
+            l = max(lu, lv + len(qq) - 1)
+            U, lu, V, lv = V, lv, ops.submuls(U, l, qq, V), l
             if lv > df or lu > dg:
                 raise InvariantError("cofactor degrees exceed the chain's")
         return Poly(R, ops.unpack(U, lu)), Poly(R, ops.unpack(V, lv))
@@ -669,7 +767,7 @@ class FunFactorization:
 
 
 def fun_factor(f: Poly) -> FunFactorization:
-    """Hensel-lifted factorization of a primitive f.
+    """Hensel-lifted factorization of a primitive f (_Packed.factor).
 
     k is the index of the highest non-nilpotent coefficient, which must be
     invertible (otherwise NeedsSplitError carries the splitting element).
@@ -677,93 +775,77 @@ def fun_factor(f: Poly) -> FunFactorization:
     R = f.ring
     if f.is_zero() or not is_primitive(f):
         raise ValueError("fun_factor requires a primitive polynomial")
-    top = top_non_nilpotent(f)
-    if top is None:
-        raise InvariantError("primitive polynomial without a non-nilpotent coefficient")
-    k, a = top
+    k, a = top_non_nilpotent(f)
     if not R.is_unit(a):
         raise NeedsSplitError(a)
-    d = f.degree
-    w = R.inv(a)
-    if k == d:
-        return FunFactorization(Poly(R, [a]), f if a == R.one else f.scale(w), k)
-    # f == u * gtilde with u == a modulo the nilpotent coefficients above k.
-    # Lift the factor of smaller degree, monic, and divide the other one out:
-    # gtilde itself when k < m, else P = rev(u) / u(0) in rev(f) == P * Q,
-    # with Q = rev(gtilde) * u(0).
-    m = d - k
-    rounds = max(1, math.ceil(math.log2(max(2, R.E)))) + 1
-    if k < m:
-        h = _lift(f, Poly(R, f.coeffs[:k + 1]).scale(w), Poly(R, [w]), rounds)
-        g = _divrem(f, h, R.one)[0]
-    else:
-        G = reciprocal(f)
-        P = _lift(G, Poly(R, (R.zero,) * m + (R.one,)),
-                  _series_inv(Poly(R, G.coeffs[m:2 * m]), m), rounds)
-        Q = _divrem(G, P, R.one)[0]
-        c = Q.coeffs[0]
-        g = Poly(R, P.coeffs[::-1]).scale(c)
-        h = Poly(R, (Q.coeffs + (R.zero,) * (k + 1 - len(Q.coeffs)))[::-1]).scale(R.inv(c))
-    if f != g * h:
-        raise InvariantError("Hensel lifting failed to converge")
-    if not is_unit_poly(g):
-        raise InvariantError("unit factor is not a unit of R[x]")
-    return FunFactorization(g, h, k)
+    if k == f.degree:
+        return FunFactorization(Poly(R, [a]), f if a == R.one else f.scale(R.inv(a)), k)
+    ops = _Packed(R, f.degree + 2)
+    u, _, g = ops.factor(ops.pack(f.coeffs), f.degree, k)
+    return FunFactorization(u, Poly(R, ops.unpack(g, k + 1)), k)
 
 
-def _lift(G: Poly, P: Poly, S: Poly, rounds: int) -> Poly:
-    """The monic factor of G that P approximates, after at most `rounds`
-    quadratic Hensel steps, from G == P*Q0 and S*Q0 == 1 mod P, both modulo
-    an ideal J of nilpotents.
+def _nil_index(R, cs):
+    """The least j with J^j == 0 for the ideal J of the nilpotents cs (not
+    all zero).
+
+    Over Z/n, J is generated by g = gcd(n, cs), so J^j == (g^j) and j is the
+    least exponent with g^j == 0 mod n, at most R.E.  As g^j == 0 holds for
+    every j from that one on, a binary search finds it in O(log E) pow
+    calls.  Over GR(p^e, k), a chain ring, J == (p^v) for the least
+    valuation v in cs, so J^j == (p^(vj)) and j == ceil(e / v)."""
+    if R.kind == "galois":
+        return -(-R.e // min(map(R.val, cs)))
+    g, lo, hi = math.gcd(R.n, *cs), 1, R.E
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pow(g, mid, R.n):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _lift(R, G, m, j):
+    """The monic factor P of degree m, as a coefficient list, of G, the
+    coefficients of a polynomial in y with G == y^m * Q0 modulo an ideal J
+    of nilpotents and Q0(0) a unit, at precision J^j: ceil(log2 j) quadratic
+    Hensel steps from P = y^m, the i-th of R to precision J^ceil(j/2^(R-i)).
 
     P of degree 1 is lifted by Newton's iteration on its root, P of degree
     at most _LIST_DEG_MAX over Z/n on coefficient lists, any other P on
     Poly divisions, which run packed over both ring kinds.  A step needs
-    only E = G mod P and Q mod P, where Q = G quo P, and both come from
-    G mod P^2 == (Q mod P)*P + E: one division of G per step, and every
-    other product and remainder lives modulo P.  S == Q^-1 mod P.
-
-    When P == y^m, as in fun_factor's reversed lift, every lifted P' is
-    y^m modulo J, so y^(mj) == (y^m - P')^j lies in J^j[y] modulo P'.  As
-    J^e == 0 for e = R.E, y^(me) == 0 modulo P': G and G mod y^(me+1) have
-    the same factor, and only the caller's quotient G quo P reads all of G.
-    The i-th round (i >= 1) lifts P' to precision J^(2^i), for which the
-    first m*2^i coefficients of G suffice, so it reads no more of them; it
-    may stop on E == 0 only when it reads all of G mod y^(me+1).  Any other
-    P, as in fun_factor's k < m branch unless x^k divides the starting
-    gtilde, is not y^m modulo J: that lift reads all of G every round.
+    only E = G mod P and Qr = Q mod P, where Q = G quo P, and both come from
+    G mod P^2 == Qr*P + E: one division of G per step, and every other
+    product and remainder lives modulo P.  Every lifted P is y^m modulo J,
+    so y^(ms) lies in J^s modulo P, and a step to precision J^p reads only
+    the first m*p coefficients of G.  A step from
+    precision J^a to J^p, p <= 2a, is P <- P + (S*E mod P) with S == Q^-1
+    mod P at precision J^a: S starts as the series inverse of Q0 mod y^m,
+    precise to J, and every later step first doubles its precision by
+    S <- S*(2 - Qr*S) mod P.
     """
-    R = G.ring
-    m = P.degree
-    if m == 0:
-        return P
-    cs = G.coeffs
-    if all(R.is_zero(c) for c in P.coeffs[:-1]):
-        cs = cs[:m * R.E + 1]
-        sizes = [min(len(cs), m << i) for i in range(1, rounds + 1)]
-    else:
-        sizes = [len(cs)] * rounds
+    rounds = (j - 1).bit_length()
+    sizes = [min(len(G), m * -(-j >> (rounds - i))) for i in range(1, rounds + 1)]
     if m == 1:
-        return _lift_root(R, cs, R.neg(P.coeffs[0]), sizes)
+        return _lift_root(R, G, R.zero, sizes)
+    S = _series_inv(Poly(R, G[m:2 * m]), m)
     if R.kind == "zmod" and m <= _LIST_DEG_MAX:
-        S = list(S.coeffs) + [0] * (m - len(S.coeffs))
-        return Poly(R, _lift_lists(R.n, cs, list(P.coeffs), S, sizes))
-    two = Poly(R, [R.from_int(2)])
-    for t in sizes:
-        Qr, E = divrem(divrem(Poly(R, cs[:t]), P * P)[1], P)     # Qr == Q mod P
-        if E.is_zero() and t == len(cs):
-            break
-        S = divrem(S * (two - Qr * S), P)[1]
+        return _lift_lists(R.n, G, [0] * m + [1], list(S.coeffs) + [0] * (m - len(S.coeffs)), sizes)
+    P, two = Poly(R, [R.zero] * m + [R.one]), Poly(R, [R.from_int(2)])
+    for i, t in enumerate(sizes):
+        Qr, E = divrem(divrem(Poly(R, G[:t]), P * P)[1], P)
+        if i:
+            S = divrem(S * (two - Qr * S), P)[1]
         P = P + divrem(S * E, P)[1]
-    return P
+    return list(P.coeffs)
 
 
-def _lift_root(R, G, r, sizes) -> Poly:
-    """y - r for the root r of the coefficients G, by Newton steps
+def _lift_root(R, G, r, sizes):
+    """[-r, 1] for the root r of the coefficients G, by Newton steps
     r <- r - G(r)/G'(r) from a root modulo the nilpotents, where G' is a
-    unit; step i reads the first sizes[i] coefficients and may stop only
-    when it reads all of them.  One Horner pass per step gives G(r) and
-    G'(r)."""
+    unit; step i reads the first sizes[i] coefficients.  One Horner pass
+    per step gives G(r) and G'(r)."""
     if R.kind == "zmod":
         # on ints rather than _lift_lists at m = 1: the 200 gap-1 lifts of
         # the seed-7 local-hensel pool (2 rounds) take 12 ms here against
@@ -774,8 +856,6 @@ def _lift_root(R, G, r, sizes) -> Poly:
             for c in G[t - 1::-1]:
                 dh = (dh * r + h) % n
                 h = (h * r + c) % n
-            if not h and t == len(G):
-                break
             if math.gcd(dh, n) != 1:
                 raise InvariantError("Newton step at a root where G' is not a unit")
             r = (r - h * pow(dh, -1, n)) % n
@@ -785,24 +865,21 @@ def _lift_root(R, G, r, sizes) -> Poly:
             for c in G[t - 1::-1]:
                 dh = R.add(R.mul(dh, r), h)
                 h = R.add(R.mul(h, r), c)
-            if R.is_zero(h) and t == len(G):
-                break
             if not R.is_unit(dh):
                 raise InvariantError("Newton step at a root where G' is not a unit")
             r = R.sub(r, R.mul(h, R.inv(dh)))
-    return Poly(R, [R.neg(r), R.one])
+    return [R.neg(r), R.one]
 
 
 def _lift_lists(n, G, P, S, sizes):
-    """_lift's quadratic steps on ascending int lists over Z/n; P is monic
-    and S has deg P entries.  Step i reads the first sizes[i] entries of G."""
-    for t in sizes:
+    """_lift's steps on ascending int lists over Z/n; P is monic and S has
+    deg P entries.  Step i reads the first sizes[i] entries of G."""
+    for i, t in enumerate(sizes):
         Qr, E = _divrem_lists(_divrem_lists(G[:t], _mul_lists(P, P, n), n)[1], P, n)
-        if not any(E) and t == len(G):
-            break
-        T = [-c for c in _mul_lists(Qr, S, n)]
-        T[0] += 2
-        S = _divrem_lists(_mul_lists(S, T, n), P, n)[1]
+        if i:
+            T = [-c for c in _mul_lists(Qr, S, n)]
+            T[0] += 2
+            S = _divrem_lists(_mul_lists(S, T, n), P, n)[1]
         P = [(a + b) % n for a, b in zip(P, _divrem_lists(_mul_lists(S, E, n), P, n)[1])] + [1]
     return P
 

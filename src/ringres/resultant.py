@@ -232,48 +232,46 @@ def res_at_degrees(f: Poly, N: int, g: Poly, M: int, ideal_mode=False):
     return R.mul(R.pow_elem(f.lc, e), val) if e else val
 
 
-def _res_unit(f: Poly, u: Poly, ideal_mode):
-    """res(f, u) for a unit u of R[x], via reciprocal reduction."""
-    R = f.ring
-    if u.degree == 0:
-        return R.pow_elem(u.coeffs[0], f.degree)
-    if u.degree == 1:
-        return _res_linear(f, u.coeffs[0], u.coeffs[1])
-    # strip the power of x: res(x, u) = u(0)
-    s = next(i for i, c in enumerate(f.coeffs) if not R.is_zero(c))
-    acc = R.pow_elem(u.coeffs[0], s)
-    f2 = Poly(R, f.coeffs[s:])
-    if f2.degree == 0:
-        return R.mul(acc, R.pow_elem(f2.coeffs[0], u.degree))
-    # res(f2, u) == (-1)^(nm) res(F, U) == res(U, F) for the reciprocals,
-    # and res(U, F) == lc(U)^(n - deg r) res(U, r) with r = F mod U.  U is
-    # u(0)*y^m modulo the nilpotents, so y^(mE) == 0 modulo U (as in
-    # fun_factor) and r is the remainder of F mod y^(mE).
-    F, U = reciprocal(f2), reciprocal(u)
-    r = divrem(Poly(R, F.coeffs[:u.degree * R.E]), U)[1]
+def _res_unit(top, df, u: Poly, ideal_mode):
+    """res(f, u) for a unit u of R[x] and f of degree df, from top, the
+    coefficients f_df, f_(df-1), ... down to f_(df - m - deg u^-1) or to
+    f_0, m = deg u."""
+    R = u.ring
+    m, u0 = u.degree, u.coeffs[0]
+    if m == 0:
+        return R.pow_elem(u0, df)
+    if m == 1:
+        return _res_linear(R, top, df, u0, u.coeffs[1])
+    # With f = x^s*f2, f2(0) != 0: res(x, u) = u0 and, for the reciprocals,
+    # res(f2, u) == (-1)^(nm) res(F, U) == res(U, F) == u0^(deg F - deg r)
+    # res(U, r) with r = F mod U, so res(f, u) == u0^(df - deg r) res(U, r).
+    # u*u^-1 == 1 reverses to U*rev(u^-1) == y^(m + L), L = deg u^-1, so
+    # y^(m + L) == 0 modulo U and r is the remainder of F mod y^(m + L): of
+    # top, whose entries below f_s are zero.
+    U = reciprocal(u)
+    r = divrem(Poly(R, top), U)[1]
     if r.is_zero():
         return R.zero
-    return R.mul(acc, R.mul(R.pow_elem(U.lc, F.degree - r.degree), _res(U, r, ideal_mode)))
+    return R.mul(R.pow_elem(u0, df - r.degree), _res(U, r, ideal_mode))
 
 
-def _res_linear(f: Poly, u0, u1):
-    """res(f, u0 + u1*x) == sum_i f_i * u0^i * (-u1)^(n-i), n = deg f.
+def _res_linear(R, top, df, u0, u1):
+    """res(f, u0 + u1*x) == sum_i f_i * u0^i * (-u1)^(n-i) for f of degree
+    n = df and top = f_n, f_(n-1), ...
 
-    Homogeneous Horner from the top: once (-u1)^j is zero, as it is from
-    j = E on when u1 is nilpotent, the lower coefficients of f add nothing
-    and the sum is u0^i times the terms read so far.
+    Homogeneous Horner from the top: once (-u1)^t is zero, as it is from
+    t = j on when u1 is nilpotent, the lower coefficients of f add nothing
+    and the sum is u0^(n-t) times the terms read so far.
     """
-    R = f.ring
     b = R.neg(u1)
-    i = f.degree
-    acc, bp = f.coeffs[i], R.one
-    while i > 0:
+    t, acc, bp = 0, top[0], R.one
+    while t < df:
         bp = R.mul(bp, b)
         if R.is_zero(bp):
             break
-        i -= 1
-        acc = R.add(R.mul(acc, u0), R.mul(f.coeffs[i], bp))
-    return R.mul(acc, R.pow_elem(u0, i))
+        t += 1
+        acc = R.add(R.mul(acc, u0), R.mul(top[t], bp))
+    return R.mul(acc, R.pow_elem(u0, df - t))
 
 
 def _res(f: Poly, g: Poly, ideal_mode=False):
@@ -315,9 +313,11 @@ def _res(f: Poly, g: Poly, ideal_mode=False):
                 f.map_ring(Rb), n, g.map_ring(Rb), m, ideal_mode)))
         acc = acc1
         for step in chain.steps:
-            if len(step) == 3:  # G == u*gtilde: res(F, G) = res(F, u) * res(F, gtilde)
-                if not (ideal_mode and R.is_unit(step[0].lc)):  # else res(F, u) is a unit
-                    acc = R.mul(acc, _res_unit(step[0], step[2], ideal_mode))
+            if len(step) == 6:  # G == u*gtilde: res(F, G) = res(F, u) * res(F, gtilde)
+                F, df, _, _, u, j = step    # deg u^-1 <= (j - 1)*deg u
+                top = chain.ops.top(F, df, u.degree * j + 1)
+                if not (ideal_mode and R.is_unit(top[0])):  # else res(F, u) is a unit
+                    acc = R.mul(acc, _res_unit(top, df, u, ideal_mode))
                 continue
             n, m, dr, c, _ = step
             if dr < 0:

@@ -270,15 +270,15 @@ class TestInvariants:
         from ringres.cli import main
 
         # a lift that stops before its first step leaves u*gtilde != f: on
-        # lists (gap 2), by Newton on the root in the reversed lift (gap 1)
-        # and on gtilde's root (k = 1 < m)
+        # lists (gap 2, also with k = 1 < m) and by Newton on the root (gap 1)
         lift = poly._lift
-        monkeypatch.setattr(poly, "_lift", lambda G, P, S, rounds: lift(G, P, S, 0))
-        for f in ("1,0,0,1,0,2", "1,0,1,2", "3,1,2,2"):
+        monkeypatch.setattr(poly, "_lift", lambda R, G, m, j: lift(R, G, m, 1))
+        for f in ("1,0,0,1,0,2", "1,0,1,2", "3,1,2,2", "1,1,2,2"):
             assert main(["funfactor", "--mod", "8", f]) == 3, f
             out = capsys.readouterr()
             assert out.out == "" and "InvariantError" in out.err, f
-        # x + 1 divides 1 + x + 2x^2 + 2x^3: the starting root is exact
+        # the same checks pass the lifted 1 + x + 2x^2 + 2x^3 == (1 + 2x^2)(1 + x)
+        monkeypatch.undo()
         assert main(["funfactor", "--mod", "8", "1,1,2,2"]) == 0
         assert capsys.readouterr().out.strip() == "u=1,0,2 monic=1,1"
 

@@ -11,8 +11,11 @@ from ringres import (
     fun_factor_padic,
     is_probable_prime,
     padic_gcd,
+    reciprocal,
     res,
 )
+from ringres.padic import _gcd, _gcd_unitlike
+from ringres.poly import _Packed, fun_factor
 
 from oracles import divides_mod
 
@@ -252,3 +255,29 @@ class TestUnitChainPath:
             assert out.value == h and out.delta == 0
             if out.u is not None:
                 assert out.u * f + out.v * g == out.value
+
+
+class TestUnitlikeWindow:
+    @pytest.mark.parametrize("p, k", [(3, 40), (2, 64), (5, 6)])
+    def test_window_matches_full_length(self, p, k):
+        # _gcd_unitlike factors only f's top m*j + 1 coefficients: the same
+        # unit-like factor as fun_factor on all of f with its powers of x
+        # stripped, and the same gcd with u, on f of degree 300
+        ctx = PadicCtx(p, k)
+        R, q = ctx.ring, ctx.ring.n
+        rng = random.Random(f"window/{p}")
+        for m in (1, 2, 3, 4):
+            for s in (0, 3):
+                low = [rng.randrange(q) for _ in range(300 - m - s)] + [1 + p * rng.randrange(q // p)]
+                f = ctx.poly([0] * s + low + [p * rng.randrange(1, q // p) for _ in range(m)])
+                ops = _Packed(R, f.degree + 2)
+                F = ops.pack(f.coeffs)
+                i, _ = ops.top_non_nilpotent(F, f.degree)
+                want = fun_factor(Poly(R, f.coeffs[s:])).u
+                assert ops.factor(F, f.degree, i, window=True)[0] == want, (m, s)
+                u = ctx.poly([1 + p * rng.randrange(q // p)] + [p * rng.randrange(q // p)
+                                                               for _ in range(rng.randrange(1, 4))])
+                d, delta = _gcd_unitlike(ctx, ops, F, f.degree, u, 0)
+                d_full, delta_full, _ = _gcd(ctx, reciprocal(want), reciprocal(u), 0, False)
+                assert (d, delta) == (reciprocal(d_full), delta_full)
+                assert m * k + 1 < f.degree - s    # the window, j <= k, leaves most of f

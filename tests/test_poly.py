@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -20,7 +21,8 @@ from ringres import (
     is_unit_poly,
     reciprocal,
 )
-from ringres.poly import _divrem_lists, _mul_lists, primitive_part, top_non_nilpotent
+from ringres.poly import (_divrem_lists, _mul_lists, _nil_index, primitive_part,
+                          top_non_nilpotent)
 
 from oracles import fun_factor_forward
 
@@ -225,6 +227,33 @@ class TestUnits:
         v = invert_mod(g, f)
         _, rem = divrem(g * v, f)
         assert rem == Poly.one(R)
+
+
+class TestNilIndex:
+    def test_planted_valuations(self):
+        # 3^v times units over 3^40: J^j == (3^(vj)) == 0 from j = ceil(40/v)
+        R, rng = Zmod(3**40), random.Random(40)
+        for v, j in ((1, 40), (2, 20), (3, 14)):
+            for _ in range(5):
+                cs = [3 ** (v + i) * rng.choice([1, 2, 4, 5, 7]) for i in (0, 1, 2)]
+                rng.shuffle(cs)
+                assert _nil_index(R, cs) == j
+        R = GaloisRing(3, 20, find_irreducible(3, 2))
+        assert [_nil_index(R, [R.from_int(3**v), R.zero]) for v in (1, 2, 3, 19)] == [20, 10, 7, 2]
+
+    @pytest.mark.parametrize("n", [2**64, 3**40, 72, 2**10 * 3**5, 15120, 5**7 * 7**3])
+    def test_least_exponent_within_E(self, n):
+        # the least j with g^j == 0 for g = gcd(n, cs), by brute force, and
+        # never above the ring's bound E
+        R, rng = Zmod(n), random.Random(n)
+        rad = math.prod(p for p in range(2, 200) if n % p == 0 and all(p % q for q in range(2, p)))
+        for _ in range(40):
+            cs = [rad * rng.randrange(n // rad) for _ in range(rng.randrange(1, 4))]
+            if not any(cs):
+                continue
+            g = math.gcd(n, *cs)
+            j = _nil_index(R, cs)
+            assert pow(g, j, n) == 0 and pow(g, j - 1, n) != 0 and j <= R.E
 
 
 class TestFunFactor:

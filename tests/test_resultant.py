@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringres import (GaloisRing, NeedsSplitError, Poly, Zmod, det, find_irreducible, res,
-                     res_ideal, rres, rres_bezout, sylvester)
+from ringres import (GaloisRing, NeedsSplitError, Poly, Zmod, det, find_irreducible,
+                     invert_unit, res, res_ideal, rres, rres_bezout, sylvester)
+from ringres.ring import InvariantError
 from ringres.poly import (UnitChain, _Packed, divrem, divrem_primitive, fun_factor,
                           is_primitive, primitive_part)
 from ringres.resultant import Reduced, _res_unit, ppa
@@ -240,9 +241,11 @@ class TestResUnit:
                 continue
             S = sylvester(f, u)
             want = berkowitz_det(R, S.rows) if galois else det(S)
-            assert _res_unit(f, u, False) == want, (f, u)
+            # the top m + deg u^-1 + 1 coefficients
+            top = f.coeffs[::-1][:m + len(invert_unit(u).coeffs)]
+            assert _res_unit(list(top), f.degree, u, False) == want, (f, u)
             done += 1
-            truncated += m >= 2 and f.degree - (f.coeffs[0] == R.zero) >= m * R.E
+            truncated += m >= 2 and f.degree - (f.coeffs[0] == R.zero) >= len(top)
         if R.E <= 6:
             assert truncated >= 10
 
@@ -604,6 +607,20 @@ UNIT_CHAIN_RINGS = [Zmod(3**40), Zmod(2**64), Zmod(P64),
                     GaloisRing(2, 4, find_irreducible(2, 6))]
 
 
+def chain_steps(chain):
+    """chain.steps with each factorisation (F, deg F, G, deg G, u, j) unpacked
+    to (F, G, u); j <= R.E must bound the length of u^-1."""
+    R, ops = chain.ring, chain.ops
+    out = []
+    for step in chain.steps:
+        if len(step) == 6:
+            F, df, G, dg, u, j = step
+            assert len(invert_unit(u).coeffs) <= (j - 1) * u.degree + 1 and j <= R.E
+            step = (Poly(R, ops.unpack(F, df + 1)), Poly(R, ops.unpack(G, dg + 1)), u)
+        out.append(step)
+    return out
+
+
 class TestUnitChain:
     """UnitChain's contract, checked on planted chains: it divides while the
     divisor's leading coefficient is a unit, factors a divisor G == u*gtilde
@@ -676,8 +693,8 @@ class TestUnitChain:
                     Poly.zero(R))
             f, g, pair, steps = plant_chain(rng, R, degs, gaps, last, elem, unit, nil)
             chain = UnitChain(f, g)
-            assert [len(s) == 3 for s in chain.steps] == [len(s) == 3 for s in steps]
-            assert chain.steps == steps, (R, degs, gaps, bottom)
+            assert [len(s) == 6 for s in chain.steps] == [len(s) == 3 for s in steps]
+            assert chain_steps(chain) == steps, (R, degs, gaps, bottom)
             assert chain.pair() == pair, (R, degs, gaps, bottom)
             self.check_lift(rng, chain, f, g, elem)
         assert gap >= 4 or not nil
@@ -698,8 +715,8 @@ class TestUnitChain:
             f, g, pair, steps = plant_chain(rng, R, degs, {3: m}, Poly.const(R, unit()),
                                             elem, unit, nil)
             chain = UnitChain(f, g)
-            assert [len(s) for s in chain.steps] == [5, 5, 3, 5, 5, 5]
-            assert chain.steps == steps and chain.pair() == pair
+            assert [len(s) for s in chain.steps] == [5, 5, 6, 5, 5, 5]
+            assert chain_steps(chain) == steps and chain.pair() == pair
             assert steps[2][1].degree - steps[3][1] == m
             self.check_lift(rng, chain, f, g, elem)
             assert res(f, g) == berkowitz_det(R, sylvester(f, g).rows)
@@ -709,15 +726,17 @@ class TestUnitChain:
             assert cert.u * f + cert.v * g == Poly.const(R, cert.value)
 
     def test_stops_at_a_divisor_it_cannot_factor(self, monkeypatch):
-        # over Z/72 = Z/8 x Z/9: lc 2 is not nilpotent, so the chain stops
-        # without unpacking; lc 6 with unit content over a splitting 4 stops
-        # it after fun_factor fails; either divisor as the first one raises
+        # over Z/72 = Z/8 x Z/9: lc 2 is not nilpotent, and below lc 6 the
+        # highest non-nilpotent coefficient 4 splits, so the chain stops at
+        # either without unpacking or factoring; either divisor as the first
+        # one raises
         R = Zmod(72)
         rng = random.Random(72)
         elem, unit, nil = self.tools(R, rng)
-        unpacked = []
-        unpack = _Packed.unpack
+        unpacked, factored = [], []
+        unpack, factor = _Packed.unpack, _Packed.factor
         monkeypatch.setattr(_Packed, "unpack", lambda *a: unpacked.append(1) or unpack(*a))
+        monkeypatch.setattr(_Packed, "factor", lambda *a: factored.append(1) or factor(*a))
         for bottom, element in ((Poly.from_ints(R, [5, 7, 2]), 2),
                                 (Poly.from_ints(R, [1, 0, 4, 6]), 4)):
             degs = [bottom.degree]
@@ -725,14 +744,65 @@ class TestUnitChain:
                 degs.insert(0, degs[0] + rng.randrange(1, 3))
             f, g, pair, steps = plant_chain(rng, R, degs, {}, bottom, elem, unit, nil)
             unpacked.clear()
+            factored.clear()
             chain = UnitChain(f, g)
-            assert bool(unpacked) == (element == 4)
+            assert not unpacked and not factored
             assert chain.steps == steps and chain.pair() == pair
             self.check_lift(rng, chain, f, g, elem)
             with pytest.raises(NeedsSplitError) as e:
                 UnitChain(*pair)
             assert e.value.element == element
             check_pair(f, g)
+
+    @pytest.mark.parametrize("R", [Zmod(2**5), Zmod(3**4), GaloisRing(2, 4, find_irreducible(2, 5)),
+                                   GaloisRing(3, 3, find_irreducible(3, 3))], ids=str)
+    def test_divisor_longer_than_the_window(self, R):
+        # rings of small index: a factored divisor G of gap m longer than
+        # the m*j + 1 top coefficients the factorisation reads, between runs
+        # of divisions; u's coefficients p^v times units, v = 1 or 2
+        rng = random.Random(f"window/{R}")
+        elem, unit, _ = self.tools(R, rng)
+        p, e = (R.p, R.e) if R.kind == "galois" else next(
+            (q, round(math.log(R.n, q))) for q in (2, 3) if R.n % q == 0)
+        for m in (1, 2, 3, 4):
+            v = 2 if m % 2 and e > 3 else 1
+            j = -(-e // v)
+
+            def nil():
+                return R.mul(R.from_int(p**v), unit())
+
+            d = m * j + 2 - m + rng.randrange(2)     # deg G == d + m > m*j + 1
+            degs = [d + m + 2, d + m + 1, d, rng.randrange(1, d), 0]
+            f, g, pair, steps = plant_chain(rng, R, degs, {2: m}, Poly.const(R, unit()),
+                                            elem, unit, nil)
+            chain = UnitChain(f, g)
+            assert chain_steps(chain) == steps and chain.pair() == pair
+            brk = next(s for s in chain.steps if len(s) == 6)
+            assert brk[3] + 1 > m * brk[5] + 1 and brk[5] == j, (m, brk[3], brk[5])
+            self.check_lift(rng, chain, f, g, elem)
+            assert res(f, g) == berkowitz_det(R, sylvester(f, g).rows)
+            want = rres_galois_oracle(f, g) if R.kind == "galois" else rres_howell_oracle(f, g)
+            cert = rres_bezout(f, g)
+            assert rres(f, g) == want == R.ideal_gen(cert.value)
+            assert cert.u * f + cert.v * g == Poly.const(R, cert.value)
+
+    def test_wrong_window_root_raises(self, monkeypatch):
+        # a window lift whose factor is off by p, still y^m modulo the
+        # nilpotents, leaves a nonzero remainder at the factorisation
+        from ringres import poly
+        R = Zmod(3**40)
+        rng = random.Random("wrong-root")
+        elem, unit, nil = self.tools(R, rng)
+        lift = poly._lift
+        monkeypatch.setattr(poly, "_lift", lambda R, G, m, j: [R.add(lift(R, G, m, j)[0], 3)]
+                            + lift(R, G, m, j)[1:])
+        for m in (1, 2):
+            f, g, _, _ = plant_chain(rng, R, [20, 17, 12, 6, 0], {2: m}, Poly.const(R, unit()),
+                                     elem, unit, nil)
+            with pytest.raises(InvariantError):
+                UnitChain(f, g)
+            with pytest.raises(InvariantError):
+                res(f, g)
 
     def test_squarefree_modulus_does_no_extra_work(self, monkeypatch):
         # over squarefree n no non-unit is nilpotent, so a chain stops at a
