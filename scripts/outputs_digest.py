@@ -1,6 +1,7 @@
 """One SHA-256 over the outputs of a seeded corpus of public calls.
 
     PYTHONPATH=src python3 scripts/outputs_digest.py --seed 1 --calls 100000
+    PYTHONPATH=src python3 scripts/outputs_digest.py --corpus res_y --seed 1 --calls 300
 
 Call i draws its operation, ring and operands from random.Random(f"{seed}/{i}"):
 res, res_ideal, rres and rres_bezout (value, u and v) over Z/n (primes,
@@ -10,6 +11,13 @@ it is not, whether u*f + v*g == value).  Coefficients are biased toward zero
 divisors, so Euclidean chains meet nilpotent and splitting leading
 coefficients.  Two trees that print the same digest gave the same outputs on
 every call; an exception is recorded by its class name.
+
+The res_y corpus draws call i from random.Random(f"{seed}/res_y/{i}"): res_y
+over Z/n for n with prime factors below the degree bound (35, 100, 15120, 72,
+12), so that the interpolation runs in Galois-ring branches, over a prime and
+over 2^64 (y-degrees <= 2 there, its calls are the slowest).  Each
+y-coefficient gets its own x-degree, and a fifth of the operands are constant
+in y.
 """
 from __future__ import annotations
 
@@ -18,8 +26,8 @@ import hashlib
 import json
 import random
 
-from ringres import (GaloisRing, PadicCtx, Poly, Zmod, find_irreducible, padic_gcd, res,
-                     res_ideal, rres, rres_bezout)
+from ringres import (BiPoly, GaloisRing, PadicCtx, Poly, Zmod, find_irreducible, padic_gcd,
+                     res, res_ideal, res_y, rres, rres_bezout)
 
 P64 = 18446744073709551557
 ZMOD = [  # (n, its prime factors)
@@ -31,6 +39,10 @@ ZMOD = [  # (n, its prime factors)
 GALOIS = [(2, 8, 3), (3, 20, 2), (101, 4, 4), (2, 5, 3), (3, 3, 3), (2, 4, 5)]
 PADIC = [(3, 40), (2, 64), (5, 6), (2, 10)]
 OPS = {"res": res, "res_ideal": res_ideal, "rres": rres}
+RES_Y = [  # (n, its prime factors, largest y-degree)
+    (35, (5, 7), 4), (100, (2, 5), 4), (15120, (2, 3, 5, 7), 4), (72, (2, 3), 4),
+    (12, (2, 3), 4), (10007, (10007,), 4), (2**64, (2,), 2),
+]
 
 
 def _elem(rng, R, primes):
@@ -99,14 +111,35 @@ def call(seed, i):
     return [op, str(R), [_out(f), _out(g)], got]
 
 
+def call_res_y(seed, i):
+    """The record of res_y call i: [ring, operands, output]."""
+    rng = random.Random(f"{seed}/res_y/{i}")
+    n, primes, top = rng.choice(RES_Y)
+    R = Zmod(n)
+
+    def bipoly():
+        dy = 0 if rng.random() < 0.2 else rng.randrange(1, top + 1)
+        return BiPoly(R, tuple(_poly(rng, R, primes, rng.randrange(0, 6)) for _ in range(dy + 1)))
+    f, g = bipoly(), bipoly()
+    try:
+        got = _out(res_y(f, g))
+    except (ArithmeticError, ValueError) as e:
+        got = type(e).__name__
+    return [str(R), [_out(f.coeffs), _out(g.coeffs)], got]
+
+
+CORPORA = {"main": call, "res_y": call_res_y}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--calls", type=int, default=1000)
+    ap.add_argument("--corpus", choices=sorted(CORPORA), default="main")
     args = ap.parse_args(argv)
-    h = hashlib.sha256()
+    h, record = hashlib.sha256(), CORPORA[args.corpus]
     for i in range(args.calls):
-        h.update(json.dumps(call(args.seed, i), separators=(",", ":")).encode() + b"\n")
+        h.update(json.dumps(record(args.seed, i), separators=(",", ":")).encode() + b"\n")
     print(h.hexdigest())
 
 

@@ -3,9 +3,10 @@
 # once under python -O (invariant checks must not be asserts), the res/rres
 # timing sweep of `ringres bench` (about 12 s; it must write its 30 rows), then
 # a 1 s benchmark run per workload that must check every answer and fail no call,
-# and the outputs digest of a 5,000-call seeded corpus (about 5 s), which must
+# the outputs digest of a 5,000-call seeded corpus (about 5 s), which must
 # equal DIGEST: the factorisations and reduced cofactors behind every output are
-# unique, so a faster path must not change a byte.  Last, it prints the
+# unique, so a faster path must not change a byte; and the digest of a 300-call
+# res_y corpus (about 5 s), which must equal RES_Y_DIGEST.  Last, it prints the
 # non-blank line count of src/ringres (not a gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -28,4 +29,8 @@ DIGEST=2e3ccff5d3fc92e4a3e0fa87cfbb83e6fcf49f4c2ea5fe4120e3eb725e995530
 got=$(python3 scripts/outputs_digest.py --seed 1 --calls 5000)
 test "$got" = "$DIGEST" || { echo "outputs digest: $got, expected $DIGEST" >&2; exit 1; }
 echo "outputs digest: $got"
+RES_Y_DIGEST=c6a1a54efbee092ef827b49b9662f79ca60f4cd60c685f9c621c37025f066573
+got=$(python3 scripts/outputs_digest.py --corpus res_y --seed 1 --calls 300)
+test "$got" = "$RES_Y_DIGEST" || { echo "res_y outputs digest: $got, expected $RES_Y_DIGEST" >&2; exit 1; }
+echo "res_y outputs digest: $got"
 echo "non-blank lines in src/ringres: $(cat src/ringres/*.py | grep -cv '^[[:space:]]*$')"

@@ -6,8 +6,12 @@ degree at most B = deg_y(g)*deg_x(f) + deg_y(f)*deg_x(g).  We compute it by
 evaluating x at B+1 points whose pairwise differences are units, taking the
 univariate resultant at each point at the formal degrees deg_y f, deg_y g
 (`resultant.res_at_degrees`, which also serves the ring splits of `res`),
-and interpolating the results by one O(B^2) Lagrange per branch; f and g
-are coerced into each branch ring once.
+and interpolating the results by Lagrange.  Everything but the resultants
+depends only on (n, B, D), D = max(deg_x f, deg_x g): a bounded cache holds,
+per branch, the powers a^j (j <= D) of the points and the Lagrange basis
+polynomials as packed ints (`_BranchPlan`), so a call evaluates each
+x-coefficient at all points with D + 1 big-int products and interpolates
+with B + 1 of them.
 
 Z/nZ rarely contains B+1 such points, so n is split into branches: primes
 p <= B are trial-divided out of n and each prime-power factor p^e is handled
@@ -19,11 +23,11 @@ elements have unit differences); the coprime cofactor m keeps the plain points
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import islice
 
 from .ring import GaloisRing, InvariantError, Zmod, find_irreducible
-from .poly import Poly, crt_poly
+from .poly import Poly, _firsts, _fold, _fold_rows, _pack, _unpack, crt_poly
 from .resultant import res_at_degrees
 
 
@@ -109,39 +113,82 @@ def interpolation_plan(ctx: Zmod, B: int) -> list[Branch]:
     return branches
 
 
-def _interpolate(S, points, values) -> Poly:
-    """Unique polynomial p of degree <= B through the B+1 (points[i], values[i]).
+def _unpack_product(S, X, l, w):
+    """The first l coefficients of a packed product X, reduced."""
+    if S.kind == "galois":
+        X = _fold(X, _fold_rows(S, w), _firsts(S.k, w, l), 8 * w)
+    return _unpack(S, X, l, w)
 
-    O(B^2) Lagrange (von zur Gathen & Gerhard, Modern Computer Algebra, §5.2):
-    p = sum_i w_i M/(x - a_i), w_i = r_i / M'(a_i), M = prod (x - a_i) with
-    coefficients m_j.  As M/(x - a) = sum_k x^k sum_{j>k} m_j a^(j-k-1),
-    rev(p) = rev(M) * s mod x^(B+1) with s_t = sum_i w_i a_i^t.  Points need
-    unit differences."""
+
+@dataclass(frozen=True)
+class _BranchPlan:
+    """A branch's evaluation and interpolation at its B+1 points a_i, on ints
+    in poly._pack's layout of w-byte slots.
+
+    powers[j] packs a_i^j over all i, j <= D, so c(a_i) for every i is
+    sum_j c_j * powers[j].  basis[i] packs l_i = M/(x - a_i) / M'(a_i),
+    M = prod (x - a_i), so the polynomial of degree <= B through (a_i, r_i)
+    is sum_i r_i * l_i (Lagrange; von zur Gathen & Gerhard, Modern Computer
+    Algebra, §5.2; points need unit differences).  A slot sums at most
+    max(B, D) + 1 products of k pairs of entries below q before its _fold,
+    which multiplies that bound by at most 1 + (k-1)(q-1) (poly._ks_mul)."""
+
+    branch: Branch
+    w: int
+    powers: tuple
+    basis: tuple
+
+    def eval(self, c: Poly) -> list:
+        """c(a_i) for every i; c has base-ring coefficients and degree <= D."""
+        S, q = self.branch.ring, self.branch.modulus
+        X = sum(x % q * P for x, P in zip(c.coeffs, self.powers))
+        return _unpack(S, X, len(self.basis), self.w)
+
+    def interpolate(self, values) -> Poly:
+        """The polynomial of degree <= B through every (a_i, values[i])."""
+        S, w = self.branch.ring, self.w
+        X = sum(_pack(S, [r], w) * L for r, L in zip(values, self.basis))
+        return Poly(S, _unpack_product(S, X, len(self.basis), w))
+
+
+def _branch_plan(br: Branch, B: int, D: int) -> _BranchPlan:
+    S, points, l = br.ring, br.points, len(br.points)
     mul, add = S.mul, S.add
+    k, q = (S.k, S.pe) if S.kind == "galois" else (1, S.n)
+    bound = (max(B, D) + 1) * k * (q - 1) ** 2 * (1 + (k - 1) * (q - 1))  # see _BranchPlan
+    w = (bound.bit_length() + 7) // 8
+    rows = [[S.one] * l, list(points)]
+    while len(rows) <= D:
+        rows.append([mul(x, a) for x, a in zip(rows[-1], points)])
     m = [S.one]  # M, descending
     for a in points:
         na = S.neg(a)
         m = [m[0]] + [add(c, mul(na, h)) for c, h in zip(m[1:], m)] + [mul(na, m[-1])]
-    ds, pre = [], [S.one]  # M'(a) = prod over b != a of (a - b); prefix products
+    quots, ds, pre = [], [], [S.one]
     for a in points:
-        d = S.one
-        for b in points:
-            if b != a:
-                d = mul(d, S.sub(a, b))
-        ds.append(d)
-        pre.append(mul(pre[-1], d))
+        quo = [m[0]]  # M/(x - a) by synthetic division, descending
+        for c in m[1:-1]:
+            quo.append(add(c, mul(a, quo[-1])))
+        quots.append(_pack(S, quo[::-1], w))
+        ds.append(reduce(mul, [S.sub(a, b) for b in points if b != a], S.one))  # M'(a)
+        pre.append(mul(pre[-1], ds[-1]))
     # every 1/M'(a_i) from one S.inv: with t == 1/pre[i+1],
     # 1/M'(a_i) == t*pre[i] and 1/pre[i] == t*M'(a_i)
-    w, t = [None] * len(ds), S.inv(pre[-1])
-    for i in range(len(ds) - 1, -1, -1):
-        w[i] = mul(values[i], mul(t, pre[i]))
+    basis, t = [None] * l, S.inv(pre[-1])
+    for i in range(l - 1, -1, -1):
+        X = _pack(S, [mul(t, pre[i])], w) * quots[i]
+        basis[i] = _pack(S, _unpack_product(S, X, l, w), w)
         t = mul(t, ds[i])
-    s = []
-    for _ in points:
-        s.append(reduce(add, w))
-        w = [mul(v, a) for v, a in zip(w, points)]
-    rev_p = Poly(S, m) * Poly(S, s)
-    return Poly(S, [rev_p.coeff(u) for u in range(len(points))][::-1])
+    return _BranchPlan(br, w, tuple(_pack(S, r, w) for r in rows[:D + 1]), tuple(basis))
+
+
+# a plan holds (B+1)^2 + (D+1)(B+1) packed coefficients per branch, about
+# 160 KB at B = 40 over Z/15120, so the cache keeps only the latest keys
+@lru_cache(maxsize=16)
+def _plan(ctx: Zmod, B: int, D: int) -> tuple:
+    """The _BranchPlan of every branch of interpolation_plan(ctx, B), for
+    x-coefficients of degree <= D."""
+    return tuple(_branch_plan(br, B, D) for br in interpolation_plan(ctx, B))
 
 
 def res_y(f: BiPoly, g: BiPoly) -> Poly:
@@ -152,20 +199,19 @@ def res_y(f: BiPoly, g: BiPoly) -> Poly:
     N, M = f.deg_y, g.deg_y
     if N == 0 and M == 0:
         return Poly.const(R, R.one)
-    B = degree_bound(f, g)
     pieces = []  # (Zmod ring, Poly) per branch
-    for br in interpolation_plan(R, B):
-        S = br.ring
-        fs, gs = ([c.map_ring(S) for c in h.coeffs] for h in (f, g))
-        values = [res_at_degrees(Poly(S, [c.eval(a) for c in fs]), N,
-                                 Poly(S, [c.eval(a) for c in gs]), M) for a in br.points]
-        interp = _interpolate(S, br.points, values)
+    for bp in _plan(R, degree_bound(f, g), max(f.deg_x, g.deg_x)):
+        S = bp.branch.ring
+        fv, gv = ([bp.eval(c) for c in h.coeffs] for h in (f, g))
+        values = [res_at_degrees(Poly(S, fa), N, Poly(S, ga), M)
+                  for fa, ga in zip(zip(*fv), zip(*gv))]
+        interp = bp.interpolate(values)
         if isinstance(S, GaloisRing):
             # base-ring inputs have a resultant in the base ring Z/p^e, so a
             # nonzero higher t-coefficient indicates an internal bug
             if any(x for c in interp.coeffs for x in c[1:]):
                 raise InvariantError("resultant left the base ring")
-            S = Zmod(br.modulus)
+            S = Zmod(bp.branch.modulus)
             interp = Poly(S, [c[0] for c in interp.coeffs])
         pieces.append((S, interp))
     ring, acc = pieces[0]

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from ringres import BiPoly, GaloisRing, Poly, Zmod, degree_bound, interpolation_plan, res, res_y
-from ringres.bivariate import _interpolate
+from ringres import bivariate
+from ringres.ring import InvariantError
 
 from oracles import interpolate_lagrange, res_y_oracle
 
@@ -103,8 +104,8 @@ class TestInterpolate:
     def test_matches_lagrange_oracle(self, n):
         rng = random.Random(n)
         for B in (0, 1, 2, 12, 24, 40):
-            for br in interpolation_plan(Zmod(n), B):
-                S = br.ring
+            for bp in bivariate._plan(Zmod(n), B, 0):
+                br, S = bp.branch, bp.branch.ring
                 if isinstance(S, GaloisRing):
                     rand = lambda: tuple(rng.randrange(S.pe) for _ in range(S.k))
                 else:
@@ -112,9 +113,56 @@ class TestInterpolate:
                 single = [S.zero] * (B + 1)
                 single[rng.randrange(B + 1)] = rand()
                 for values in ([rand() for _ in br.points], [S.zero] * (B + 1), single):
-                    got = _interpolate(S, br.points, values)
+                    got = bp.interpolate(values)
                     assert got == interpolate_lagrange(S, br.points, values), (n, B, S)
                     assert [got.eval(a) for a in br.points] == values
+
+
+class TestPlan:
+    def test_eval_matches_horner_up_to_D(self):
+        # the packed powers reach D = max deg_x, also where D exceeds B: a
+        # shorter row would drop the top coefficients without an error
+        rng = random.Random(7)
+        for n, B, D in ((15120, 2, 9), (100, 12, 5), (72, 0, 4), (35, 3, 3)):
+            R = Zmod(n)
+            for bp in bivariate._plan(R, B, D):
+                S = bp.branch.ring
+                c = Poly.from_ints(R, [rng.randrange(n) for _ in range(D + 1)])
+                want = [c.map_ring(S).eval(a) for a in bp.branch.points]
+                assert bp.eval(c) == want, (n, B, D, S)
+
+    def test_second_call_reuses_the_plan(self, monkeypatch):
+        calls = []
+
+        def counting(ctx, B):
+            calls.append((ctx, B))
+            return interpolation_plan(ctx, B)
+        monkeypatch.setattr(bivariate, "interpolation_plan", counting)
+        bivariate._plan.cache_clear()
+        rng = random.Random(11)
+        R = Zmod(15120)
+        f, g, f2, g2 = (bench_bipoly(rng, R, 2) for _ in range(4))
+        assert res_y(f, g) == res_y_oracle(f, g)
+        assert res_y(f2, g2) == res_y_oracle(f2, g2)
+        assert calls == [(R, 12)]
+        info = bivariate._plan.cache_info()
+        assert isinstance(info.maxsize, int) and info.currsize == 1
+
+    def test_base_ring_check_catches_a_planted_t_coefficient(self, monkeypatch):
+        orig, planted = bivariate.res_at_degrees, []
+
+        def plant(f, N, g, M):
+            r = orig(f, N, g, M)
+            if f.ring.kind == "galois" and not planted:
+                planted.append(r)
+                r = (r[0], (r[1] + 1) % f.ring.pe) + r[2:]
+            return r
+        monkeypatch.setattr(bivariate, "res_at_degrees", plant)
+        rng = random.Random(12)
+        f, g = (bench_bipoly(rng, Zmod(15120), 2) for _ in range(2))
+        with pytest.raises(InvariantError, match="left the base ring"):
+            res_y(f, g)
+        assert planted
 
 
 class TestResY:
@@ -193,3 +241,19 @@ class TestResY:
         cx = BiPoly.from_ints(R, [[5, 1]])
         expect = Poly.from_ints(R, [5, 1]) * Poly.from_ints(R, [5, 1])
         assert res_y(f, cx) == expect
+
+    @pytest.mark.parametrize("n", [12, 15120, 101])
+    def test_constant_in_y_beside_x_degree_above_B(self, n):
+        # g constant in y and f of x-degree 7 give B = deg_y f * deg_x g = 2,
+        # so the plan's powers must reach x^7, not stop at x^B (the resultant,
+        # g^deg_y f, does not read f's values: TestPlan checks the powers);
+        # then the reverse
+        R = Zmod(n)
+        rng = random.Random(n)
+        f = BiPoly.from_ints(R, [[rng.randrange(n) for _ in range(8)] for _ in range(2)]
+                             + [[rng.randrange(n) for _ in range(7)] + [1]])
+        g0 = Poly.from_ints(R, [rng.randrange(n), 1])
+        g = BiPoly(R, (g0,))
+        assert f.deg_y == 2 and f.deg_x == 7 and degree_bound(f, g) == 2
+        assert res_y(f, g) == g0 * g0 == res_y_oracle(f, g)
+        assert res_y(g, f) == g0 * g0 == res_y_oracle(g, f)
