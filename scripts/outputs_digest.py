@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python3 scripts/outputs_digest.py --seed 1 --calls 100000
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus res_y --seed 1 --calls 300
+    PYTHONPATH=src python3 scripts/outputs_digest.py --corpus inv --seed 1 --calls 20000
 
 Call i draws its operation, ring and operands from random.Random(f"{seed}/{i}"):
 res, res_ideal, rres and rres_bezout (value, u and v) over Z/n (primes,
@@ -18,6 +19,12 @@ over Z/n for n with prime factors below the degree bound (35, 100, 15120, 72,
 over 2^64 (y-degrees <= 2 there, its calls are the slowest).  Each
 y-coefficient gets its own x-degree, and a fifth of the operands are constant
 in y.
+
+The inv corpus draws call i from random.Random(f"{seed}/inv/{i}"): one time in
+ten find_irreducible(p, k, s) for p in 2, 3, 5, 7, 101, k <= 6 and a drawn seed
+s, otherwise GaloisRing.inv of a random element, a third of them non-units
+(times p), over small rings, the benchmark's, the res_y branch rings, GR(2, 64,
+5) and two rings whose lam is reducible mod p (zero divisors of valuation 0).
 """
 from __future__ import annotations
 
@@ -43,6 +50,10 @@ RES_Y = [  # (n, its prime factors, largest y-degree)
     (35, (5, 7), 4), (100, (2, 5), 4), (15120, (2, 3, 5, 7), 4), (72, (2, 3), 4),
     (12, (2, 3), 4), (10007, (10007,), 4), (2**64, (2,), 2),
 ]
+INV = [  # (p, e, lam): GR(p, e, k) as in GALOIS, and lam reducible mod p
+    (p, e, find_irreducible(p, k)) for p, e, k in
+    [(2, 3, 2), (3, 2, 2), (5, 1, 2), (7, 2, 1), (2, 8, 3), (3, 20, 2), (101, 4, 4),
+     (2, 4, 6), (3, 3, 4), (5, 1, 3), (7, 1, 2), (2, 64, 5)]] + [(2, 3, (1, 0, 1)), (3, 2, (2, 0, 0, 1))]
 
 
 def _elem(rng, R, primes):
@@ -128,7 +139,24 @@ def call_res_y(seed, i):
     return [str(R), [_out(f.coeffs), _out(g.coeffs)], got]
 
 
-CORPORA = {"main": call, "res_y": call_res_y}
+def call_inv(seed, i):
+    """The record of inv call i: [ring or "find_irreducible", operands, output]."""
+    rng = random.Random(f"{seed}/inv/{i}")
+    if rng.random() < 0.1:
+        args = (rng.choice([2, 3, 5, 7, 101]), rng.randrange(1, 7), rng.randrange(1000))
+        return ["find_irreducible", list(args), list(find_irreducible(*args))]
+    R = GaloisRing(*rng.choice(INV))
+    a = tuple(rng.randrange(R.pe) for _ in range(R.k))
+    if rng.random() < 0.3:
+        a = R.mul(a, R.from_int(R.p))
+    try:
+        got = _out(R.inv(a))
+    except (ArithmeticError, ValueError) as e:
+        got = type(e).__name__
+    return [str(R), list(a), got]
+
+
+CORPORA = {"main": call, "res_y": call_res_y, "inv": call_inv}
 
 
 def main(argv=None):

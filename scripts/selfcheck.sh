@@ -6,8 +6,10 @@
 # the outputs digest of a 5,000-call seeded corpus (about 5 s), which must
 # equal DIGEST: the factorisations and reduced cofactors behind every output are
 # unique, so a faster path must not change a byte; and the digest of a 300-call
-# res_y corpus (about 5 s), which must equal RES_Y_DIGEST.  Last, it prints the
-# non-blank line count of src/ringres (not a gate).
+# res_y corpus (about 5 s), which must equal RES_Y_DIGEST; and the digest of a
+# 20,000-call GaloisRing.inv and find_irreducible corpus (about 2 s), which must
+# equal INV_DIGEST: inverses are unique.  Last, it prints the non-blank line
+# count of src/ringres (not a gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -33,4 +35,8 @@ RES_Y_DIGEST=c6a1a54efbee092ef827b49b9662f79ca60f4cd60c685f9c621c37025f066573
 got=$(python3 scripts/outputs_digest.py --corpus res_y --seed 1 --calls 300)
 test "$got" = "$RES_Y_DIGEST" || { echo "res_y outputs digest: $got, expected $RES_Y_DIGEST" >&2; exit 1; }
 echo "res_y outputs digest: $got"
+INV_DIGEST=54a3e88f8adad472aca773db498e3658268965d22e93439c48659574f8f30122
+got=$(python3 scripts/outputs_digest.py --corpus inv --seed 1 --calls 20000)
+test "$got" = "$INV_DIGEST" || { echo "inv outputs digest: $got, expected $INV_DIGEST" >&2; exit 1; }
+echo "inv outputs digest: $got"
 echo "non-blank lines in src/ringres: $(cat src/ringres/*.py | grep -cv '^[[:space:]]*$')"

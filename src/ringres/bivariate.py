@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import islice
 
-from .ring import GaloisRing, InvariantError, Zmod, find_irreducible
-from .poly import Poly, _firsts, _fold, _fold_rows, _pack, _unpack, crt_poly
+from .ring import ContextMismatchError, GaloisRing, InvariantError, Zmod, find_irreducible
+from .poly import Poly, _pack, _product_width, _unpack, _unpack_product, crt_poly
 from .resultant import res_at_degrees
 
 
@@ -113,13 +113,6 @@ def interpolation_plan(ctx: Zmod, B: int) -> list[Branch]:
     return branches
 
 
-def _unpack_product(S, X, l, w):
-    """The first l coefficients of a packed product X, reduced."""
-    if S.kind == "galois":
-        X = _fold(X, _fold_rows(S, w), _firsts(S.k, w, l), 8 * w)
-    return _unpack(S, X, l, w)
-
-
 @dataclass(frozen=True)
 class _BranchPlan:
     """A branch's evaluation and interpolation at its B+1 points a_i, on ints
@@ -129,9 +122,8 @@ class _BranchPlan:
     sum_j c_j * powers[j].  basis[i] packs l_i = M/(x - a_i) / M'(a_i),
     M = prod (x - a_i), so the polynomial of degree <= B through (a_i, r_i)
     is sum_i r_i * l_i (Lagrange; von zur Gathen & Gerhard, Modern Computer
-    Algebra, §5.2; points need unit differences).  A slot sums at most
-    max(B, D) + 1 products of k pairs of entries below q before its _fold,
-    which multiplies that bound by at most 1 + (k-1)(q-1) (poly._ks_mul)."""
+    Algebra, §5.2; points need unit differences).  Either sum adds at most
+    max(B, D) + 1 products, so w = poly._product_width(S, max(B, D) + 1)."""
 
     branch: Branch
     w: int
@@ -153,10 +145,7 @@ class _BranchPlan:
 
 def _branch_plan(br: Branch, B: int, D: int) -> _BranchPlan:
     S, points, l = br.ring, br.points, len(br.points)
-    mul, add = S.mul, S.add
-    k, q = (S.k, S.pe) if S.kind == "galois" else (1, S.n)
-    bound = (max(B, D) + 1) * k * (q - 1) ** 2 * (1 + (k - 1) * (q - 1))  # see _BranchPlan
-    w = (bound.bit_length() + 7) // 8
+    mul, add, w = S.mul, S.add, _product_width(S, max(B, D) + 1)
     rows = [[S.one] * l, list(points)]
     while len(rows) <= D:
         rows.append([mul(x, a) for x, a in zip(rows[-1], points)])
@@ -194,6 +183,8 @@ def _plan(ctx: Zmod, B: int, D: int) -> tuple:
 def res_y(f: BiPoly, g: BiPoly) -> Poly:
     """Resultant of f and g with respect to y, as a polynomial in x."""
     R = f.ring
+    if R != g.ring:
+        raise ContextMismatchError("bivariate polynomials over different rings")
     if f.is_zero() or g.is_zero():
         return Poly.zero(R)
     N, M = f.deg_y, g.deg_y

@@ -159,16 +159,28 @@ class Poly:
 
 def _ks_mul(R, a, b):
     """Coefficients of a*b by Kronecker substitution: pack each operand into
-    one int (_pack), multiply once, unpack and reduce each slot.  A slot sums
-    at most min(len) * k products of two entries below q, and over a Galois
-    ring one _fold multiplies that bound by at most 1 + (k-1)(q-1)."""
-    k, q = (R.k, R.pe) if R.kind == "galois" else (1, R.n)
-    w = (min(len(a), len(b)) * k * (q - 1) ** 2 * (1 + (k - 1) * (q - 1))).bit_length() // 8 + 1
+    one int (_pack), multiply once, unpack and reduce each slot."""
+    w = _product_width(R, min(len(a), len(b)))
     A = _pack(R, a, w)
-    X = A * A if a is b else A * _pack(R, b, w)
-    if k > 1:
-        X = _fold(X, _fold_rows(R, w), _firsts(k, w, len(a) + len(b) - 1), 8 * w)
-    return _unpack(R, X, len(a) + len(b) - 1, w)
+    return _unpack_product(R, A * A if a is b else A * _pack(R, b, w), len(a) + len(b) - 1, w)
+
+
+def _product_width(R, terms):
+    """Slot bytes for a sum of at most `terms` products of two packed
+    coefficients.  A slot then sums at most terms * k products of two entries
+    below q, and over a Galois ring one _fold multiplies that bound by at
+    most 1 + (k-1)(q-1)."""
+    k, q = (R.k, R.pe) if R.kind == "galois" else (1, R.n)
+    return (terms * k * (q - 1) ** 2 * (1 + (k - 1) * (q - 1))).bit_length() // 8 + 1
+
+
+def _unpack_product(R, X, l, w):
+    """The first l coefficients of X, a sum of products of _pack's ints with
+    w = _product_width(...) bytes per slot: each block is reduced mod lam
+    (one _fold), then each slot mod q."""
+    if R.kind == "galois" and R.k > 1:
+        X = _fold(X, _fold_rows(R, w), _firsts(R.k, w, l), 8 * w)
+    return _unpack(R, X, l, w)
 
 
 def _pack(R, cs, w):

@@ -194,11 +194,13 @@ def _rres(f: Poly, g: Poly, bezout: bool):
 
 def rres(f: Poly, g: Poly):
     """Canonical generator of the reduced resultant ideal (f, g) ∩ R."""
+    f._check(g)
     return f.ring.ideal_gen(_rres(f, g, bezout=False)[0])
 
 
 def rres_bezout(f: Poly, g: Poly) -> RresCertificate:
     """Reduced resultant with an exact witness u*f + v*g == value."""
+    f._check(g)
     return RresCertificate(*_rres(f, g, bezout=True))
 
 
@@ -331,10 +333,12 @@ def _res(f: Poly, g: Poly, ideal_mode=False):
 
 def res(f: Poly, g: Poly):
     """Resultant normalised so that res(f, g) == det(sylvester(f, g))."""
+    f._check(g)
     return _res(f, g, ideal_mode=False)
 
 
 def res_ideal(f: Poly, g: Poly):
     """Canonical generator of the ideal (res(f, g)); skips the unit-side
     resultant whenever the higher-degree operand has an invertible lc."""
+    f._check(g)
     return f.ring.ideal_gen(_res(f, g, ideal_mode=True))

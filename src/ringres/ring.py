@@ -223,49 +223,20 @@ class Zmod:
 # Galois rings
 # ---------------------------------------------------------------------------
 
-def _fp_inv_mod(a, m, p):
-    """a^-1 mod m over F_p, or None when gcd(a, m) != 1; m monic of degree
-    >= 1, deg a < deg m.  Extended Euclid keeping s_i with s_i * a == r_i
-    mod m."""
-    r0, r1 = [x % p for x in m], [x % p for x in a]
-    while r1 and not r1[-1]:
-        r1.pop()
-    s0, s1 = [], [1]
-    while r1:
-        # r0 <- r0 mod r1 and s0 <- s0 - (r0 quo r1) * s1, term by term
-        d1, c1 = len(r1) - 1, pow(r1[-1], -1, p)
-        s0 += [0] * (len(r0) - d1 + len(s1) - 1 - len(s0))
-        for i in range(len(r0) - 1 - d1, -1, -1):
-            c = r0[i + d1] * c1 % p
-            if c:
-                for j, y in enumerate(r1):
-                    r0[i + j] = (r0[i + j] - c * y) % p
-                for j, y in enumerate(s1):
-                    s0[i + j] = (s0[i + j] - c * y) % p
-        del r0[d1:]
-        while r0 and not r0[-1]:
-            r0.pop()
-        while s0 and not s0[-1]:
-            s0.pop()
-        r0, r1, s0, s1 = r1, r0, s1, s0
-    if len(r0) != 1:
-        return None
-    c = pow(r0[0], -1, p)
-    return [x * c % p for x in s0]
-
-
 def _fp_is_irreducible(lam, p):
     """Ben-Or's test (von zur Gathen & Gerhard, Modern Computer Algebra,
     14.9): lam, monic of degree k >= 1 over F_p with ascending coefficients,
     is irreducible iff x^(p^i) - x is invertible mod lam for every i <= k/2,
     since a reducible lam has an irreducible factor of degree i <= k/2, and
-    those divide x^(p^i) - x.  GaloisRing(p, 1, lam) multiplies in
-    F_p[x]/(lam) for any monic lam."""
+    those divide x^(p^i) - x.  GaloisRing(p, 1, lam) multiplies and
+    inverts in F_p[x]/(lam) for any monic lam."""
     F = GaloisRing(p, 1, tuple(lam))
     x = h = (0, 1) + (0,) * (F.k - 2)     # x, read only when k >= 2
     for _ in range(F.k // 2):
         h = F.pow_elem(h, p)
-        if _fp_inv_mod(F.sub(h, x), lam, p) is None:
+        try:
+            F.inv(F.sub(h, x))
+        except NotUnitError:
             return False
     return True
 
@@ -396,23 +367,32 @@ class GaloisRing:
         return False  # local ring
 
     def inv(self, a):
-        if not self.is_unit(a):
-            raise NotUnitError(f"{a} is not a unit in {self}")
+        """x with x*a == 1: Gauss-Jordan over Z/p^e on the k equations
+        sum_i x_i * (t^i * a mod lam) == 1, pivoting on entries that are
+        units mod p.  Every column has one exactly when a is invertible mod
+        (p, lam), which is when a is a unit if lam is irreducible mod p."""
         if self.e == 0:
             return self.zero
-        # invert in the residue field F_p[t]/(lam), then lift
-        x0 = _fp_inv_mod(a, self.lam, self.p)
-        if x0 is None:
-            raise NotUnitError(f"{a} is not a unit in {self}: lam is reducible mod {self.p}")
-        x = tuple(x0) + (0,) * (self.k - len(x0))
-        # Newton lift: x <- x(2 - a x) doubles p-adic precision
-        two = self.from_int(2)
-        prec = 1
-        while prec < self.e:
-            x = self.mul(x, self.sub(two, self.mul(a, x)))
-            prec *= 2
+        q, k, lam = self.pe, self.k, self.lam
+        cols, r = [], [c % q for c in a]
+        for _ in range(k):                      # cols[i] == t^i * a mod lam
+            cols.append(r)
+            r = [(-r[-1] * lam[0]) % q] + [(r[j - 1] - r[-1] * lam[j]) % q for j in range(1, k)]
+        eqs = [[c[j] for c in cols] + [int(j == 0)] for j in range(k)]
+        for i in range(k):
+            piv = next((j for j in range(i, k) if eqs[j][i] % self.p), None)
+            if piv is None:
+                raise NotUnitError(f"{a} is not a unit in {self}")
+            u = pow(eqs[piv][i], -1, q)
+            row = [c * u % q for c in eqs[piv]]
+            eqs[piv], eqs[i] = eqs[i], row
+            for j, other in enumerate(eqs):
+                if j != i and other[i]:
+                    c = other[i]
+                    eqs[j] = [(y - c * z) % q for y, z in zip(other, row)]
+        x = tuple(eq[k] for eq in eqs)
         if self.mul(a, x) != self.one:
-            raise InvariantError("Galois ring inversion failed to converge")
+            raise InvariantError("Galois ring inversion failed")
         return x
 
     def try_divide(self, a, b):

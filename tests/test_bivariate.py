@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from ringres import BiPoly, GaloisRing, Poly, Zmod, degree_bound, interpolation_plan, res, res_y
+from ringres import (BiPoly, ContextMismatchError, GaloisRing, Poly, Zmod, degree_bound,
+                     interpolation_plan, res, res_y)
 from ringres import bivariate
 from ringres.ring import InvariantError
 
@@ -41,6 +42,16 @@ class TestBiPoly:
         b = BiPoly.from_ints(R, [[1, 1], [0, 0, 2]])
         p = b.eval_x(R, R.from_int(3))
         assert p.coeffs == (4, 18)
+
+
+def test_res_y_mixed_rings_raise():
+    # Z/12 against Z/35, and Z/8 against GR(2, 3, 1), in both orders
+    for R1, R2 in [(Zmod(12), Zmod(35)), (Zmod(8), GaloisRing(2, 3, (0, 1)))]:
+        f = BiPoly.from_ints(R1, [[1, 2], [3, 1]])
+        g = BiPoly(R2, (Poly.from_ints(R2, [1, 1]), Poly.from_ints(R2, [1])))
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(ContextMismatchError):
+                res_y(a, b)
 
 
 class TestDegreeBound:

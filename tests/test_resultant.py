@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringres import (GaloisRing, NeedsSplitError, Poly, Zmod, det, find_irreducible,
-                     invert_unit, res, res_ideal, rres, rres_bezout, sylvester)
+from ringres import (ContextMismatchError, GaloisRing, NeedsSplitError, Poly, Zmod, det,
+                     find_irreducible, invert_unit, res, res_ideal, rres, rres_bezout, sylvester)
 from ringres.ring import InvariantError
 from ringres.poly import (UnitChain, _Packed, divrem, divrem_primitive, fun_factor,
                           is_primitive, primitive_part)
@@ -77,6 +77,17 @@ class TestFixedExamples:
             cert = rres_bezout(f, g)
             assert cert.u * f + cert.v * g == Poly.const(R, cert.value)
             assert R.ideal_gen(cert.value) == R.one
+
+    @pytest.mark.parametrize("op", [res, res_ideal, rres, rres_bezout])
+    def test_mixed_rings_raise(self, op):
+        # each public entry checks its operands' ring once, in both orders;
+        # GR(2, 3, 1) and Z/8 have the same elements but are different rings
+        pairs = [(Poly.from_ints(Zmod(12), [1, 2]), Poly.from_ints(Zmod(35), [3, 1])),
+                 (Poly.from_ints(Zmod(8), [1, 2, 1]), Poly.from_ints(GaloisRing(2, 3, (0, 1)), [3, 1]))]
+        for f, g in pairs:
+            for a, b in ((f, g), (g, f)):
+                with pytest.raises(ContextMismatchError):
+                    op(a, b)
 
     def test_ppa_splitting_example(self):
         R = Zmod(6)

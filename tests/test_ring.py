@@ -162,6 +162,52 @@ class TestGaloisRing:
             if gr.is_unit(a):
                 assert gr.mul(gr.inv(a), a) == gr.one
 
+    @pytest.mark.parametrize("p, e, lam, units", [
+        (2, 3, find_irreducible(2, 2), 48), (3, 2, find_irreducible(3, 2), 72),
+        (5, 1, find_irreducible(5, 2), 24), (7, 2, (0, 1), 42),
+        # lam reducible mod p, (t + 1)^2 and (t - 1)^3: a is a unit iff a(1)
+        # is not divisible by p, for half of the 64 and 2/3 of the 729 elements
+        (2, 3, (1, 0, 1), 32), (3, 2, (2, 0, 0, 1), 486)])
+    def test_inverse_brute_force(self, p, e, lam, units):
+        # inv(a) is the one x with a*x == 1 found by trying every x, and
+        # NotUnitError when there is none: non-units, and zero divisors of
+        # valuation 0 when lam is reducible
+        gr = GaloisRing(p, e, lam)
+        elems = list(gr.elements())
+        found = 0
+        for a in elems:
+            xs = [x for x in elems if gr.mul(a, x) == gr.one]
+            assert len(xs) <= 1
+            if xs:
+                found += 1
+                assert gr.inv(a) == xs[0], a
+            else:
+                with pytest.raises(NotUnitError):
+                    gr.inv(a)
+        assert found == units
+
+    @pytest.mark.parametrize("p, e, k", [
+        (2, 8, 3), (3, 20, 2), (101, 4, 4),             # the benchmark's rings
+        (2, 4, 6), (3, 3, 4), (5, 1, 3), (7, 1, 2),     # res_y branch rings
+        (2, 64, 5)])
+    def test_inverse_of_random_units(self, p, e, k):
+        import random
+
+        rng = random.Random(p * 1000 + e * 10 + k)
+        gr = GaloisRing(p, e, find_irreducible(p, k))
+        for _ in range(100):
+            a = tuple(rng.randrange(gr.pe) for _ in range(k))
+            if not gr.is_unit(a):
+                with pytest.raises(NotUnitError):
+                    gr.inv(a)
+                a = gr.add(a, gr.one)       # p divides every coefficient of a, so a unit
+            assert gr.mul(gr.inv(a), a) == gr.one
+            pa = gr.mul(a, gr.from_int(p))
+            with pytest.raises(NotUnitError):
+                gr.inv(pa)
+        with pytest.raises(NotUnitError):
+            gr.inv(gr.zero)
+
     def test_ideal_gen_and_try_divide(self):
         gr = GaloisRing(2, 3, (1, 1, 1))
         assert gr.ideal_gen((2, 4)) == (2, 0)
