@@ -3,6 +3,7 @@
     PYTHONPATH=src python3 scripts/outputs_digest.py --seed 1 --calls 100000
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus res_y --seed 1 --calls 300
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus inv --seed 1 --calls 20000
+    PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long --seed 1 --calls 60
 
 Call i draws its operation, ring and operands from random.Random(f"{seed}/{i}"):
 res, res_ideal, rres and rres_bezout (value, u and v) over Z/n (primes,
@@ -25,6 +26,13 @@ ten find_irreducible(p, k, s) for p in 2, 3, 5, 7, 101, k <= 6 and a drawn seed
 s, otherwise GaloisRing.inv of a random element, a third of them non-units
 (times p), over small rings, the benchmark's, the res_y branch rings, GR(2, 64,
 5) and two rings whose lam is reducible mod p (zero divisors of valuation 0).
+
+The long corpus draws call i from random.Random(f"{seed}/long/{i}"): res,
+res_ideal, rres or rres_bezout on a pair of degrees d and d - 1..3, d in
+200..1100, with uniform coefficients over 2^64 - 59, the 63-bit 8-prime
+composite 251*241*...*211, 10007, 9699690, 3^40 or 2^64, so that Euclidean chains run hundreds of
+division steps in a row (the main corpus stops at degree 26).  Outputs are
+recorded by their SHA-256, as the certificates run to megabytes.
 """
 from __future__ import annotations
 
@@ -54,6 +62,8 @@ INV = [  # (p, e, lam): GR(p, e, k) as in GALOIS, and lam reducible mod p
     (p, e, find_irreducible(p, k)) for p, e, k in
     [(2, 3, 2), (3, 2, 2), (5, 1, 2), (7, 2, 1), (2, 8, 3), (3, 20, 2), (101, 4, 4),
      (2, 4, 6), (3, 3, 4), (5, 1, 3), (7, 1, 2), (2, 64, 5)]] + [(2, 3, (1, 0, 1)), (3, 2, (2, 0, 0, 1))]
+
+LONG = [P64, 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211, 10007, 9699690, 3**40, 2**64]
 
 
 def _elem(rng, R, primes):
@@ -156,7 +166,25 @@ def call_inv(seed, i):
     return [str(R), list(a), got]
 
 
-CORPORA = {"main": call, "res_y": call_res_y, "inv": call_inv}
+def call_long(seed, i):
+    """The record of long call i: [operation, ring, degrees, SHA-256 of the output]."""
+    rng = random.Random(f"{seed}/long/{i}")
+    op, n = rng.choice(["res", "res_ideal", "rres", "rres_bezout"]), rng.choice(LONG)
+    R, d = Zmod(n), rng.randrange(200, 1101)
+    f, g = (Poly(R, [rng.randrange(n) for _ in range(e + 1)]) for e in (d, d - rng.randrange(1, 4)))
+    try:
+        if op == "rres_bezout":
+            c = rres_bezout(f, g)
+            got = [_out(c.value), _out(c.u), _out(c.v)]
+        else:
+            got = _out(OPS[op](f, g))
+    except (ArithmeticError, ValueError, RecursionError) as e:
+        got = type(e).__name__
+    out = hashlib.sha256(json.dumps(got, separators=(",", ":")).encode()).hexdigest()
+    return [op, str(R), [f.degree, g.degree], out]
+
+
+CORPORA = {"main": call, "res_y": call_res_y, "inv": call_inv, "long": call_long}
 
 
 def main(argv=None):

@@ -8,7 +8,9 @@
 # unique, so a faster path must not change a byte; and the digest of a 300-call
 # res_y corpus (about 5 s), which must equal RES_Y_DIGEST; and the digest of a
 # 20,000-call GaloisRing.inv and find_irreducible corpus (about 2 s), which must
-# equal INV_DIGEST: inverses are unique.  Last, it prints the non-blank line
+# equal INV_DIGEST: inverses are unique; and the digest of 60 calls on long
+# Z/n chains, degrees 200-1100 (about 10 s), which must equal LONG_DIGEST: the
+# 5,000-call corpus stops at degree 26.  Last, it prints the non-blank line
 # count of src/ringres (not a gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -39,4 +41,8 @@ INV_DIGEST=54a3e88f8adad472aca773db498e3658268965d22e93439c48659574f8f30122
 got=$(python3 scripts/outputs_digest.py --corpus inv --seed 1 --calls 20000)
 test "$got" = "$INV_DIGEST" || { echo "inv outputs digest: $got, expected $INV_DIGEST" >&2; exit 1; }
 echo "inv outputs digest: $got"
+LONG_DIGEST=ba9266f05b4575da74cbf604e6c4743369be269756a225dff825364321f46a4c
+got=$(python3 scripts/outputs_digest.py --corpus long --seed 1 --calls 60)
+test "$got" = "$LONG_DIGEST" || { echo "long outputs digest: $got, expected $LONG_DIGEST" >&2; exit 1; }
+echo "long outputs digest: $got"
 echo "non-blank lines in src/ringres: $(cat src/ringres/*.py | grep -cv '^[[:space:]]*$')"

@@ -387,46 +387,47 @@ def _slot_bytes(n: int) -> int:
 
 @lru_cache(maxsize=64)
 def _layout(n: int, k: int):
-    """(w, a, h, m, K, OFF slot) of _Packed modulo n, t-degree below k (k == 1
-    over Z/n); the extra bytes for k >= 2 keep K >= 2."""
+    """(w, a, h, m, K) of _Packed modulo n, t-degree below k (k == 1 over
+    Z/n); the extra bytes for k >= 2 keep K >= 2."""
     t = n.bit_length()
     w = _slot_bytes(n) + (k.bit_length() + 2) // 4
     L = t - 1 + 4 * w
     big = (n - 1) * (3 * n - 1)     # a coefficient times a reduced slot
-    # OFF + big must stay below 2^L, so at most K*k products per slot
-    K = ((1 << L) - 1 - big) // n * n // big // k
-    off = -(-K * k * big // n) * n
-    if K < 2 or off < K * k * big or not big + off < 1 << L <= 1 << 8 * w:
+    # a slot of X + Q*Y sums X's, at most big, and K*k such products
+    K = (((1 << L) - 1) // big - 1) // k
+    if K < 2 or not (K * k + 1) * big < 1 << L <= 1 << 8 * w:
         raise InvariantError(f"{w}-byte packed slots are too narrow for Z/{n}")
-    return w, t - 1, 4 * w, (1 << L) // n, K, off
+    return w, t - 1, 4 * w, (1 << L) // n, K
 
 
 class _Packed:
     """Polynomials over Z/n (n >= 2) or GR(p^e, k) (n = p^e) packed into one
     int in _pack's layout of w-byte slots, every slot value below 3n.
 
-    A step adds OFF to X and subtracts T, the product of a packed quotient of
-    at most K coefficients and Y, so a slot of T sums at most K*k products of
-    a t-coefficient below n and a slot.  Each OFF slot is a multiple of n at
-    least as large as any slot of T, so no slot goes negative or borrows, and
-    every slot stays below 2^L, L = bits(n) - 1 + 4w.  The step then reduces
-    every slot at once with one Barrett step: with a = bits(n) - 1, h = 4w and
-    m = 2^L // n, the estimate ((x >> a) * m) >> h is at most 2 below x // n,
-    and both of its factors are below 2^h, so no product spills into the next
-    slot.  For k >= 2 one _fold then reduces every block mod lam, leaving
-    slots below 3n + (k-1)(3n-1)(n-1) < OFF, and a second Barrett step
-    follows.  OFF and the masks cover `slots` blocks and grow on demand, so
-    each chain or division owns its _Packed.
+    The one update is addmul, X + Q*Y with Q packing reduced coefficients; a
+    caller that subtracts packs the negated ones, so no slot goes negative or
+    borrows.  K quotient coefficients at a time, a slot of Q*Y sums at most
+    K*k products of a t-coefficient below n and a slot below 3n, and K is the
+    largest count with X + K*k*(n-1)(3n-1) < 2^L, L = bits(n) - 1 + 4w, for
+    X's slots up to (n-1)(3n-1).  The update then reduces every slot at once
+    with one Barrett step: with a = bits(n) - 1, h = 4w and m = 2^L // n,
+    the estimate ((x >> a) * m) >> h is at most 2 below x // n, and both of
+    its factors are below 2^h, so no product spills into the next slot.  For
+    k >= 2 one _fold then reduces every block mod lam, leaving slots below
+    3n + (k-1)(3n-1)(n-1) < 2^L, and a second Barrett step follows.  The
+    masks cover `slots` blocks and grow on demand, so each chain or division
+    owns its _Packed.
     """
 
     def __init__(self, R, slots):
         self.R, self.zero, self.galois = R, R.zero, R.kind == "galois"
         self.n, self.k = (R.pe, R.k) if self.galois else (R.n, 1)
-        self.w, self.a, self.h, self.m, self.K, self.off_slot = _layout(self.n, self.k)
+        self.w, self.a, self.h, self.m, self.K = _layout(self.n, self.k)
         self.b = 8 * self.w
         self.bb = self.b * (2 * self.k - 1)         # bits per block
         self.slot_mask = (1 << self.b) - 1
         self.coeff_mask = (1 << (self.b * self.k)) - 1
+        self.q_mask = (1 << (self.bb * self.K)) - 1
         # quotient coefficients per division step: over a Galois ring each
         # costs up to J scalar products, so at most 3 (on fun_factor at
         # d = 100, m = 37 over GR(2,8,3), 2, 3 and 8 all ran 25-27 ms)
@@ -438,7 +439,6 @@ class _Packed:
     def _grow(self, slots):
         self.slots = slots
         rep = int.from_bytes((b"\x01" + bytes(self.w - 1)) * (slots * (2 * self.k - 1)), "little")
-        self.offs = rep * self.off_slot
         self.mask = rep * ((1 << self.h) - 1)
         self.ones = (1 << (self.bb * slots)) - 1
         if self.k > 1:
@@ -458,16 +458,18 @@ class _Packed:
         sm, n = self.slot_mask, self.n
         return tuple([((x >> s) & sm) % n for s in range(0, self.b * self.k, self.b)])
 
-    def submul(self, X, l, Q, Y):
-        """X - Q*Y on l blocks, reduced; Q packs at most K coefficients."""
+    def addmul(self, X, l, Q, Y, shift=0):
+        """X + (Q << shift)*Y on l blocks, reduced; Q packs reduced
+        coefficients, and each K of them take one update."""
         if l > self.slots:
             self._grow(2 * l)
-        X = X + (self.offs >> (self.bb * (self.slots - l))) - Q * Y
         mask, a, h, m, n = self.mask, self.a, self.h, self.m, self.n
-        X -= (((((X >> a) & mask) * m) >> h) & mask) * n
-        if self.k > 1:
-            X = _fold(X, self.rows, self.firsts, self.b)
+        for i in range(0, Q.bit_length() or 1, self.bb * self.K):
+            X += (((Q >> i) & self.q_mask) << (i + shift)) * Y
             X -= (((((X >> a) & mask) * m) >> h) & mask) * n
+            if self.k > 1:
+                X = _fold(X, self.rows, self.firsts, self.b)
+                X -= (((((X >> a) & mask) * m) >> h) & mask) * n
         return X
 
     def divrem(self, F, df, G, dg, ci):
@@ -475,23 +477,13 @@ class _Packed:
 
         Quotient coefficients come from scalar ring operations on the top
         coefficients of F and G, J per step; every step updates all of F by
-        one submul."""
+        one addmul of the negated ones."""
         n, b, sm, bb, J, galois = self.n, self.b, self.slot_mask, self.bb, self.J, self.galois
-        if df == dg + 1 and not galois:
-            # the usual step over Z/n, a quotient of degree 1
-            top = F >> (b * (df - 1))
-            q1 = (top >> b) * ci % n
-            q0 = ((top & sm) - q1 * ((G >> (b * (dg - 1))) & sm)) * ci % n
-            q = [q0, q1]
-            F = self.submul(F, df + 1, q0 | (q1 << b), G)
-            df = dg - 1
-            F &= self.ones >> (b * (self.slots - dg))
-        else:
-            hi = df - dg
-            q = [self.zero] * (hi + 1)
-            gt = [self._coeff(G, dg - i) for i in range(min(J, hi + 1, dg + 1))]
-            mul, sub = self.R.mul, self.R.sub
-            one = ci == self.R.one
+        hi = df - dg
+        q = [self.zero] * (hi + 1)
+        gt = [self._coeff(G, dg - i) for i in range(min(J, hi + 1, dg + 1))]
+        mul, sub = self.R.mul, self.R.sub
+        one = ci == self.R.one
         while df >= dg:
             # the top j quotient coefficients, from the top j coefficients of F
             j = min(J, hi + 1)
@@ -501,15 +493,15 @@ class _Packed:
                     c = q[hi - i] = ft[i] if one else mul(ft[i], ci)
                     for s in range(i + 1, min(j, i + len(gt))):
                         ft[s] = sub(ft[s], mul(c, gt[s - i]))
-                Q = self.pack(q[hi - j + 1:hi + 1])
+                Q = self.pack([[-x % n for x in c] for c in q[hi - j + 1:hi + 1]])
             else:   # on ints, reduced only when a coefficient is read
                 ft, Q = [(F >> (b * (df - i))) & sm for i in range(j)], 0
                 for i in range(j):
                     c = q[hi - i] = ft[i] * ci % n
-                    Q = (Q << b) | c
+                    Q = (Q << b) | (-c % n)
                     for s in range(i + 1, min(j, i + len(gt))):
                         ft[s] -= c * gt[s - i]
-            F = self.submul(F, df + 1, Q << (bb * (hi - j + 1)), G)
+            F = self.addmul(F, df + 1, Q, G, bb * (hi - j + 1))
             df, hi = df - j, hi - j
             F &= self.ones >> (bb * (self.slots - df - 1))
         d, c = df, self.zero
@@ -522,23 +514,17 @@ class _Packed:
             F &= self.ones >> (bb * (self.slots - d - 1))
         return q, F, d, c
 
-    def submuls(self, X, l, cs, Y):
-        """X - cs*Y on l blocks for reduced coefficients cs, K at a time."""
-        K = self.K
-        for s in range(0, len(cs), K):
-            X = self.submul(X, l, self.pack(cs[s:s + K]) << (self.bb * s), Y)
-        return X
-
-    def lowdiv(self, X, D, dd, ci, nq):
+    def lowdiv(self, X, D, ci, nq):
         """(Q, X') with X == Q*D + x^nq * X' and Q packing nq coefficients: X,
-        of at most nq + dd blocks, divided from the bottom by D, of dd + 1
-        coefficients with ci == D(0)^-1.  J quotient coefficients per step, as
-        in divrem, from the bottom slots of X; a step touches only the j + dd
-        blocks it changes, which it reads from and writes back to X's bytes,
-        so a division costs O(deg X) big-int work whatever J is."""
-        R, b, J, s = self.R, self.b, self.J, self.bb // 8
+        of at most nq + dd blocks, divided from the bottom by D, a list of
+        dd + 1 reduced coefficients with ci == D[0]^-1.  J quotient
+        coefficients per step, as in divrem, from the bottom slots of X; a
+        step adds them times -D, packed once, to the j + dd blocks it
+        changes, which it reads from and writes back to X's bytes, so a
+        division costs O(deg X) big-int work whatever J is."""
+        R, b, J, s, dd = self.R, self.b, self.J, self.bb // 8, len(D) - 1
         buf = bytearray(X.to_bytes((nq + dd) * s, "little"))
-        d1 = [self._coeff(D, i) for i in range(1, dd + 1)]
+        d1, N = D[1:], self.pack([R.neg(c) for c in D])
         pad, q = [self.zero] * dd, []
         for lo in range(0, nq, J):
             j = min(J, nq - lo)
@@ -564,7 +550,7 @@ class _Packed:
                         c = ft[i] = ft[i] * ci % n
                         for t, y in enumerate(d1, i + 1):
                             ft[t] -= c * y
-            Y = self.submul(Y, j + dd, self.pack(ft[:j]), D)
+            Y = self.addmul(Y, j + dd, self.pack(ft[:j]), N)
             buf[lo * s:(lo + j + dd) * s] = Y.to_bytes((j + dd) * s, "little")
             q += ft[:j]
         return self.pack(q), int.from_bytes(buf[nq * s:], "little")
@@ -609,14 +595,14 @@ class _Packed:
         if window:
             G, dg, k = G >> (self.bb * (dg + 1 - W)), W - 1, k - (dg + 1 - W)
         P = _lift(R, self.top(G, dg, W), m, j)
-        Q, X = self.lowdiv(G, self.pack(P[::-1]), m, R.one, k + 1)
+        Q, X = self.lowdiv(G, P[::-1], R.one, k + 1)
         if any(c != self.zero for c in self.top(X, m - 1, m)):
             raise InvariantError("Hensel lifting failed to converge")
         u0 = self._coeff(Q, k)
         if not R.is_unit(u0) or not all(map(R.is_nilpotent, P[:-1])):
             raise InvariantError("unit factor is not a unit of R[x]")
         return (Poly(R, [R.mul(u0, c) for c in reversed(P)]), j,
-                self.submul(0, k + 1, self.pack([R.neg(R.inv(u0))]), Q))
+                self.addmul(0, k + 1, self.pack([R.inv(u0)]), Q))
 
 
 class UnitChain:
@@ -637,6 +623,13 @@ class UnitChain:
     Divisions, factorisations and lift run on packed ints (_Packed), over
     Z/n and Galois rings alike, and nothing is unpacked before pair().
 
+    The usual step over Z/n, a unit leading coefficient and deg F_i ==
+    deg G_i + 1, runs fused in the chain's loop: the quotient from the top
+    two slots, G_{i+1} = F_i + (-q_i)*G_i with one Barrett step, the top
+    slots cut down to the next nonzero one.  Every other step, a longer
+    quotient, a non-unit leading coefficient or a Galois ring, goes through
+    _Packed.divrem or _Packed.factor.
+
     steps holds, in order, (deg F_i, deg G_i, deg G_{i+1}, lc G_i, q_i) per
     division and (F_i, deg F_i, G_i, deg G_i, u, j) per factorisation, F_i
     and G_i packed and j as in _Packed.factor.
@@ -647,14 +640,29 @@ class UnitChain:
         ops = self.ops = _Packed(R, f.degree + 2)
         F, df, G, dg, c = ops.pack(f.coeffs), f.degree, ops.pack(g.coeffs), g.degree, g.lc
         steps = self.steps = []
+        n, b, sm, a, h, m, mask = ops.n, ops.b, ops.slot_mask, ops.a, ops.h, ops.m, ops.mask
+        ones, top, zmod = ops.ones, ops.bb * ops.slots, not ops.galois
         while dg > 0:
+            if zmod and df == dg + 1 and math.gcd(c, n) == 1:
+                ci = pow(c, -1, n)
+                T = F >> (b * (df - 1))
+                q1 = (T >> b) * ci % n
+                q0 = ((T & sm) - q1 * ((G >> (b * (dg - 1))) & sm)) * ci % n
+                X = F + ((-q0 % n) | ((-q1 % n) << b)) * G
+                X -= (((((X >> a) & mask) * m) >> h) & mask) * n
+                dr = dg - 1
+                while dr >= 0 and not (cr := ((X >> (b * dr)) & sm) % n):
+                    dr -= 1
+                steps.append((df, dg, dr, c, [q0, q1]))
+                F, df, G, dg, c = G, dg, X & (ones >> (top - b * (dr + 1))), dr, cr
+                continue
             if not R.is_unit(c):
-                k, a = ops.top_non_nilpotent(G, dg)
-                if not R.is_unit(a):
+                k, x = ops.top_non_nilpotent(G, dg)
+                if not R.is_unit(x):
                     if steps:
                         break
-                    if R.is_splitting(a):
-                        raise NeedsSplitError(a)
+                    if R.is_splitting(x):
+                        raise NeedsSplitError(x)
                     raise ValueError("the first divisor must be primitive")
                 u, j, Gt = ops.factor(G, dg, k)
                 steps.append((F, df, G, dg, u, j))
@@ -677,7 +685,7 @@ class UnitChain:
 
         (u, v) is first reduced (reduce_cofactors), so deg v < deg F_s.  Back
         through a division, u*F_{i+1} + v*G_{i+1} == v*F_i + (u - q_i*v)*G_i,
-        so U, V <- V, U - q_i*V.  Back through a factorisation
+        so U, V <- V, U + (-q_i)*V.  Back through a factorisation
         G_i == unit*gtilde, V becomes V*unit^-1 and then, when lc(F_i) is a
         unit, V mod F_i, adding the quotient times G_i to U, as
         reduce_cofactors does.  As lc(F_i) is a unit for i > 0 and
@@ -685,6 +693,7 @@ class UnitChain:
         cofactor outgrows its pair.
         """
         R, ops = self.ring, self.ops
+        n, b, galois = ops.n, ops.b, ops.galois
         u, v = reduce_cofactors(*self.pair(), u, v)
         U, lu, V, lv = ops.pack(u.coeffs), len(u.coeffs), ops.pack(v.coeffs), len(v.coeffs)
         for step in reversed(self.steps):
@@ -693,18 +702,22 @@ class UnitChain:
                 # V*unit^-1, of at most lv + (j - 1)*m coefficients: an exact
                 # division from the bottom, which leaves a zero remainder
                 m, lq = unit.degree, lv + (j - 1) * unit.degree
-                V, X = ops.lowdiv(V, ops.pack(unit.coeffs), m, R.inv(unit.coeffs[0]), lq)
+                V, X = ops.lowdiv(V, unit.coeffs, R.inv(unit.coeffs[0]), lq)
                 if any(c != R.zero for c in ops.top(X, m - 1, m)):
                     raise InvariantError("unit inversion failed to converge")
                 (V, lv), c = ops.trim(V, lq), ops._coeff(F, df)
                 if lv > df and R.is_unit(c):
                     q, V, dr, _ = ops.divrem(V, lv - 1, F, df, R.inv(c))
                     l, lv = max(lu, len(q) + dg), dr + 1
-                    U, lu = ops.trim(ops.submuls(U, l, [R.neg(x) for x in q], G), l)
+                    U, lu = ops.trim(ops.addmul(U, l, ops.pack(q), G), l)
                 continue
             df, dg, _, _, qq = step
+            if galois or len(qq) != 2:
+                Q = ops.pack([R.neg(x) for x in qq])
+            else:   # the usual quotient of degree 1, packed by shifts
+                Q = (-qq[0] % n) | ((-qq[1] % n) << b)
             l = max(lu, lv + len(qq) - 1)
-            U, lu, V, lv = V, lv, ops.submuls(U, l, qq, V), l
+            U, lu, V, lv = V, lv, ops.addmul(U, l, Q, V), l
             if lv > df or lu > dg:
                 raise InvariantError("cofactor degrees exceed the chain's")
         return Poly(R, ops.unpack(U, lu)), Poly(R, ops.unpack(V, lv))

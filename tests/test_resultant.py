@@ -425,17 +425,18 @@ class TestPackedEuclid:
 
     @pytest.mark.parametrize("n", PACKED_MODULI)
     def test_packed_step_at_the_slot_bound(self, n):
-        # the largest operands one packed step admits: X slots (n-1)(3n-1),
-        # Y slots 3n-1 (reduced, not canonical), K coefficients n-1
+        # the largest operands one packed update X + Q*Y admits: X slots
+        # (n-1)(3n-1), Y slots 3n-1 (reduced, not canonical), K coefficients
+        # n-1, so every slot sums X's and K products at their largest
         P = _Packed(Zmod(n), 16)
         top, l = 3 * n - 1, P.K + 3
         xs, ys, cs = [(n - 1) * top] * l, [top] * 4, [n - 1] * P.K
-        Z = P.submul(P.pack(xs), l, P.pack(cs), P.pack(ys))
+        Z = P.addmul(P.pack(xs), l, P.pack(cs), P.pack(ys))
         raw = Z.to_bytes(l * P.w, "little")
         for i in range(l):
             z = int.from_bytes(raw[i * P.w:(i + 1) * P.w], "little")
             t = sum(cs[j] * ys[i - j] for j in range(len(cs)) if 0 <= i - j < len(ys))
-            assert z < 3 * n and z % n == (xs[i] - t) % n, (n, i)
+            assert z < 3 * n and z % n == (xs[i] + t) % n, (n, i)
 
     @pytest.mark.parametrize("n", PACKED_MODULI)
     def test_all_top_coefficients(self, n):
@@ -552,14 +553,15 @@ class TestPackedGalois:
 
     @pytest.mark.parametrize("R", GALOIS_PACKED, ids=str)
     def test_packed_step_at_the_slot_bound(self, R):
-        # the largest operands one packed step admits: X slots (q-1)(3q-1),
-        # Y slots 3q-1, K quotient coefficients with every entry q-1
+        # the largest operands one packed update X + Q*Y admits: X slots
+        # (q-1)(3q-1), Y slots 3q-1, K quotient coefficients with every
+        # entry q-1
         q, k = R.pe, R.k
         P = _Packed(R, 16)
         l = P.K + 3
         xs = [((q - 1) * (3 * q - 1),) * k] * l
         ys, cs = [(3 * q - 1,) * k] * 4, [(q - 1,) * k] * P.K
-        Z = P.submul(P.pack(xs), l, P.pack(cs), P.pack(ys))
+        Z = P.addmul(P.pack(xs), l, P.pack(cs), P.pack(ys))
         raw = Z.to_bytes(l * (2 * k - 1) * P.w, "little")
         slots = [int.from_bytes(raw[i:i + P.w], "little") for i in range(0, len(raw), P.w)]
         for i in range(l):
@@ -567,7 +569,7 @@ class TestPackedGalois:
             assert all(z < 3 * q for z in block[:k]) and not any(block[k:]), (R, i)
             want = R.coerce(xs[i])
             for j in range(max(0, i - 3), min(i + 1, len(cs))):
-                want = R.sub(want, R.mul(R.coerce(cs[j]), R.coerce(ys[i - j])))
+                want = R.add(want, R.mul(R.coerce(cs[j]), R.coerce(ys[i - j])))
             assert R.coerce(tuple(block[:k])) == want, (R, i)
 
 
@@ -735,6 +737,37 @@ class TestUnitChain:
             cert = rres_bezout(f, g)
             assert rres(f, g) == want == R.ideal_gen(cert.value)
             assert cert.u * f + cert.v * g == Poly.const(R, cert.value)
+
+    @pytest.mark.parametrize("n, degs, gaps, bottom", [
+        # drops of 2, 4 and 3 (zero slots under the top) end three runs of
+        # degree-1 quotients, the last one at a constant remainder
+        (P64, [16, 15, 14, 12, 11, 10, 9, 5, 4, 3, 0], {}, "const"),
+        # a constant remainder of degree 1 below its divisor ends the run
+        (10007, [12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0], {}, "const"),
+        # a splitting leading coefficient ends the only run
+        (COMPOSITE, [12, 11, 10, 9, 8, 7], {}, "split"),
+        # a nilpotent leading coefficient ends the first run; the divisor
+        # factors at gap 2, and the next run ends at a drop to a constant
+        (3**40, [14, 13, 12, 11, 8, 7, 6, 5, 0], {4: 2}, "const"),
+        (2**64, [14, 13, 12, 11, 8, 7, 6, 5, 0], {4: 2}, "const"),
+    ])
+    def test_fused_runs_end_at_every_exit(self, monkeypatch, n, degs, gaps, bottom):
+        # every quotient of degree 1 under a unit leading coefficient is a
+        # fused step of the chain's own loop, every other one a
+        # _Packed.divrem; records, pair and lift are the planted ones
+        R = Zmod(n)
+        rng = random.Random(f"fused/{n}")
+        elem, unit, nil = self.tools(R, rng)
+        last = (Poly.const(R, unit()) if bottom == "const" else
+                Poly(R, [elem() for _ in range(degs[-1])] + [R.mul(non_unit(n), unit())]))
+        f, g, pair, steps = plant_chain(rng, R, degs, gaps, last, elem, unit, nil)
+        divided, divrem = [], _Packed.divrem
+        monkeypatch.setattr(_Packed, "divrem", lambda *a: divided.append(a[2] - a[4]) or divrem(*a))
+        chain = UnitChain(f, g)
+        assert chain_steps(chain) == steps and chain.pair() == pair
+        assert divided == [s[0] - s[1] for s in steps if len(s) == 5 and s[0] - s[1] > 1]
+        assert len(steps) - len(divided) - len(gaps) >= 4
+        self.check_lift(rng, chain, f, g, elem)
 
     def test_stops_at_a_divisor_it_cannot_factor(self, monkeypatch):
         # over Z/72 = Z/8 x Z/9: lc 2 is not nilpotent, and below lc 6 the
