@@ -447,6 +447,16 @@ class _Packed:
     def pack(self, cs):
         return _pack(self.R, cs, self.w)
 
+    def negpack(self, cs):
+        """pack of the negated coefficients cs, over Z/n by shifts."""
+        n = self.n
+        if self.galois:
+            return self.pack([[-x % n for x in c] for c in cs])
+        Q, b = 0, self.b
+        for c in reversed(cs):
+            Q = (Q << b) | (-c % n)
+        return Q
+
     def unpack(self, X, l):
         return _unpack(self.R, X, l, self.w)
 
@@ -493,7 +503,7 @@ class _Packed:
                     c = q[hi - i] = ft[i] if one else mul(ft[i], ci)
                     for s in range(i + 1, min(j, i + len(gt))):
                         ft[s] = sub(ft[s], mul(c, gt[s - i]))
-                Q = self.pack([[-x % n for x in c] for c in q[hi - j + 1:hi + 1]])
+                Q = self.negpack(q[hi - j + 1:hi + 1])
             else:   # on ints, reduced only when a coefficient is read
                 ft, Q = [(F >> (b * (df - i))) & sm for i in range(j)], 0
                 for i in range(j):
@@ -524,7 +534,7 @@ class _Packed:
         division costs O(deg X) big-int work whatever J is."""
         R, b, J, s, dd = self.R, self.b, self.J, self.bb // 8, len(D) - 1
         buf = bytearray(X.to_bytes((nq + dd) * s, "little"))
-        d1, N = D[1:], self.pack([R.neg(c) for c in D])
+        d1, N = D[1:], self.negpack(D)
         pad, q = [self.zero] * dd, []
         for lo in range(0, nq, J):
             j = min(J, nq - lo)
@@ -648,6 +658,10 @@ class UnitChain:
                 T = F >> (b * (df - 1))
                 q1 = (T >> b) * ci % n
                 q0 = ((T & sm) - q1 * ((G >> (b * (dg - 1))) & sm)) * ci % n
+                # addmul and divrem's scan for the next nonzero slot, inlined:
+                # as two calls per step they took the small-modulus seed-1
+                # pool x1.11 and the zmod-euclid one x1.08 (one process,
+                # interleaved, 2-vCPU x86 VM)
                 X = F + ((-q0 % n) | ((-q1 % n) << b)) * G
                 X -= (((((X >> a) & mask) * m) >> h) & mask) * n
                 dr = dg - 1
@@ -693,7 +707,6 @@ class UnitChain:
         cofactor outgrows its pair.
         """
         R, ops = self.ring, self.ops
-        n, b, galois = ops.n, ops.b, ops.galois
         u, v = reduce_cofactors(*self.pair(), u, v)
         U, lu, V, lv = ops.pack(u.coeffs), len(u.coeffs), ops.pack(v.coeffs), len(v.coeffs)
         for step in reversed(self.steps):
@@ -712,12 +725,8 @@ class UnitChain:
                     U, lu = ops.trim(ops.addmul(U, l, ops.pack(q), G), l)
                 continue
             df, dg, _, _, qq = step
-            if galois or len(qq) != 2:
-                Q = ops.pack([R.neg(x) for x in qq])
-            else:   # the usual quotient of degree 1, packed by shifts
-                Q = (-qq[0] % n) | ((-qq[1] % n) << b)
             l = max(lu, lv + len(qq) - 1)
-            U, lu, V, lv = V, lv, ops.addmul(U, l, Q, V), l
+            U, lu, V, lv = V, lv, ops.addmul(U, l, ops.negpack(qq), V), l
             if lv > df or lu > dg:
                 raise InvariantError("cofactor degrees exceed the chain's")
         return Poly(R, ops.unpack(U, lu)), Poly(R, ops.unpack(V, lv))
