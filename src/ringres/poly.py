@@ -449,12 +449,11 @@ class _Packed:
 
     def negpack(self, cs):
         """pack of the negated coefficients cs, over Z/n by shifts."""
-        n = self.n
         if self.galois:
-            return self.pack([[-x % n for x in c] for c in cs])
-        Q, b = 0, self.b
+            return self.pack([[-x % self.n for x in c] for c in cs])
+        Q = 0
         for c in reversed(cs):
-            Q = (Q << b) | (-c % n)
+            Q = (Q << self.b) | (-c % self.n)
         return Q
 
     def unpack(self, X, l):
@@ -503,15 +502,13 @@ class _Packed:
                     c = q[hi - i] = ft[i] if one else mul(ft[i], ci)
                     for s in range(i + 1, min(j, i + len(gt))):
                         ft[s] = sub(ft[s], mul(c, gt[s - i]))
-                Q = self.negpack(q[hi - j + 1:hi + 1])
             else:   # on ints, reduced only when a coefficient is read
-                ft, Q = [(F >> (b * (df - i))) & sm for i in range(j)], 0
+                ft = [(F >> (b * (df - i))) & sm for i in range(j)]
                 for i in range(j):
                     c = q[hi - i] = ft[i] * ci % n
-                    Q = (Q << b) | (-c % n)
                     for s in range(i + 1, min(j, i + len(gt))):
                         ft[s] -= c * gt[s - i]
-            F = self.addmul(F, df + 1, Q, G, bb * (hi - j + 1))
+            F = self.addmul(F, df + 1, self.negpack(q[hi - j + 1:hi + 1]), G, bb * (hi - j + 1))
             df, hi = df - j, hi - j
             F &= self.ones >> (bb * (self.slots - df - 1))
         d, c = df, self.zero
@@ -633,12 +630,10 @@ class UnitChain:
     Divisions, factorisations and lift run on packed ints (_Packed), over
     Z/n and Galois rings alike, and nothing is unpacked before pair().
 
-    The usual step over Z/n, a unit leading coefficient and deg F_i ==
-    deg G_i + 1, runs fused in the chain's loop: the quotient from the top
-    two slots, G_{i+1} = F_i + (-q_i)*G_i with one Barrett step, the top
-    slots cut down to the next nonzero one.  Every other step, a longer
-    quotient, a non-unit leading coefficient or a Galois ring, goes through
-    _Packed.divrem or _Packed.factor.
+    The usual step over Z/n, a unit lc and deg F_i == deg G_i + 1, runs fused
+    in the loop: q_i from the top two slots, G_{i+1} = F_i + (-q_i)*G_i with
+    one Barrett step, cut down to its top nonzero slot.  Other steps go
+    through _Packed.divrem (longer quotients, Galois rings) or factor.
 
     steps holds, in order, (deg F_i, deg G_i, deg G_{i+1}, lc G_i, q_i) per
     division and (F_i, deg F_i, G_i, deg G_i, u, j) per factorisation, F_i
@@ -659,9 +654,8 @@ class UnitChain:
                 q1 = (T >> b) * ci % n
                 q0 = ((T & sm) - q1 * ((G >> (b * (dg - 1))) & sm)) * ci % n
                 # addmul and divrem's scan for the next nonzero slot, inlined:
-                # as two calls per step they took the small-modulus seed-1
-                # pool x1.11 and the zmod-euclid one x1.08 (one process,
-                # interleaved, 2-vCPU x86 VM)
+                # as two calls per step they took the small-modulus pool x1.11
+                # and zmod-euclid x1.08 (seed 1, one process, interleaved)
                 X = F + ((-q0 % n) | ((-q1 % n) << b)) * G
                 X -= (((((X >> a) & mask) * m) >> h) & mask) * n
                 dr = dg - 1
