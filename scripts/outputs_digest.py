@@ -4,6 +4,7 @@
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus res_y --seed 1 --calls 300
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus inv --seed 1 --calls 20000
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long --seed 1 --calls 60
+    PYTHONPATH=src python3 scripts/outputs_digest.py --corpus units --seed 1 --calls 2000
 
 Call i draws its operation, ring and operands from random.Random(f"{seed}/{i}"):
 res, res_ideal, rres and rres_bezout (value, u and v) over Z/n (primes,
@@ -33,16 +34,28 @@ res_ideal, rres or rres_bezout on a pair of degrees d and d - 1..3, d in
 composite 251*241*...*211, 10007, 9699690, 3^40 or 2^64, so that Euclidean chains run hundreds of
 division steps in a row (the main corpus stops at degree 26).  Outputs are
 recorded by their SHA-256, as the certificates run to megabytes.
+
+The units corpus draws call i from random.Random(f"{seed}/units/{i}"):
+invert_unit, invert_mod, divrem_primitive or fun_factor over Z/n for prime
+powers (3^40, 2^64, 5^7, 7^3) and composites with square factors (72, 360,
+2^10 * 3^5, 15120, 5^7 * 7^3), and over the main corpus's Galois rings.  Each
+call has a unit of R[x] (a unit times 1 plus a multiple of one nilpotent, so
+the nil index runs up to E) of degree up to 40, as the operand to invert or
+as the unit factor of the divisor or polynomial to factor; a tenth of the
+operands break that shape (a unit higher coefficient, or a zero divisor as a
+factor), so the error paths are recorded too.
 """
 from __future__ import annotations
 
 import argparse
 import hashlib
 import json
+import math
 import random
 
-from ringres import (BiPoly, GaloisRing, PadicCtx, Poly, Zmod, find_irreducible, padic_gcd,
-                     res, res_ideal, res_y, rres, rres_bezout)
+from ringres import (BiPoly, GaloisRing, PadicCtx, Poly, Zmod, divrem_primitive, find_irreducible,
+                     fun_factor, invert_mod, invert_unit, padic_gcd, res, res_ideal, res_y, rres,
+                     rres_bezout)
 
 P64 = 18446744073709551557
 ZMOD = [  # (n, its prime factors)
@@ -63,6 +76,13 @@ INV = [  # (p, e, lam): GR(p, e, k) as in GALOIS, and lam reducible mod p
     [(2, 3, 2), (3, 2, 2), (5, 1, 2), (7, 2, 1), (2, 8, 3), (3, 20, 2), (101, 4, 4),
      (2, 4, 6), (3, 3, 4), (5, 1, 3), (7, 1, 2), (2, 64, 5)]] + [(2, 3, (1, 0, 1)), (3, 2, (2, 0, 0, 1))]
 
+UNIT_OPS = {"invert_unit": invert_unit, "invert_mod": invert_mod,
+            "divrem_primitive": divrem_primitive, "fun_factor": fun_factor}
+UNITS = [  # (n, its prime factors)
+    (3**40, (3,)), (2**64, (2,)), (5**7, (5,)), (7**3, (7,)),
+    (72, (2, 3)), (360, (2, 3, 5)), (2**10 * 3**5, (2, 3)), (15120, (2, 3, 5, 7)),
+    (5**7 * 7**3, (5, 7)),
+]
 LONG = [P64, 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211, 10007, 9699690, 3**40, 2**64]
 
 
@@ -184,7 +204,54 @@ def call_long(seed, i):
     return [op, str(R), [f.degree, g.degree], out]
 
 
-CORPORA = {"main": call, "res_y": call_res_y, "inv": call_inv, "long": call_long}
+def call_units(seed, i):
+    """The record of units call i: [operation, ring, operands, output]."""
+    rng = random.Random(f"{seed}/units/{i}")
+    op = rng.choice(["invert_unit", "invert_mod", "divrem_primitive", "fun_factor"])
+    if rng.random() < 0.4:
+        p, e, k = rng.choice(GALOIS)
+        R, primes = GaloisRing(p, e, find_irreducible(p, k)), (p,)
+    else:
+        n, primes = rng.choice(UNITS)
+        R = Zmod(n)
+    rad = R.from_int(math.prod(primes))
+
+    def unit():
+        while True:
+            x = _elem(rng, R, primes)
+            if R.is_unit(x):
+                return x
+
+    # u = c*(1 + t*h), t a nilpotent of drawn valuation: u^-1 has up to
+    # (j - 1)*deg u + 1 coefficients, j the nil index of t
+    m = rng.randrange(1, 41)
+    t = R.mul(unit(), R.pow_elem(rad, rng.choice([1, 1, 2, 3])))
+    h = [_elem(rng, R, primes) for _ in range(m - 1)] + [unit()]
+    u = Poly(R, [unit()]) * (Poly.one(R) + Poly(R, [R.zero] + h).scale(t))
+    x = rng.random()
+    if x < 0.05:    # a unit higher coefficient: not a unit of R[x]
+        u = u + Poly(R, [R.zero] * rng.randrange(1, m + 1) + [unit()])
+    elif x < 0.1:   # a zero divisor times u: neither a unit nor primitive
+        u = u.scale(R.from_int(rng.choice(primes)))
+    if op == "invert_unit":
+        args = [u]
+    elif op == "invert_mod":
+        d = rng.randrange(1, 41)
+        args = [u, _poly(rng, R, primes, d - 1) + Poly(R, [R.zero] * d + [unit()])]
+    else:
+        g = _poly(rng, R, primes, rng.randrange(0, 20))
+        g = u * (g + Poly(R, [R.zero] * (g.degree + 1) + [unit()]))
+        args = [g] if op == "fun_factor" else [_poly(rng, R, primes, rng.randrange(0, 3 * m + 40)), g]
+    try:
+        got = UNIT_OPS[op](*args)
+        got = _out((got.u, got.gtilde, got.k) if op == "fun_factor" else got)
+    except (ArithmeticError, ValueError) as e:
+        got = type(e).__name__
+    return [op, str(R), [_out(a) for a in args], got]
+
+
+CORPORA = {"main": call, "res_y": call_res_y, "inv": call_inv, "long": call_long,
+           "units": call_units}
 
 
 def main(argv=None):

@@ -10,8 +10,11 @@
 # 20,000-call GaloisRing.inv and find_irreducible corpus (about 2 s), which must
 # equal INV_DIGEST: inverses are unique; and the digest of 60 calls on long
 # Z/n chains, degrees 200-1100 (about 10 s), which must equal LONG_DIGEST: the
-# 5,000-call corpus stops at degree 26.  Last, it prints the non-blank line
-# count of src/ringres (not a gate).
+# 5,000-call corpus stops at degree 26; and the digest of 2,000 calls of
+# invert_unit, invert_mod, divrem_primitive and fun_factor on units of R[x] of
+# degree up to 40 (about 10 s), which must equal UNITS_DIGEST: no other corpus
+# calls them directly.  Last, it prints the non-blank line count of
+# src/ringres (not a gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -45,4 +48,8 @@ LONG_DIGEST=ba9266f05b4575da74cbf604e6c4743369be269756a225dff825364321f46a4c
 got=$(python3 scripts/outputs_digest.py --corpus long --seed 1 --calls 60)
 test "$got" = "$LONG_DIGEST" || { echo "long outputs digest: $got, expected $LONG_DIGEST" >&2; exit 1; }
 echo "long outputs digest: $got"
+UNITS_DIGEST=3c0b67c56546e717389f1a7fe6f39a6e44c48b4ad09e9bdc603d44434569a3bb
+got=$(python3 scripts/outputs_digest.py --corpus units --seed 1 --calls 2000)
+test "$got" = "$UNITS_DIGEST" || { echo "units outputs digest: $got, expected $UNITS_DIGEST" >&2; exit 1; }
+echo "units outputs digest: $got"
 echo "non-blank lines in src/ringres: $(cat src/ringres/*.py | grep -cv '^[[:space:]]*$')"

@@ -372,7 +372,7 @@ def divrem(f: Poly, g: Poly):
             q = [c * winv % n for c in q]
         return Poly(R, q), Poly(R, r)
     P = _Packed(R, f.degree + 2)
-    q, X, dr, _ = P.divrem(P.pack(f.coeffs), f.degree, P.pack(g.coeffs), dg, winv)
+    q, _, X, dr, _ = P.divrem(P.pack(f.coeffs), f.degree, P.pack(g.coeffs), dg, winv)
     return Poly(R, q), Poly(R, P.unpack(X, dr + 1))
 
 
@@ -482,14 +482,15 @@ class _Packed:
         return X
 
     def divrem(self, F, df, G, dg, ci):
-        """(q, R, deg R, lc R) with F == q*G + R; ci == lc(G)^-1, dg >= 1.
+        """(q, Nq, R, deg R, lc R) with F == q*G + R and Nq packing -q;
+        ci == lc(G)^-1, dg >= 1.
 
         Quotient coefficients come from scalar ring operations on the top
         coefficients of F and G, J per step; every step updates all of F by
         one addmul of the negated ones."""
         n, b, sm, bb, J, galois = self.n, self.b, self.slot_mask, self.bb, self.J, self.galois
         hi = df - dg
-        q = [self.zero] * (hi + 1)
+        q, Nq = [self.zero] * (hi + 1), 0
         gt = [self._coeff(G, dg - i) for i in range(min(J, hi + 1, dg + 1))]
         mul, sub = self.R.mul, self.R.sub
         one = ci == self.R.one
@@ -508,7 +509,8 @@ class _Packed:
                     c = q[hi - i] = ft[i] * ci % n
                     for s in range(i + 1, min(j, i + len(gt))):
                         ft[s] -= c * gt[s - i]
-            F = self.addmul(F, df + 1, self.negpack(q[hi - j + 1:hi + 1]), G, bb * (hi - j + 1))
+            N, lo = self.negpack(q[hi - j + 1:hi + 1]), bb * (hi - j + 1)
+            F, Nq = self.addmul(F, df + 1, N, G, lo), Nq | N << lo
             df, hi = df - j, hi - j
             F &= self.ones >> (bb * (self.slots - df - 1))
         d, c = df, self.zero
@@ -519,32 +521,31 @@ class _Packed:
             d -= 1
         if d < df:
             F &= self.ones >> (bb * (self.slots - d - 1))
-        return q, F, d, c
+        return q, Nq, F, d, c
 
     def lowdiv(self, X, D, ci, nq):
         """(Q, X') with X == Q*D + x^nq * X' and Q packing nq coefficients: X,
         of at most nq + dd blocks, divided from the bottom by D, a list of
         dd + 1 reduced coefficients with ci == D[0]^-1.  J quotient
-        coefficients per step, as in divrem, from the bottom slots of X; a
-        step adds them times -D, packed once, to the j + dd blocks it
-        changes, which it reads from and writes back to X's bytes, so a
-        division costs O(deg X) big-int work whatever J is."""
+        coefficients per step, as in divrem, solved from the step's own
+        bottom j slots of X; a step adds them times -D, packed once, to the
+        j + dd blocks it changes, which it reads from and writes back to X's
+        bytes, so a division costs O(deg X) big-int work whatever J is."""
         R, b, J, s, dd = self.R, self.b, self.J, self.bb // 8, len(D) - 1
         buf = bytearray(X.to_bytes((nq + dd) * s, "little"))
-        d1, N = D[1:], self.negpack(D)
-        pad, q = [self.zero] * dd, []
+        d1, N, q = D[1:], self.negpack(D), []
         for lo in range(0, nq, J):
             j = min(J, nq - lo)
             Y = int.from_bytes(buf[lo * s:(lo + j + dd) * s], "little")
             if self.galois:
-                ft = [self._coeff(Y, i) for i in range(j)] + pad
+                ft = [self._coeff(Y, i) for i in range(j)]
                 for i in range(j):
                     c = ft[i] = R.mul(ft[i], ci)
-                    for t, y in enumerate(d1, i + 1):
+                    for t, y in zip(range(i + 1, j), d1):
                         ft[t] = R.sub(ft[t], R.mul(c, y))
             else:   # on ints, reduced only when a coefficient is read
                 n, sm = self.n, self.slot_mask
-                ft = [(Y >> (b * i)) & sm for i in range(j)] + pad
+                ft = [(Y >> (b * i)) & sm for i in range(j)]
                 # gap 1, the usual break, one term per step: the 635 gap-1
                 # breaks of the local-hensel seed-1 pool took 114 against 130 us
                 # each with the general loop (one run each, 2-vCPU x86 VM)
@@ -555,12 +556,23 @@ class _Packed:
                 else:
                     for i in range(j):
                         c = ft[i] = ft[i] * ci % n
-                        for t, y in enumerate(d1, i + 1):
+                        for t, y in zip(range(i + 1, j), d1):
                             ft[t] -= c * y
-            Y = self.addmul(Y, j + dd, self.pack(ft[:j]), N)
+            Y = self.addmul(Y, j + dd, self.pack(ft), N)
             buf[lo * s:(lo + j + dd) * s] = Y.to_bytes((j + dd) * s, "little")
-            q += ft[:j]
+            q += ft
         return self.pack(q), int.from_bytes(buf[nq * s:], "little")
+
+    def unitdiv(self, X, l, unit, j):
+        """(X', l') with X' == X*unit^-1 of l' coefficients, X of at most l.
+        The unit's higher coefficients generate an ideal of nil index j
+        (_nil_index), so X' has at most l + (j - 1)*deg unit coefficients: a
+        division from the bottom to that many is exact, and checked to be."""
+        m, lq = unit.degree, l + (j - 1) * unit.degree
+        Q, X = self.lowdiv(X, unit.coeffs, self.R.inv(unit.coeffs[0]), lq)
+        if any(c != self.zero for c in self.top(X, m - 1, m)):
+            raise InvariantError("unit inversion failed to converge")
+        return self.trim(Q, lq)
 
     def top(self, X, dx, l):
         """The coefficients dx, dx - 1, ... of X, l of them or down to 0."""
@@ -635,9 +647,9 @@ class UnitChain:
     one Barrett step, cut down to its top nonzero slot.  Other steps go
     through _Packed.divrem (longer quotients, Galois rings) or factor.
 
-    steps holds, in order, (deg F_i, deg G_i, deg G_{i+1}, lc G_i, q_i) per
-    division and (F_i, deg F_i, G_i, deg G_i, u, j) per factorisation, F_i
-    and G_i packed and j as in _Packed.factor.
+    steps holds, in order, (deg F_i, deg G_i, deg G_{i+1}, lc G_i, -q_i) per
+    division and (F_i, deg F_i, G_i, deg G_i, u, j) per factorisation, F_i,
+    G_i and -q_i packed and j as in _Packed.factor.
     """
 
     def __init__(self, f: Poly, g: Poly):
@@ -656,12 +668,12 @@ class UnitChain:
                 # addmul and divrem's scan for the next nonzero slot, inlined:
                 # as two calls per step they took the small-modulus pool x1.11
                 # and zmod-euclid x1.08 (seed 1, one process, interleaved)
-                X = F + ((-q0 % n) | ((-q1 % n) << b)) * G
+                X = F + (Nq := (-q0 % n) | ((-q1 % n) << b)) * G
                 X -= (((((X >> a) & mask) * m) >> h) & mask) * n
                 dr = dg - 1
                 while dr >= 0 and not (cr := ((X >> (b * dr)) & sm) % n):
                     dr -= 1
-                steps.append((df, dg, dr, c, [q0, q1]))
+                steps.append((df, dg, dr, c, Nq))
                 F, df, G, dg, c = G, dg, X & (ones >> (top - b * (dr + 1))), dr, cr
                 continue
             if not R.is_unit(c):
@@ -676,8 +688,8 @@ class UnitChain:
                 steps.append((F, df, G, dg, u, j))
                 G, dg, c = Gt, k, R.one
                 continue
-            q, X, dr, cr = ops.divrem(F, df, G, dg, R.inv(c))
-            steps.append((df, dg, dr, c, q))
+            _, Nq, X, dr, cr = ops.divrem(F, df, G, dg, R.inv(c))
+            steps.append((df, dg, dr, c, Nq))
             F, df, G, dg, c = G, dg, X, dr, cr
         self._stop = F, df, G, dg
 
@@ -693,10 +705,10 @@ class UnitChain:
 
         (u, v) is first reduced (reduce_cofactors), so deg v < deg F_s.  Back
         through a division, u*F_{i+1} + v*G_{i+1} == v*F_i + (u - q_i*v)*G_i,
-        so U, V <- V, U + (-q_i)*V.  Back through a factorisation
-        G_i == unit*gtilde, V becomes V*unit^-1 and then, when lc(F_i) is a
-        unit, V mod F_i, adding the quotient times G_i to U, as
-        reduce_cofactors does.  As lc(F_i) is a unit for i > 0 and
+        so U, V <- V, U + (-q_i)*V, -q_i packed in steps.  Back through a
+        factorisation G_i == unit*gtilde, V becomes V*unit^-1 (unitdiv) and
+        then, when lc(F_i) is a unit, V mod F_i, adding the quotient times G_i
+        to U, as reduce_cofactors does.  As lc(F_i) is a unit for i > 0 and
         deg r < deg F_i + deg G_i, deg v < deg F_i gives deg u < deg G_i: no
         cofactor outgrows its pair.
         """
@@ -706,21 +718,15 @@ class UnitChain:
         for step in reversed(self.steps):
             if len(step) == 6:
                 F, df, G, dg, unit, j = step
-                # V*unit^-1, of at most lv + (j - 1)*m coefficients: an exact
-                # division from the bottom, which leaves a zero remainder
-                m, lq = unit.degree, lv + (j - 1) * unit.degree
-                V, X = ops.lowdiv(V, unit.coeffs, R.inv(unit.coeffs[0]), lq)
-                if any(c != R.zero for c in ops.top(X, m - 1, m)):
-                    raise InvariantError("unit inversion failed to converge")
-                (V, lv), c = ops.trim(V, lq), ops._coeff(F, df)
+                (V, lv), c = ops.unitdiv(V, lv, unit, j), ops._coeff(F, df)
                 if lv > df and R.is_unit(c):
-                    q, V, dr, _ = ops.divrem(V, lv - 1, F, df, R.inv(c))
+                    q, _, V, dr, _ = ops.divrem(V, lv - 1, F, df, R.inv(c))
                     l, lv = max(lu, len(q) + dg), dr + 1
                     U, lu = ops.trim(ops.addmul(U, l, ops.pack(q), G), l)
                 continue
-            df, dg, _, _, qq = step
-            l = max(lu, lv + len(qq) - 1)
-            U, lu, V, lv = V, lv, ops.addmul(U, l, ops.negpack(qq), V), l
+            df, dg, _, _, Nq = step
+            l = max(lu, lv + df - dg)
+            U, lu, V, lv = V, lv, ops.addmul(U, l, Nq, V), l
             if lv > df or lu > dg:
                 raise InvariantError("cofactor degrees exceed the chain's")
         return Poly(R, ops.unpack(U, lu)), Poly(R, ops.unpack(V, lv))
@@ -743,29 +749,17 @@ def reduce_cofactors(f: Poly, g: Poly, u: Poly, v: Poly):
 # inversion of unit polynomials
 # ---------------------------------------------------------------------------
 
-def _series_inv(h: Poly, t: int) -> Poly:
-    """Inverse of h modulo x^t by Newton iteration; h(0) must be a unit."""
-    R = h.ring
-    v = Poly(R, [R.inv(h.coeffs[0])])
-    two = Poly(R, [R.from_int(2)])
-    s = 1
-    while s < t:
-        s = min(2 * s, t)
-        v = (v * (two - v * h.mod_xpow(s))).mod_xpow(s)
-    return v
-
-
 def invert_unit(f: Poly) -> Poly:
-    """Exact inverse of a unit of R[x] (degree at most E*deg f)."""
+    """Exact inverse of a unit of R[x], of degree at most (j - 1)*deg f for
+    j the nil index of f's higher coefficients (_nil_index): 1 divided by f
+    from the bottom (_Packed.unitdiv), whose zero remainder certifies it."""
     R = f.ring
     if not is_unit_poly(f):
         raise NotUnitError("not a unit of R[x]")
     if f.degree == 0:
         return Poly(R, [R.inv(f.coeffs[0])])
-    v = _series_inv(f, R.E * f.degree + 1)
-    if v * f != Poly.one(R):
-        raise InvariantError("unit inversion failed to converge")
-    return v
+    ops = _Packed(R, f.degree + 2)
+    return Poly(R, ops.unpack(*ops.unitdiv(ops.pack([R.one]), 1, f, _nil_index(R, f.coeffs[1:]))))
 
 
 def invert_mod(u: Poly, f: Poly) -> Poly:
@@ -849,18 +843,19 @@ def _lift(R, G, m, j):
     so y^(ms) lies in J^s modulo P, and a step to precision J^p reads only
     the first m*p coefficients of G.  A step from
     precision J^a to J^p, p <= 2a, is P <- P + (S*E mod P) with S == Q^-1
-    mod P at precision J^a: S starts as the series inverse of Q0 mod y^m,
-    precise to J, and every later step first doubles its precision by
-    S <- S*(2 - Qr*S) mod P.
+    mod P at precision J^a: S starts as Q0^-1 mod y^m, 1 divided by Q0 from
+    the bottom (_Packed.lowdiv), precise to J, and every later step first
+    doubles its precision by S <- S*(2 - Qr*S) mod P.
     """
     rounds = (j - 1).bit_length()
     sizes = [min(len(G), m * -(-j >> (rounds - i))) for i in range(1, rounds + 1)]
     if m == 1:
         return _lift_root(R, G, R.zero, sizes)
-    S = _series_inv(Poly(R, G[m:2 * m]), m)
+    ops = _Packed(R, 2 * m)
+    S = ops.unpack(ops.lowdiv(ops.pack([R.one]), G[m:2 * m], R.inv(G[m]), m)[0], m)
     if R.kind == "zmod" and m <= _LIST_DEG_MAX:
-        return _lift_lists(R.n, G, [0] * m + [1], list(S.coeffs) + [0] * (m - len(S.coeffs)), sizes)
-    P, two = Poly(R, [R.zero] * m + [R.one]), Poly(R, [R.from_int(2)])
+        return _lift_lists(R.n, G, [0] * m + [1], S, sizes)
+    S, P, two = Poly(R, S), Poly(R, [R.zero] * m + [R.one]), Poly(R, [R.from_int(2)])
     for i, t in enumerate(sizes):
         Qr, E = divrem(divrem(Poly(R, G[:t]), P * P)[1], P)
         if i:

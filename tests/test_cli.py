@@ -244,12 +244,13 @@ class TestInvariants:
             assert not found, f"{path.name}: assert or AssertionError at lines {found}"
 
     def test_broken_invariant_is_3(self, monkeypatch, capsys):
-        from ringres import Poly
+        from ringres import poly
         from ringres.cli import main
 
-        # Truncating every Newton iterate to a constant makes invert_unit's
-        # final check v*f == 1 fail.
-        monkeypatch.setattr(Poly, "mod_xpow", lambda self, t: Poly(self.ring, self.coeffs[:1]))
+        # A nil index of 1 stops invert_unit's division of 1 by 1 + 6x after
+        # one coefficient of the inverse 1 + 2x + 4x^2 mod 8, so its
+        # zero-remainder check fails.
+        monkeypatch.setattr(poly, "_nil_index", lambda R, cs: 1)
         assert main(["inv", "--mod", "8", "1,6"]) == 3
         assert "InvariantError" in capsys.readouterr().err
 

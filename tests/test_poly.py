@@ -209,16 +209,34 @@ class TestUnits:
         assert invert_unit(f).coeffs == (1, 2, 4)
         assert (invert_unit(f) * f) == Poly.one(R)
 
-    @given(st.integers(2, 10**4), st.data())
+    @given(st.one_of(st.integers(2, 10**4), st.sampled_from([
+        (GaloisRing(2, 8, find_irreducible(2, 3)), 2), (GaloisRing(3, 20, find_irreducible(3, 2)), 3),
+        (Zmod(3**40), 3), (Zmod(2**64), 2)])), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_invert_unit_random(self, n, data):
-        R = Zmod(n)
-        c0 = data.draw(st.integers(1, n - 1))
-        if not R.is_unit(c0):
-            return
-        tail = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
-        f = Poly.from_ints(R, [c0] + [t for t in tail if R.is_nilpotent(t)])
-        assert invert_unit(f) * f == Poly.one(R)
+    def test_invert_unit_random(self, ring, data):
+        # over Z/n, n <= 10^4, up to 4 coefficients, the nilpotent ones kept;
+        # over GR(2,8,3), GR(3,20,2), Z/3^40 and Z/2^64 up to 40 multiples of
+        # p^v, v <= 3.  v*f == 1, and v has at most (j - 1)*deg f + 1
+        # coefficients for j the nil index of f's higher coefficients
+        if isinstance(ring, int):
+            R = Zmod(ring)
+            c0 = data.draw(st.integers(1, R.n - 1))
+            if not R.is_unit(c0):
+                return
+            tail = data.draw(st.lists(st.integers(0, R.n - 1), max_size=4))
+            f = Poly.from_ints(R, [c0] + [t for t in tail if R.is_nilpotent(t)])
+        else:
+            R, p = ring
+            elem = (st.integers(0, R.n - 1) if R.kind == "zmod" else
+                    st.tuples(*[st.integers(0, R.pe - 1)] * R.k))
+            c0 = data.draw(elem.filter(R.is_unit))
+            m = data.draw(st.integers(0, 40))   # lists alone rarely reach 40
+            tail = data.draw(st.lists(st.tuples(elem, st.integers(1, 3)), min_size=m, max_size=m))
+            f = Poly(R, [c0] + [R.mul(x, R.from_int(p**v)) for x, v in tail])
+        v = invert_unit(f)
+        assert v * f == Poly.one(R)
+        if f.degree >= 1:
+            assert len(v.coeffs) <= (_nil_index(R, f.coeffs[1:]) - 1) * f.degree + 1
 
     def test_invert_mod(self):
         R = Zmod(12)

@@ -622,7 +622,8 @@ UNIT_CHAIN_RINGS = [Zmod(3**40), Zmod(2**64), Zmod(P64),
 
 def chain_steps(chain):
     """chain.steps with each factorisation (F, deg F, G, deg G, u, j) unpacked
-    to (F, G, u); j <= R.E must bound the length of u^-1."""
+    to (F, G, u), and each division's packed -q to the list of q's
+    deg F - deg G + 1 coefficients; j <= R.E must bound the length of u^-1."""
     R, ops = chain.ring, chain.ops
     out = []
     for step in chain.steps:
@@ -630,6 +631,11 @@ def chain_steps(chain):
             F, df, G, dg, u, j = step
             assert len(invert_unit(u).coeffs) <= (j - 1) * u.degree + 1 and j <= R.E
             step = (Poly(R, ops.unpack(F, df + 1)), Poly(R, ops.unpack(G, dg + 1)), u)
+        else:
+            df, dg, dr, c, Nq = step
+            q = [R.neg(x) for x in ops.unpack(Nq, df - dg + 1)]
+            assert Nq == ops.negpack(q)     # reduced slots, none beyond q's
+            step = (df, dg, dr, c, q)
         out.append(step)
     return out
 
@@ -791,7 +797,7 @@ class TestUnitChain:
             factored.clear()
             chain = UnitChain(f, g)
             assert not unpacked and not factored
-            assert chain.steps == steps and chain.pair() == pair
+            assert chain_steps(chain) == steps and chain.pair() == pair
             self.check_lift(rng, chain, f, g, elem)
             with pytest.raises(NeedsSplitError) as e:
                 UnitChain(*pair)
