@@ -273,7 +273,7 @@ def test_criterion_5_bivariate_oracle(capsys):
     rng = random.Random(1005)
     done = 0
     while done < 200:
-        n = rng.choice([12, 27, 35, 100])
+        n = rng.choice([12, 27, 35, 72, 100, 15120])
         R = Zmod(n)
         f = BiPoly.from_ints(
             R, [[rng.randrange(n) for _ in range(rng.randrange(1, 5))] for _ in range(rng.randrange(1, 5))]

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -81,15 +82,18 @@ class TestInterpolationPlan:
         br = plan[0]
         assert isinstance(br.ring, Zmod) and br.modulus == 35
         assert [int(p) for p in br.points] == [0, 1, 2, 3]
+        assert br.orbits == (1, 1, 1, 1)
 
     def test_prime_power_galois_branch(self):
+        # k = 3 is the least with 2^k >= B + 1 + k; two full orbits of size
+        # 3 give 6 < 7 points, so the fixed point 0 follows
         plan = interpolation_plan(Zmod(4), 3)
         assert len(plan) == 1
         br = plan[0]
         assert isinstance(br.ring, GaloisRing)
-        assert br.ring.p == 2 and br.ring.e == 2
-        assert br.ring.p ** (len(br.ring.lam) - 1) > 3  # residue field beats B
-        assert len(br.points) == 4
+        assert br.ring.p == 2 and br.ring.e == 2 and br.ring.k == 3
+        assert len(br.points) == 7 and br.orbits == (3, 3, 1)
+        assert br.points[-1] == br.ring.zero
 
     def test_mixed_branches(self):
         plan = interpolation_plan(Zmod(12), 2)
@@ -97,14 +101,19 @@ class TestInterpolationPlan:
         assert mods == [3, 4]
         galois = [br for br in plan if br.modulus == 4][0]
         assert isinstance(galois.ring, GaloisRing)
+        assert len(galois.points) == 6 and galois.orbits == (3, 3)
         plain = [br for br in plan if br.modulus == 3][0]
         assert isinstance(plain.ring, Zmod) and len(plain.points) == 3
 
     def test_points_have_unit_differences(self):
-        for n, B in ((12, 4), (100, 5), (30, 3)):
-            for br in interpolation_plan(Zmod(n), B):
+        counts = {(12, 4): {4: 8, 3: 7}, (100, 5): {4: 12, 25: 8},
+                  (30, 3): {2: 7, 3: 6, 5: 4}}
+        for (n, B), want in counts.items():
+            plan = interpolation_plan(Zmod(n), B)
+            assert {br.modulus: len(br.points) for br in plan} == want
+            for br in plan:
                 S = br.ring
-                assert len(br.points) == B + 1
+                assert sum(br.orbits) == len(br.points)
                 for i, a in enumerate(br.points):
                     for b in br.points[:i]:
                         assert S.is_unit(S.sub(a, b))
@@ -114,16 +123,17 @@ class TestInterpolate:
     @pytest.mark.parametrize("n", [35, 100, 15120, 64])
     def test_matches_lagrange_oracle(self, n):
         rng = random.Random(n)
-        for B in (0, 1, 2, 12, 24, 40):
+        for B in (0, 1, 2, 12, 24, 40, 50):
             for bp in bivariate._plan(Zmod(n), B, 0):
                 br, S = bp.branch, bp.branch.ring
                 if isinstance(S, GaloisRing):
                     rand = lambda: tuple(rng.randrange(S.pe) for _ in range(S.k))
                 else:
                     rand = lambda: rng.randrange(S.n)
-                single = [S.zero] * (B + 1)
-                single[rng.randrange(B + 1)] = rand()
-                for values in ([rand() for _ in br.points], [S.zero] * (B + 1), single):
+                l = len(br.points)
+                single = [S.zero] * l
+                single[rng.randrange(l)] = rand()
+                for values in ([rand() for _ in br.points], [S.zero] * l, single):
                     got = bp.interpolate(values)
                     assert got == interpolate_lagrange(S, br.points, values), (n, B, S)
                     assert [got.eval(a) for a in br.points] == values
@@ -132,15 +142,20 @@ class TestInterpolate:
 class TestPlan:
     def test_eval_matches_horner_up_to_D(self):
         # the packed powers reach D = max deg_x, also where D exceeds B: a
-        # shorter row would drop the top coefficients without an error
+        # shorter row would drop the top coefficients without an error; eval
+        # covers each orbit's first point, and spread gives c(phi^i(a)) at
+        # the others
         rng = random.Random(7)
         for n, B, D in ((15120, 2, 9), (100, 12, 5), (72, 0, 4), (35, 3, 3)):
             R = Zmod(n)
             for bp in bivariate._plan(R, B, D):
-                S = bp.branch.ring
+                S, br = bp.branch.ring, bp.branch
                 c = Poly.from_ints(R, [rng.randrange(n) for _ in range(D + 1)])
-                want = [c.map_ring(S).eval(a) for a in bp.branch.points]
-                assert bp.eval(c) == want, (n, B, D, S)
+                want = [c.map_ring(S).eval(a) for a in br.points]
+                firsts = list(accumulate((0,) + br.orbits[:-1]))
+                got = bp.eval(c)
+                assert got == [want[i] for i in firsts], (n, B, D, S)
+                assert bp.spread(got) == want, (n, B, D, S)
 
     def test_second_call_reuses_the_plan(self, monkeypatch):
         calls = []
@@ -159,21 +174,155 @@ class TestPlan:
         info = bivariate._plan.cache_info()
         assert isinstance(info.maxsize, int) and info.currsize == 1
 
-    def test_base_ring_check_catches_a_planted_t_coefficient(self, monkeypatch):
+    @staticmethod
+    def plant_and_call(monkeypatch, j):
+        """res_y over Z/15120 with 1 added to the t^j coefficient of the
+        first Galois-ring point resultant.  That orbit's values stay
+        phi-consistent, so the interpolant stays in the base ring, and the
+        spare orbit pushes its degree above B."""
         orig, planted = bivariate.res_at_degrees, []
 
         def plant(f, N, g, M):
             r = orig(f, N, g, M)
             if f.ring.kind == "galois" and not planted:
                 planted.append(r)
-                r = (r[0], (r[1] + 1) % f.ring.pe) + r[2:]
+                r = r[:j] + ((r[j] + 1) % f.ring.pe,) + r[j + 1:]
             return r
         monkeypatch.setattr(bivariate, "res_at_degrees", plant)
         rng = random.Random(12)
         f, g = (bench_bipoly(rng, Zmod(15120), 2) for _ in range(2))
-        with pytest.raises(InvariantError, match="left the base ring"):
+        with pytest.raises(InvariantError, match="exceeds its degree bound"):
             res_y(f, g)
         assert planted
+
+    def test_base_ring_check_catches_a_planted_t_coefficient(self, monkeypatch):
+        self.plant_and_call(monkeypatch, 1)
+
+    def test_degree_check_catches_a_planted_constant_coefficient(self, monkeypatch):
+        self.plant_and_call(monkeypatch, 0)
+
+    def test_point_resultants_at_B_40(self, monkeypatch):
+        # one resultant per orbit: 8 + 12 + 15 + 22 over the branches
+        # GR(2,4,6), GR(3,3,4), GR(5,1,3), GR(7,1,2) of Z/15120
+        orig, calls = bivariate.res_at_degrees, []
+
+        def counting(*args):
+            calls.append(args)
+            return orig(*args)
+        monkeypatch.setattr(bivariate, "res_at_degrees", counting)
+        rng = random.Random(13)
+        f, g = (bench_bipoly(rng, Zmod(15120), 4) for _ in range(2))
+        assert degree_bound(f, g) == 40
+        out = res_y(f, g)
+        assert len(calls) == 57
+        assert out == res_y_oracle(f, g)
+
+
+class TestFrobenius:
+    """phi on every branch ring of the plans, and the orbits of the points."""
+
+    @staticmethod
+    def branch_plans():
+        for n in (12, 35, 72, 100, 15120):
+            for B in (4, 12, 24, 40):
+                for bp in bivariate._plan(Zmod(n), B, 0):
+                    if isinstance(bp.branch.ring, GaloisRing):
+                        yield n, B, bp
+
+    @staticmethod
+    def phi(S, images, x):
+        """sum_i x_i * tau^i by the ring's own arithmetic."""
+        acc = S.zero
+        for c, im in zip(x, images):
+            acc = S.add(acc, S.mul(S.from_int(c), im))
+        return acc
+
+    def test_tau_is_the_lifted_root(self):
+        seen = set()
+        for n, B, bp in self.branch_plans():
+            S = bp.branch.ring
+            if S in seen:
+                continue
+            seen.add(S)
+            tau = bp.images[1]
+            assert len(bp.images) == S.k
+            assert all(bp.images[i] == S.pow_elem(tau, i) for i in range(S.k))
+            acc = S.zero
+            for c in reversed(S.lam):
+                acc = S.add(S.mul(acc, tau), S.from_int(c))
+            assert acc == S.zero, (n, B, S)
+            F = GaloisRing(S.p, 1, S.lam)
+            t = (0, 1) + (0,) * (S.k - 2)
+            assert tuple(c % S.p for c in tau) == F.pow_elem(t, S.p), (n, B, S)
+        assert len(seen) >= 10
+
+    def test_phi_is_an_automorphism_of_order_k(self):
+        rng = random.Random(14)
+        for n, B, bp in self.branch_plans():
+            S, images = bp.branch.ring, bp.images
+            for _ in range(3):
+                a, b = (tuple(rng.randrange(S.pe) for _ in range(S.k)) for _ in range(2))
+                pa, pb = self.phi(S, images, a), self.phi(S, images, b)
+                assert bivariate._phi(S, images, a) == pa
+                assert self.phi(S, images, S.add(a, b)) == S.add(pa, pb)
+                assert self.phi(S, images, S.mul(a, b)) == S.mul(pa, pb)
+                x = a
+                for _ in range(S.k):
+                    x = self.phi(S, images, x)
+                assert x == a, (n, B, S)
+
+    def test_points_are_whole_orbits(self):
+        for n, B, bp in self.branch_plans():
+            br, S = bp.branch, bp.branch.ring
+            pts, k = br.points, S.k
+            assert S.p ** k >= B + 1 + k and S.p ** (k - 1) < B + k
+            assert B + 1 + k <= len(pts) < B + 1 + 2 * k
+            i = 0
+            for s in br.orbits:
+                assert all(c < S.p for c in pts[i])        # a digit lift
+                for j in range(i + 1, i + s):
+                    assert pts[j] == self.phi(S, bp.images, pts[j - 1]), (n, B, S)
+                i += s
+            for i, a in enumerate(pts):
+                for b in pts[:i]:
+                    assert S.is_unit(S.sub(a, b)), (n, B, S)
+
+    def test_open_orbits_at_B_50(self):
+        # at B = 50 the GR(2, 6, 6) branch of Z/64 runs out of full orbits
+        # and takes orbits of size 3 whose digit lifts phi^3 does not fix:
+        # its point set is not phi-stable, so the plan cannot derive basis
+        # polynomials by phi (TestInterpolate checks that basis at B = 50)
+        (bp,) = bivariate._plan(Zmod(64), 50, 5)
+        br, S = bp.branch, bp.branch.ring
+        starts = list(accumulate((0,) + br.orbits[:-1]))
+        assert any(bivariate._phi(S, bp.images, br.points[i + s - 1]) != br.points[i]
+                   for i, s in zip(starts, br.orbits))
+        rng = random.Random(16)
+        f, g = (BiPoly.from_ints(Zmod(64), [[rng.randrange(64) for _ in range(5)] + [1]
+                                            for _ in range(6)]) for _ in range(2))
+        assert degree_bound(f, g) == 50
+        assert res_y(f, g) == res_y_oracle(f, g)
+
+    def test_res_y_catches_an_unlifted_tau(self, monkeypatch):
+        # mutation: tau = t^p mod (lam, p^e) without the Newton lift (and
+        # without its check) must make res_y raise or disagree with the oracle
+        def unlifted(S):
+            tau = S.pow_elem((0, 1) + (0,) * (S.k - 2), S.p)
+            return tuple(S.pow_elem(tau, i) for i in range(S.k))
+        monkeypatch.setattr(bivariate, "_frobenius", unlifted)
+        bivariate._plan.cache_clear()
+        try:
+            rng = random.Random(15)
+            R = Zmod(100)
+            for N in (2, 3):
+                f, g = (bench_bipoly(rng, R, N) for _ in range(2))
+                try:
+                    out = res_y(f, g)
+                except InvariantError:
+                    continue
+                assert out != res_y_oracle(f, g)
+        finally:
+            bivariate._plan.cache_clear()
 
 
 class TestResY:
@@ -230,7 +379,7 @@ class TestResY:
         # reaches 24: over 15120 that is four Galois-ring branches
         plan = interpolation_plan(Zmod(15120), 24)
         assert sorted((br.ring.p, br.ring.e, br.ring.k) for br in plan) == [
-            (2, 4, 5), (3, 3, 3), (5, 1, 2), (7, 1, 2)]
+            (2, 4, 5), (3, 3, 4), (5, 1, 3), (7, 1, 2)]
         rng = random.Random(303)
         for n in (15120, 2**6, 3**4 * 5):
             R = Zmod(n)

@@ -223,8 +223,10 @@ class TestGaloisRing:
         gr = GaloisRing(2, 2, (1, 1, 1))
         pts = list(gr.residue_lifts())
         assert len(pts) == 4
-        # res_y takes the first B + 1 points, so the base-p digit order
-        # (lowest t-coefficient first) is part of the contract
+        # res_y starts each Frobenius orbit of its points at the first lift
+        # in this order whose residue is in an orbit not used before, so the
+        # base-p digit order (lowest t-coefficient first) is part of the
+        # contract
         assert pts == [(0, 0), (1, 0), (0, 1), (1, 1)]
         gr3 = GaloisRing(3, 4, (1, 2, 0, 1))
         assert list(gr3.residue_lifts()) == [
