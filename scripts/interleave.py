@@ -4,12 +4,12 @@
 
 Each tree's src/ringres is imported under its own package name, so both run
 in this one process.  perfbench/workloads.py of the checkout holding this
-script builds the same seeded pool once per tree (`--rounds` rounds of one
-call per slot, after its warm-up calls), and every call then runs on both
+script builds the same seeded pool once per tree (ROUNDS rounds of one call
+per slot, after its warm-up calls), and every call then runs on both
 trees back to back, in CPU time, the order flipping from call to call.  The
 two trees must give equal outputs (compared by repr, an exception by its
-class name); the first difference exits 1.  The pool is run `--passes`
-times; the first pass pays the cold caches (such as res_y's plans) as a
+class name); the first difference exits 1.  The pool is run PASSES times;
+the first pass pays the cold caches (such as res_y's plans) as a
 perfbench run does.  It prints each slot's mean call time on both trees and
 the ratio of their mix rates (slots over the sum of slot means, as
 perfbench's calls_per_s), new over old: above 1 the new tree is faster.
@@ -25,6 +25,7 @@ from pathlib import Path
 from time import process_time
 
 ROOT = Path(__file__).resolve().parent.parent
+ROUNDS, PASSES = 12, 3
 
 
 def load(tree: Path, name: str):
@@ -54,8 +55,6 @@ def main(argv=None):
     ap.add_argument("new", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--rounds", type=int, default=2)
-    ap.add_argument("--passes", type=int, default=2)
     args = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -65,11 +64,11 @@ def main(argv=None):
     for rr in trees:
         for c in workloads.warmup_calls(rr, args.workload, args.seed):
             run(getattr(rr, c.op), c.args)
-        pool, slots = workloads.build(rr, args.workload, args.seed, args.rounds)
+        pool, slots = workloads.build(rr, args.workload, args.seed, ROUNDS)
         pools.append([(getattr(rr, c.op), c.args) for c in pool])
     labels = [c.label for c in pool[:slots]]
     times = [[[] for _ in range(slots)] for _ in trees]
-    for p in range(args.passes):
+    for p in range(PASSES):
         for i, calls in enumerate(zip(*pools)):
             order = (0, 1) if (i + p) % 2 == 0 else (1, 0)
             outs = {}
@@ -86,7 +85,7 @@ def main(argv=None):
         print(f"{i:>4} {label:<10} {a * 1e3:>9.2f} {b * 1e3:>9.2f} {b / a:>8.3f}")
     rate = [slots / sum(m) for m in means]
     print(f"mix rate: old {rate[0]:.2f}/s, new {rate[1]:.2f}/s, new/old x{rate[1] / rate[0]:.3f}"
-          f" ({args.workload}, seed {args.seed}, {args.rounds} rounds, {args.passes} passes)")
+          f" ({args.workload}, seed {args.seed}, {ROUNDS} rounds, {PASSES} passes)")
     return 0
 
 

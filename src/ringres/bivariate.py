@@ -26,11 +26,10 @@ InvariantError.  The Z/m points are orbits of size 1, phi the identity.
 
 Everything but the resultants depends only on (n, B, D), D = max(deg_x f,
 deg_x g): a bounded cache holds, per branch, the powers a^j (j <= D) of the
-orbits' first points and the Lagrange basis over all points as packed ints,
-and the images of phi (`_BranchPlan`).  Where phi maps the points onto
-themselves, the basis polynomial at phi(a) is phi of the one at a.  A call
-evaluates each x-coefficient at the first points with D + 1 big-int products
-and interpolates with one product per point.
+orbits' first points and the Lagrange basis over all points as packed ints
+(`_BranchPlan`), and the images of phi (`Branch`).  A call evaluates each
+x-coefficient at the first points with D + 1 big-int products and
+interpolates with one product per point.
 """
 
 from __future__ import annotations
@@ -92,12 +91,14 @@ class Branch:
 
     `modulus` is the integer factor of n this branch is responsible for.
     The points come in phi-orbits of the sizes in `orbits`: a, phi(a), ...,
-    phi^(s-1)(a), then the next orbit."""
+    phi^(s-1)(a), then the next orbit.  `images` are _frobenius(ring) over a
+    Galois ring and None over Z/m, whose orbits all have size 1."""
 
     ring: object
     modulus: int
     points: tuple
     orbits: tuple
+    images: tuple | None = None
 
 
 def _frobenius(S: GaloisRing) -> tuple:
@@ -148,7 +149,7 @@ def _galois_branch(S: GaloisRing, count: int) -> Branch:
         for _ in range(s - 1):
             points.append(_phi(S, images, points[-1]))
         orbits.append(s)
-    return Branch(S, S.pe, tuple(points), tuple(orbits))
+    return Branch(S, S.pe, tuple(points), tuple(orbits), images)
 
 
 def interpolation_plan(ctx: Zmod, B: int) -> list[Branch]:
@@ -191,14 +192,12 @@ class _BranchPlan:
     M = prod (x - a_i), so the polynomial of degree < l through (a_i, r_i)
     is sum_i r_i * l_i (Lagrange; von zur Gathen & Gerhard, Modern Computer
     Algebra, §5.2; points need unit differences).  Either sum adds at most
-    max(l - 1, D) + 1 products, so w = poly._product_width(S, that).
-    `images` are _frobenius(S) over a Galois ring, None over Z/m."""
+    max(l - 1, D) + 1 products, so w = poly._product_width(S, that)."""
 
     branch: Branch
     w: int
     powers: tuple
     basis: tuple
-    images: tuple
 
     def eval(self, c: Poly) -> list:
         """c at each orbit's first point; c has base-ring coefficients and
@@ -210,11 +209,11 @@ class _BranchPlan:
     def spread(self, values) -> list:
         """The values at every point from those at each orbit's first point:
         phi^i(r) at phi^i(a)."""
-        out = []
-        for r, s in zip(values, self.branch.orbits):
+        br, out = self.branch, []
+        for r, s in zip(values, br.orbits):
             out.append(r)
             for _ in range(s - 1):
-                out.append(_phi(self.branch.ring, self.images, out[-1]))
+                out.append(_phi(br.ring, br.images, out[-1]))
         return out
 
     def interpolate(self, values) -> Poly:
@@ -226,8 +225,7 @@ class _BranchPlan:
 
 def _branch_plan(br: Branch, D: int) -> _BranchPlan:
     S, points, l = br.ring, br.points, len(br.points)
-    direct = list(accumulate((0,) + br.orbits[:-1]))  # each orbit's first point
-    firsts = [points[i] for i in direct]
+    firsts = [points[i] for i in accumulate((0,) + br.orbits[:-1])]
     mul, add, w = S.mul, S.add, _product_width(S, max(l - 1, D) + 1)
     rows = [[S.one] * len(firsts), firsts]
     while len(rows) <= D:
@@ -236,36 +234,22 @@ def _branch_plan(br: Branch, D: int) -> _BranchPlan:
     for a in points:
         na = S.neg(a)
         m = [m[0]] + [add(c, mul(na, h)) for c, h in zip(m[1:], m)] + [mul(na, m[-1])]
-    images = None
-    if isinstance(S, GaloisRing):
-        images = _frobenius(S)
-        # M has base-ring coefficients exactly when phi maps the points onto
-        # themselves (their residues are distinct); then l_{phi(a)} is phi of
-        # l_a, coefficient-wise, and only the first points need the products
-        # below.  Orbits of size 1 < s < k start at digit lifts that phi^s
-        # need not fix.
-        if any(x for c in m for x in c[1:]):
-            direct = range(l)
     quots, ds, pre = [], [], [S.one]
-    for a in (points[i] for i in direct):
+    for a in points:
         quo = [m[0]]  # M/(x - a) by synthetic division, descending
         for c in m[1:-1]:
             quo.append(add(c, mul(a, quo[-1])))
         quots.append(_pack(S, quo[::-1], w))
         ds.append(reduce(mul, [S.sub(a, b) for b in points if b != a], S.one))  # M'(a)
         pre.append(mul(pre[-1], ds[-1]))
-    # every 1/M'(a_i) from one S.inv: with t == 1/pre[j+1],
-    # 1/M'(a_i) == t*pre[j] and 1/pre[j] == t*M'(a_i), i = direct[j]
+    # every 1/M'(a_i) from one S.inv: with t == 1/pre[i+1],
+    # 1/M'(a_i) == t*pre[i] and 1/pre[i] == t*M'(a_i)
     basis, t = [None] * l, S.inv(pre[-1])
-    for j in range(len(quots) - 1, -1, -1):
-        X = _pack(S, [mul(t, pre[j])], w) * quots[j]
-        basis[direct[j]] = _unpack_product(S, X, l, w)
-        t = mul(t, ds[j])
-    for i, b in enumerate(basis):
-        if b is None:  # phi(a_{i-1}) == a_i
-            basis[i] = [_phi(S, images, c) for c in basis[i - 1]]
-    return _BranchPlan(br, w, tuple(_pack(S, r, w) for r in rows[:D + 1]),
-                       tuple(_pack(S, b, w) for b in basis), images)
+    for i in range(l - 1, -1, -1):
+        X = _pack(S, [mul(t, pre[i])], w) * quots[i]
+        basis[i] = _pack(S, _unpack_product(S, X, l, w), w)
+        t = mul(t, ds[i])
+    return _BranchPlan(br, w, tuple(_pack(S, r, w) for r in rows[:D + 1]), tuple(basis))
 
 
 # a plan holds l^2 + (D+1)*r packed coefficients per branch (l points, r of

@@ -175,31 +175,48 @@ class TestPlan:
         assert isinstance(info.maxsize, int) and info.currsize == 1
 
     @staticmethod
-    def plant_and_call(monkeypatch, j):
-        """res_y over Z/15120 with 1 added to the t^j coefficient of the
-        first Galois-ring point resultant.  That orbit's values stay
-        phi-consistent, so the interpolant stays in the base ring, and the
-        spare orbit pushes its degree above B."""
-        orig, planted = bivariate.res_at_degrees, []
+    def plant_and_call(monkeypatch, f, g, call, j, match):
+        """res_y(f, g) with 1 added to the t^j coefficient of Galois-ring
+        point resultant number `call` (from 0); it must raise `match`."""
+        orig, seen = bivariate.res_at_degrees, []
 
-        def plant(f, N, g, M):
-            r = orig(f, N, g, M)
-            if f.ring.kind == "galois" and not planted:
-                planted.append(r)
-                r = r[:j] + ((r[j] + 1) % f.ring.pe,) + r[j + 1:]
+        def plant(fa, N, ga, M):
+            r = orig(fa, N, ga, M)
+            if fa.ring.kind == "galois":
+                seen.append(r)
+                if len(seen) == call + 1:
+                    r = r[:j] + ((r[j] + 1) % fa.ring.pe,) + r[j + 1:]
             return r
         monkeypatch.setattr(bivariate, "res_at_degrees", plant)
-        rng = random.Random(12)
-        f, g = (bench_bipoly(rng, Zmod(15120), 2) for _ in range(2))
-        with pytest.raises(InvariantError, match="exceeds its degree bound"):
+        with pytest.raises(InvariantError, match=match):
             res_y(f, g)
-        assert planted
+        assert len(seen) > call
 
-    def test_base_ring_check_catches_a_planted_t_coefficient(self, monkeypatch):
-        self.plant_and_call(monkeypatch, 1)
+    @staticmethod
+    def bench_pair():
+        rng = random.Random(12)
+        return [bench_bipoly(rng, Zmod(15120), 2) for _ in range(2)]
+
+    def test_degree_check_catches_a_planted_t_coefficient(self, monkeypatch):
+        # the first Galois point's orbit has full size, so its values stay
+        # phi-consistent and the interpolant stays in the base ring; the
+        # spare orbit pushes its degree above B
+        self.plant_and_call(monkeypatch, *self.bench_pair(), 0, 1, "exceeds its degree bound")
 
     def test_degree_check_catches_a_planted_constant_coefficient(self, monkeypatch):
-        self.plant_and_call(monkeypatch, 0)
+        self.plant_and_call(monkeypatch, *self.bench_pair(), 0, 0, "exceeds its degree bound")
+
+    def test_base_ring_check_catches_a_planted_t_coefficient(self, monkeypatch):
+        # Z/4 at B = 3 has orbits (3, 3, 1), the last at the point 0, which
+        # phi fixes: a t^1 error there is not phi-consistent, and its
+        # Lagrange term carries t into the interpolant
+        R = Zmod(4)
+        (br,) = interpolation_plan(R, 3)
+        assert br.orbits == (3, 3, 1) and br.points[-1] == br.ring.zero
+        f = BiPoly.from_ints(R, [[1, 2], [3, 1]])
+        g = BiPoly.from_ints(R, [[2, 1, 3], [1, 0, 1]])
+        assert degree_bound(f, g) == 3 and res_y(f, g) == res_y_oracle(f, g)
+        self.plant_and_call(monkeypatch, f, g, 2, 1, "left the base ring")
 
     def test_point_resultants_at_B_40(self, monkeypatch):
         # one resultant per orbit: 8 + 12 + 15 + 22 over the branches
@@ -244,9 +261,9 @@ class TestFrobenius:
             if S in seen:
                 continue
             seen.add(S)
-            tau = bp.images[1]
-            assert len(bp.images) == S.k
-            assert all(bp.images[i] == S.pow_elem(tau, i) for i in range(S.k))
+            tau = bp.branch.images[1]
+            assert len(bp.branch.images) == S.k
+            assert all(bp.branch.images[i] == S.pow_elem(tau, i) for i in range(S.k))
             acc = S.zero
             for c in reversed(S.lam):
                 acc = S.add(S.mul(acc, tau), S.from_int(c))
@@ -259,7 +276,7 @@ class TestFrobenius:
     def test_phi_is_an_automorphism_of_order_k(self):
         rng = random.Random(14)
         for n, B, bp in self.branch_plans():
-            S, images = bp.branch.ring, bp.images
+            S, images = bp.branch.ring, bp.branch.images
             for _ in range(3):
                 a, b = (tuple(rng.randrange(S.pe) for _ in range(S.k)) for _ in range(2))
                 pa, pb = self.phi(S, images, a), self.phi(S, images, b)
@@ -281,7 +298,7 @@ class TestFrobenius:
             for s in br.orbits:
                 assert all(c < S.p for c in pts[i])        # a digit lift
                 for j in range(i + 1, i + s):
-                    assert pts[j] == self.phi(S, bp.images, pts[j - 1]), (n, B, S)
+                    assert pts[j] == self.phi(S, bp.branch.images, pts[j - 1]), (n, B, S)
                 i += s
             for i, a in enumerate(pts):
                 for b in pts[:i]:
@@ -289,13 +306,13 @@ class TestFrobenius:
 
     def test_open_orbits_at_B_50(self):
         # at B = 50 the GR(2, 6, 6) branch of Z/64 runs out of full orbits
-        # and takes orbits of size 3 whose digit lifts phi^3 does not fix:
-        # its point set is not phi-stable, so the plan cannot derive basis
-        # polynomials by phi (TestInterpolate checks that basis at B = 50)
+        # and takes orbits of size 3 whose digit lifts phi^3 does not fix,
+        # so phi does not map its point set onto itself; spreading values
+        # along each orbit still gives the right resultant
         (bp,) = bivariate._plan(Zmod(64), 50, 5)
         br, S = bp.branch, bp.branch.ring
         starts = list(accumulate((0,) + br.orbits[:-1]))
-        assert any(bivariate._phi(S, bp.images, br.points[i + s - 1]) != br.points[i]
+        assert any(bivariate._phi(S, bp.branch.images, br.points[i + s - 1]) != br.points[i]
                    for i, s in zip(starts, br.orbits))
         rng = random.Random(16)
         f, g = (BiPoly.from_ints(Zmod(64), [[rng.randrange(64) for _ in range(5)] + [1]
