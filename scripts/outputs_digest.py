@@ -5,6 +5,7 @@
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus inv --seed 1 --calls 20000
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long --seed 1 --calls 60
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus units --seed 1 --calls 2000
+    PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long-galois --seed 1 --calls 100
 
 Call i draws its operation, ring and operands from random.Random(f"{seed}/{i}"):
 res, res_ideal, rres and rres_bezout (value, u and v) over Z/n (primes,
@@ -34,6 +35,16 @@ res_ideal, rres or rres_bezout on a pair of degrees d and d - 1..3, d in
 composite 251*241*...*211, 10007, 9699690, 3^40 or 2^64, so that Euclidean chains run hundreds of
 division steps in a row (the main corpus stops at degree 26).  Outputs are
 recorded by their SHA-256, as the certificates run to megabytes.
+
+The long-galois corpus draws call i from random.Random(f"{seed}/long-galois/{i}"):
+res, res_ideal, rres or rres_bezout on a pair of degrees d and d - 1..3, d in
+LONG_GALOIS_DEGREES, with uniform coefficients over GR(2, 8, 3), GR(3, 20, 2)
+or GR(101, 4, 4), the benchmark's Galois rings, so that Galois chains run long
+runs of division steps between the breaks at nilpotent leading coefficients
+(the main corpus stops at degree 10 over Galois rings); three calls in ten
+multiply both operands by a common factor of degree 1..3 with coefficients
+biased toward p, so that the chain ends at a factor and rres is not 1.
+Outputs are recorded by their SHA-256, as in the long corpus.
 
 The units corpus draws call i from random.Random(f"{seed}/units/{i}"):
 invert_unit, invert_mod, divrem_primitive or fun_factor over Z/n for prime
@@ -83,6 +94,8 @@ UNITS = [  # (n, its prime factors)
     (72, (2, 3)), (360, (2, 3, 5)), (2**10 * 3**5, (2, 3)), (15120, (2, 3, 5, 7)),
     (5**7 * 7**3, (5, 7)),
 ]
+LONG_GALOIS = [(2, 8, 3), (3, 20, 2), (101, 4, 4)]
+LONG_GALOIS_DEGREES = range(100, 401)
 LONG = [P64, 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211, 10007, 9699690, 3**40, 2**64]
 
 
@@ -186,12 +199,8 @@ def call_inv(seed, i):
     return [str(R), list(a), got]
 
 
-def call_long(seed, i):
-    """The record of long call i: [operation, ring, degrees, SHA-256 of the output]."""
-    rng = random.Random(f"{seed}/long/{i}")
-    op, n = rng.choice(["res", "res_ideal", "rres", "rres_bezout"]), rng.choice(LONG)
-    R, d = Zmod(n), rng.randrange(200, 1101)
-    f, g = (Poly(R, [rng.randrange(n) for _ in range(e + 1)]) for e in (d, d - rng.randrange(1, 4)))
+def _digest_call(op, R, f, g):
+    """[operation, ring, degrees, SHA-256 of the output] of op on f, g."""
     try:
         if op == "rres_bezout":
             c = rres_bezout(f, g)
@@ -202,6 +211,28 @@ def call_long(seed, i):
         got = type(e).__name__
     out = hashlib.sha256(json.dumps(got, separators=(",", ":")).encode()).hexdigest()
     return [op, str(R), [f.degree, g.degree], out]
+
+
+def call_long(seed, i):
+    """The record of long call i: [operation, ring, degrees, SHA-256 of the output]."""
+    rng = random.Random(f"{seed}/long/{i}")
+    op, n = rng.choice(["res", "res_ideal", "rres", "rres_bezout"]), rng.choice(LONG)
+    R, d = Zmod(n), rng.randrange(200, 1101)
+    f, g = (Poly(R, [rng.randrange(n) for _ in range(e + 1)]) for e in (d, d - rng.randrange(1, 4)))
+    return _digest_call(op, R, f, g)
+
+
+def call_long_galois(seed, i):
+    """The record of long-galois call i: [operation, ring, degrees, SHA-256 of the output]."""
+    rng = random.Random(f"{seed}/long-galois/{i}")
+    op, (p, e, k) = rng.choice(["res", "res_ideal", "rres", "rres_bezout"]), rng.choice(LONG_GALOIS)
+    R, d = GaloisRing(p, e, find_irreducible(p, k)), rng.choice(LONG_GALOIS_DEGREES)
+    f, g = (Poly(R, [tuple(rng.randrange(R.pe) for _ in range(k)) for _ in range(de + 1)])
+            for de in (d, d - rng.randrange(1, 4)))
+    if rng.random() < 0.3:
+        h = _poly(rng, R, (p,), rng.randrange(1, 4))
+        f, g = f * h, g * h
+    return _digest_call(op, R, f, g)
 
 
 def call_units(seed, i):
@@ -251,7 +282,7 @@ def call_units(seed, i):
 
 
 CORPORA = {"main": call, "res_y": call_res_y, "inv": call_inv, "long": call_long,
-           "units": call_units}
+           "long-galois": call_long_galois, "units": call_units}
 
 
 def main(argv=None):

@@ -13,7 +13,10 @@
 # 5,000-call corpus stops at degree 26; and the digest of 2,000 calls of
 # invert_unit, invert_mod, divrem_primitive and fun_factor on units of R[x] of
 # degree up to 40 (about 10 s), which must equal UNITS_DIGEST: no other corpus
-# calls them directly.  Last, it prints the non-blank line count of
+# calls them directly; and the digest of 100 calls on long Galois chains,
+# degrees 100-400 over the benchmark's three Galois rings (about 10 s), which
+# must equal LONG_GALOIS_DIGEST: the main corpus stops at degree 10 over
+# Galois rings.  Last, it prints the non-blank line count of
 # src/ringres (not a gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -52,4 +55,8 @@ UNITS_DIGEST=3c0b67c56546e717389f1a7fe6f39a6e44c48b4ad09e9bdc603d44434569a3bb
 got=$(python3 scripts/outputs_digest.py --corpus units --seed 1 --calls 2000)
 test "$got" = "$UNITS_DIGEST" || { echo "units outputs digest: $got, expected $UNITS_DIGEST" >&2; exit 1; }
 echo "units outputs digest: $got"
+LONG_GALOIS_DIGEST=81e8089ad65508b5ba46646709f5be9690e5adf356b20f82308a37132d9bbc0d
+got=$(python3 scripts/outputs_digest.py --corpus long-galois --seed 1 --calls 100)
+test "$got" = "$LONG_GALOIS_DIGEST" || { echo "long-galois outputs digest: $got, expected $LONG_GALOIS_DIGEST" >&2; exit 1; }
+echo "long-galois outputs digest: $got"
 echo "non-blank lines in src/ringres: $(cat src/ringres/*.py | grep -cv '^[[:space:]]*$')"

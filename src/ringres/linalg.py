@@ -152,6 +152,11 @@ def _howell_core(n: int, rows, width: int):
     pivots = {}
     for row in rows:
         _echelon_insert(n, pivots, [c % n for c in row], width)
+    # a unit pivot in every column, and no columns riding along: the rows
+    # span all of (Z/n)^width, whose Howell form is the identity
+    if (len(pivots) == width and rows and len(rows[0]) == width
+            and all(math.gcd(row[j], n) == 1 for j, row in pivots.items())):
+        return {j: [int(i == j) for i in range(width)] for j in pivots}
     # annihilator rows: (n / gcd(n, pivot)) * row re-enters the worklist;
     # pivot ideals only grow, so this stabilises quickly.
     for _ in range(width + 1):

@@ -358,7 +358,7 @@ def divrem(f: Poly, g: Poly):
     if not R.is_unit(g.lc):
         raise NonInvertibleLeadingCoeffError(
             "divrem requires an invertible leading coefficient")
-    winv, dg = R.inv(g.lc), g.degree
+    winv, dg = g.lc if g.lc == R.one else R.inv(g.lc), g.degree
     if f.degree < dg:
         return Poly(R, []), f
     if dg == 0:
@@ -533,14 +533,14 @@ class _Packed:
         bytes, so a division costs O(deg X) big-int work whatever J is."""
         R, b, J, s, dd = self.R, self.b, self.J, self.bb // 8, len(D) - 1
         buf = bytearray(X.to_bytes((nq + dd) * s, "little"))
-        d1, N, q = D[1:], self.negpack(D), []
+        d1, N, q, one = D[1:], self.negpack(D), [], ci == R.one
         for lo in range(0, nq, J):
             j = min(J, nq - lo)
             Y = int.from_bytes(buf[lo * s:(lo + j + dd) * s], "little")
             if self.galois:
                 ft = [self._coeff(Y, i) for i in range(j)]
                 for i in range(j):
-                    c = ft[i] = R.mul(ft[i], ci)
+                    c = ft[i] = ft[i] if one else R.mul(ft[i], ci)
                     for t, y in zip(range(i + 1, j), d1):
                         ft[t] = R.sub(ft[t], R.mul(c, y))
             else:   # on ints, reduced only when a coefficient is read
@@ -620,7 +620,7 @@ class _Packed:
         u0 = self._coeff(Q, k)
         if not R.is_unit(u0) or not all(map(R.is_nilpotent, P[:-1])):
             raise InvariantError("unit factor is not a unit of R[x]")
-        return (Poly(R, [R.mul(u0, c) for c in reversed(P)]), j,
+        return (Poly(R, [u0] + [R.mul(u0, c) for c in reversed(P[:-1])]), j,
                 self.addmul(0, k + 1, self.pack([R.inv(u0)]), Q))
 
 
@@ -642,10 +642,13 @@ class UnitChain:
     Divisions, factorisations and lift run on packed ints (_Packed), over
     Z/n and Galois rings alike, and nothing is unpacked before pair().
 
-    The usual step over Z/n, a unit lc and deg F_i == deg G_i + 1, runs fused
-    in the loop: q_i from the top two slots, G_{i+1} = F_i + (-q_i)*G_i with
-    one Barrett step, cut down to its top nonzero slot.  Other steps go
-    through _Packed.divrem (longer quotients, Galois rings) or factor.
+    The usual step, a unit lc and deg F_i == deg G_i + 1, runs fused in the
+    loop over Z/n and Galois rings alike: q_i from the top two coefficients
+    of F_i with one lc inverse, G_{i+1} = F_i + (-q_i)*G_i in one update, cut
+    down to its top nonzero coefficient.  Over Z/n the update is one Barrett
+    step inline; over a Galois ring it is one addmul.  Longer quotients go
+    through _Packed.divrem, and nilpotent leading coefficients through
+    factor.
 
     steps holds, in order, (deg F_i, deg G_i, deg G_{i+1}, lc G_i, -q_i) per
     division and (F_i, deg F_i, G_i, deg G_i, u, j) per factorisation, F_i,
@@ -658,7 +661,8 @@ class UnitChain:
         F, df, G, dg, c = ops.pack(f.coeffs), f.degree, ops.pack(g.coeffs), g.degree, g.lc
         steps = self.steps = []
         n, b, sm, a, h, m, mask = ops.n, ops.b, ops.slot_mask, ops.a, ops.h, ops.m, ops.mask
-        ones, top, zmod = ops.ones, ops.bb * ops.slots, not ops.galois
+        ones, bb, zero, zmod = ops.ones, ops.bb, R.zero, not ops.galois
+        top = bb * ops.slots
         while dg > 0:
             if zmod and df == dg + 1 and math.gcd(c, n) == 1:
                 ci = pow(c, -1, n)
@@ -687,6 +691,18 @@ class UnitChain:
                 u, j, Gt = ops.factor(G, dg, k)
                 steps.append((F, df, G, dg, u, j))
                 G, dg, c = Gt, k, R.one
+                continue
+            if df == dg + 1:    # over a Galois ring: Z/n took the branch above
+                ci = R.inv(c)
+                q1 = R.mul(ops._coeff(F, df), ci)
+                q0 = R.mul(R.sub(ops._coeff(F, df - 1), R.mul(q1, ops._coeff(G, dg - 1))), ci)
+                Nq = ops.negpack([q0, q1])
+                X = ops.addmul(F, df + 1, Nq, G)
+                dr = dg - 1
+                while dr >= 0 and (cr := ops._coeff(X, dr)) == zero:
+                    dr -= 1
+                steps.append((df, dg, dr, c, Nq))
+                F, df, G, dg, c = G, dg, X & (ones >> (top - bb * (dr + 1))), dr, cr
                 continue
             _, Nq, X, dr, cr = ops.divrem(F, df, G, dg, R.inv(c))
             steps.append((df, dg, dr, c, Nq))

@@ -367,30 +367,42 @@ class GaloisRing:
         return False  # local ring
 
     def inv(self, a):
-        """x with x*a == 1: Gauss-Jordan over Z/p^e on the k equations
-        sum_i x_i * (t^i * a mod lam) == 1, pivoting on entries that are
-        units mod p.  Every column has one exactly when a is invertible mod
-        (p, lam), which is when a is a unit if lam is irreducible mod p."""
+        """x with x*a == 1, by fraction-free elimination (Bareiss, Math.
+        Comp. 22, 1968) on the integer matrix M whose column i is t^i * a
+        mod lam, and e_0 beside it.  Rows swap at a zero integer pivot, and
+        every division is exact: the last pivot is d = ±det(M), and back
+        substitution gives the integer vector d*M^-1*e_0 = ±adj(M)*e_0.
+        det(M) is the norm of a from the algebra to Z/p^e, so a is a unit
+        exactly when d is a unit mod p, lam irreducible or not, and then
+        x = d*M^-1*e_0 * d^-1 mod p^e: one modular inverse per call."""
         if self.e == 0:
             return self.zero
         q, k, lam = self.pe, self.k, self.lam
         cols, r = [], [c % q for c in a]
-        for _ in range(k):                      # cols[i] == t^i * a mod lam
+        for _ in range(k - 1):                  # cols[i] == t^i * a mod lam
             cols.append(r)
-            r = [(-r[-1] * lam[0]) % q] + [(r[j - 1] - r[-1] * lam[j]) % q for j in range(1, k)]
-        eqs = [[c[j] for c in cols] + [int(j == 0)] for j in range(k)]
+            r = [-r[-1] * lam[0] % q] + [(r[j - 1] - r[-1] * lam[j]) % q for j in range(1, k)]
+        cols.append(r)
+        rows = [list(c) + [int(j == 0)] for j, c in enumerate(zip(*cols))]
+        d = 1
         for i in range(k):
-            piv = next((j for j in range(i, k) if eqs[j][i] % self.p), None)
-            if piv is None:
-                raise NotUnitError(f"{a} is not a unit in {self}")
-            u = pow(eqs[piv][i], -1, q)
-            row = [c * u % q for c in eqs[piv]]
-            eqs[piv], eqs[i] = eqs[i], row
-            for j, other in enumerate(eqs):
-                if j != i and other[i]:
-                    c = other[i]
-                    eqs[j] = [(y - c * z) % q for y, z in zip(other, row)]
-        x = tuple(eq[k] for eq in eqs)
+            if not rows[i][i]:
+                piv = next((j for j in range(i + 1, k) if rows[j][i]), None)
+                if piv is None:                 # det(M) == 0
+                    raise NotUnitError(f"{a} is not a unit in {self}")
+                rows[piv], rows[i] = rows[i], rows[piv]
+            row, prev, d = rows[i], d, rows[i][i]
+            for j in range(i + 1, k):
+                c = rows[j][i]
+                rows[j] = [(d * y - c * z) // prev for y, z in zip(rows[j], row)]
+        if d % self.p == 0:
+            raise NotUnitError(f"{a} is not a unit in {self}")
+        x = [0] * k
+        for i in range(k - 1, -1, -1):
+            row = rows[i]
+            x[i] = (d * row[k] - sum([row[j] * x[j] for j in range(i + 1, k)])) // row[i]
+        u = pow(d, -1, q)
+        x = tuple([c * u % q for c in x])
         if self.mul(a, x) != self.one:
             raise InvariantError("Galois ring inversion failed")
         return x

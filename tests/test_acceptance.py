@@ -44,6 +44,7 @@ from oracles import (
     normal_presentation,
     random_monogenic_field,
     res_y_oracle,
+    rres_galois_oracle,
     rres_howell_oracle,
 )
 
@@ -167,6 +168,45 @@ def test_criterion_3_rres_oracle(capsys):
         print(
             f"PASS criterion 3: 1000 random + {swept} exhaustive rres/Bezout vs oracle in {dt:.1f}s (< 120s)"
         )
+
+
+def test_criterion_3_galois_rres_oracle(capsys):
+    # rres and rres_bezout against the chain-ring Howell oracle, with the
+    # certificate checked by re-multiplication; a copy of rres that returned
+    # p*r with the certificate scaled by p would pass that check, and the
+    # oracle tells the two apart whenever r != 0
+    t0 = time.perf_counter()
+    rng = random.Random(1013)
+    rings = [(2, 8, 3), (3, 20, 2), (101, 4, 4), (2, 3, 2), (3, 2, 2)]
+    caught = 0
+    for p, e, k in rings:
+        R = GaloisRing(p, e, find_irreducible(p, k))
+        P = R.from_int(p)
+        done = 0
+        while done < 40:
+            # half the coefficients nilpotent, so leading coefficients drop
+            f, g = (Poly(R, [R.mul(tuple(rng.randrange(R.pe) for _ in range(k)),
+                                   R.from_int(p ** rng.randrange(2)))
+                             for _ in range(rng.randrange(1, 9))])
+                    for _ in range(2))
+            if f.is_zero() or g.is_zero():
+                continue
+            want, cert = rres_galois_oracle(f, g), rres_bezout(f, g)
+            assert rres(f, g) == want == R.ideal_gen(cert.value), (R, f, g)
+            assert cert.u * f + cert.v * g == Poly.const(R, cert.value), (R, f, g)
+            r = R.mul(P, cert.value)
+            assert cert.u.scale(P) * f + cert.v.scale(P) * g == Poly.const(R, r)
+            if not R.is_zero(cert.value):
+                assert R.ideal_gen(r) != want
+                caught += 1
+            done += 1
+    assert caught >= 100
+    dt = time.perf_counter() - t0
+    assert dt < 30.0
+    names = ", ".join(f"GR({p},{e},{k})" for p, e, k in rings)
+    with capsys.disabled():
+        print(f"PASS criterion 3 (Galois): {40 * len(rings)} rres/Bezout vs oracle over {names}, "
+              f"{caught} p*r mutations caught, in {dt:.1f}s (< 30s)")
 
 
 def test_criterion_4_algebraic_identities(capsys):

@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 import sympy
 
+from ringres import linalg
 from ringres import (
     Matrix,
     NonInvertibleLeadingCoeffError,
@@ -134,6 +136,38 @@ class TestHowell:
                         c = rng.randrange(n)
                         mixed[i] = [(x + c * y) % n for x, y in zip(mixed[i], mixed[j])]
                 assert howell(Matrix(R, mixed)) == howell(Matrix(R, rows)), (n, rows, mixed)
+
+    def test_identity_shortcut(self, monkeypatch):
+        # a unit pivot in every column makes the Howell form the identity,
+        # returned before the annihilator, normalisation and size-reduction
+        # passes (which call _unit_scale once per pivot); a non-unit
+        # determinant takes them all, and so does a call whose augmented
+        # columns ride along, even when its pivots are units
+        scaled = []
+        unit_scale = linalg._unit_scale
+        monkeypatch.setattr(linalg, "_unit_scale", lambda n, h: scaled.append(h) or unit_scale(n, h))
+        rng = random.Random(23)
+        seen = {True: 0, False: 0}
+        for n in (72, 9699690, 2**64):
+            R = Zmod(n)
+            for size in range(1, 7):
+                for _ in range(4):
+                    rows = [[rng.randrange(n) for _ in range(size)] for _ in range(size)]
+                    if not any(map(any, rows)):
+                        continue
+                    scaled.clear()
+                    H = howell(Matrix(R, rows)).to_lists()
+                    unit = math.gcd(det(Matrix(R, rows)), n) == 1
+                    seen[unit] += 1
+                    identity = [[int(i == j) for j in range(size)] for i in range(size)]
+                    assert (H == identity) == unit and (not scaled) == unit, (n, rows, H)
+        assert min(seen.values()) >= 10, seen
+        R = Zmod(2**64)
+        f, g = Poly.from_ints(R, [3, 1, 4, 1]), Poly.from_ints(R, [5, 9, 2])
+        scaled.clear()
+        cert = res_bezout_linalg(f, g)
+        assert R.is_unit(cert.value) and scaled
+        assert cert.u * f + cert.v * g == Poly.const(R, cert.value)
 
     def test_empty_and_zero(self):
         R = Zmod(12)

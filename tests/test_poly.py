@@ -320,6 +320,27 @@ class TestFunFactor:
             assert (fac.u, fac.gtilde, fac.k) == fun_factor_forward(f), (d, m, low, x)
             assert fac.gtilde.degree == d - m and fac.u.degree == m
 
+    @pytest.mark.parametrize("R, r", FF_RINGS[4:], ids=str)
+    def test_no_galois_product_by_one(self, monkeypatch, R, r):
+        # the factorisation divides by the monic rev(P) from the bottom, and
+        # its lift by the monic P and P^2, and it builds u from the monic P:
+        # no GaloisRing.mul(x, 1), no coefficient multiplied by a 1
+        rng = random.Random(f"fun_factor/by-one/{R}")
+        fs = [ff_input(rng, R, r, d, m) for d in (12, 40) for m in (1, 2, 3)]
+        by_one, mul = [], GaloisRing.mul
+
+        def counting(S, a, b):
+            if b == S.one:
+                by_one.append(a)
+            return mul(S, a, b)
+
+        monkeypatch.setattr(GaloisRing, "mul", counting)
+        facs = [fun_factor(f) for f in fs]
+        assert not by_one
+        monkeypatch.undo()
+        for f, fac in zip(fs, facs):
+            assert fac.u * fac.gtilde == f and fac.gtilde.lc == R.one
+
     @pytest.mark.parametrize("R, r, d", [(Zmod(2**6), 2, 40), (Zmod(3**4), 3, 40),
                                          (Zmod(3**40), 3, 300),
                                          (GaloisRing(2, 8, find_irreducible(2, 3)), 2, 40)],

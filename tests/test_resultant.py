@@ -775,6 +775,31 @@ class TestUnitChain:
         assert len(steps) - len(divided) - len(gaps) >= 4
         self.check_lift(rng, chain, f, g, elem)
 
+    @pytest.mark.parametrize("R", UNIT_CHAIN_RINGS[3:], ids=str)
+    def test_fused_galois_runs(self, monkeypatch, R):
+        # over Galois rings too, every quotient of degree 1 under a unit
+        # leading coefficient is a fused step, every other one a
+        # _Packed.divrem: runs end at drops, at a factorisation of gap 2 and
+        # at a constant or a nilpotent-content remainder; records, pair and
+        # lift are the planted ones (the Hensel lift of a factorisation runs
+        # its own divisions, which are not the chain's steps)
+        rng = random.Random(f"fused/{R}")
+        elem, unit, nil = self.tools(R, rng)
+        calls, divrem = [], _Packed.divrem
+        monkeypatch.setattr(_Packed, "divrem", lambda *a: calls.append(a) or divrem(*a))
+        for degs, gaps, last in [
+                ([16, 15, 14, 12, 11, 10, 9, 5, 4, 3, 0], {}, Poly.const(R, unit())),
+                ([14, 13, 12, 11, 8, 7, 6, 5, 0], {4: 2}, Poly.const(R, unit())),
+                ([12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1], {}, Poly(R, [elem(), unit()]).scale(nil()))]:
+            f, g, pair, steps = plant_chain(rng, R, degs, gaps, last, elem, unit, nil)
+            calls.clear()
+            chain = UnitChain(f, g)
+            divided = [a[2] - a[4] for a in calls if a[0] is chain.ops]
+            assert chain_steps(chain) == steps and chain.pair() == pair
+            assert divided == [s[0] - s[1] for s in steps if len(s) == 5 and s[0] - s[1] > 1]
+            assert len(steps) - len(divided) - len(gaps) >= 4
+            self.check_lift(rng, chain, f, g, elem)
+
     def test_stops_at_a_divisor_it_cannot_factor(self, monkeypatch):
         # over Z/72 = Z/8 x Z/9: lc 2 is not nilpotent, and below lc 6 the
         # highest non-nilpotent coefficient 4 splits, so the chain stops at

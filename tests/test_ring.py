@@ -208,6 +208,28 @@ class TestGaloisRing:
         with pytest.raises(NotUnitError):
             gr.inv(gr.zero)
 
+    def test_inverse_edge_cases(self):
+        # k = 1: GR(7, 3, 1) is Z/343, and the one pivot is a itself
+        gr = GaloisRing(7, 3, (3, 1))
+        for a in range(343):
+            if a % 7:
+                assert gr.inv((a,)) == (pow(a, -1, 343),)
+            else:       # zero (a zero pivot) and the other non-units (d == a)
+                with pytest.raises(NotUnitError):
+                    gr.inv((a,))
+        # e = 0: the zero ring, where 0 == 1 is its own inverse
+        z = GaloisRing(2, 0, find_irreducible(2, 3))
+        assert z.inv(z.zero) == z.zero == z.one
+        # t and t^2 in GR(2, 8, 3): units whose column 0 has a zero first
+        # entry, so the elimination swaps rows; zero has no pivot at all, and
+        # 2t a nonzero determinant divisible by 2
+        gr = GaloisRing(2, 8, find_irreducible(2, 3))
+        for a in ((0, 1, 0), (0, 0, 1), (0, 0, 255)):
+            assert gr.mul(gr.inv(a), a) == gr.one
+        for a in (gr.zero, (0, 2, 0), (2, 4, 6)):
+            with pytest.raises(NotUnitError):
+                gr.inv(a)
+
     def test_ideal_gen_and_try_divide(self):
         gr = GaloisRing(2, 3, (1, 1, 1))
         assert gr.ideal_gen((2, 4)) == (2, 0)
