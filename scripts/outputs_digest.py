@@ -6,6 +6,7 @@
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long --seed 1 --calls 60
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus units --seed 1 --calls 2000
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long-galois --seed 1 --calls 100
+    PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long-small --seed 1 --calls 600
 
 Call i draws its operation, ring and operands from random.Random(f"{seed}/{i}"):
 res, res_ideal, rres and rres_bezout (value, u and v) over Z/n (primes,
@@ -35,6 +36,13 @@ res_ideal, rres or rres_bezout on a pair of degrees d and d - 1..3, d in
 composite 251*241*...*211, 10007, 9699690, 3^40 or 2^64, so that Euclidean chains run hundreds of
 division steps in a row (the main corpus stops at degree 26).  Outputs are
 recorded by their SHA-256, as the certificates run to megabytes.
+
+The long-small corpus draws call i from random.Random(f"{seed}/long-small/{i}")
+as the long corpus does, over moduli whose chains split early or whose
+remainders often drop degree: 510510 and 30030 (7 and 6 prime factors below
+20), 1001 = 7*11*13, 2^31 - 1, 2 and 3.  Over such moduli a quotient often has
+more than two coefficients, and at 510510 and 2^31 - 1 a packed step takes
+only 4 of them.
 
 The long-galois corpus draws call i from random.Random(f"{seed}/long-galois/{i}"):
 res, res_ideal, rres or rres_bezout on a pair of degrees d and d - 1..3, d in
@@ -97,6 +105,7 @@ UNITS = [  # (n, its prime factors)
 LONG_GALOIS = [(2, 8, 3), (3, 20, 2), (101, 4, 4)]
 LONG_GALOIS_DEGREES = range(100, 401)
 LONG = [P64, 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211, 10007, 9699690, 3**40, 2**64]
+LONG_SMALL = [510510, 2**31 - 1, 30030, 2, 3, 7 * 11 * 13]
 
 
 def _elem(rng, R, primes):
@@ -213,13 +222,23 @@ def _digest_call(op, R, f, g):
     return [op, str(R), [f.degree, g.degree], out]
 
 
-def call_long(seed, i):
-    """The record of long call i: [operation, ring, degrees, SHA-256 of the output]."""
-    rng = random.Random(f"{seed}/long/{i}")
-    op, n = rng.choice(["res", "res_ideal", "rres", "rres_bezout"]), rng.choice(LONG)
+def _long_zmod_call(rng, moduli):
+    """_digest_call on a pair of degrees d and d - 1..3, d in 200..1100, with
+    uniform coefficients over Z/n for n drawn from moduli."""
+    op, n = rng.choice(["res", "res_ideal", "rres", "rres_bezout"]), rng.choice(moduli)
     R, d = Zmod(n), rng.randrange(200, 1101)
     f, g = (Poly(R, [rng.randrange(n) for _ in range(e + 1)]) for e in (d, d - rng.randrange(1, 4)))
     return _digest_call(op, R, f, g)
+
+
+def call_long(seed, i):
+    """The record of long call i: [operation, ring, degrees, SHA-256 of the output]."""
+    return _long_zmod_call(random.Random(f"{seed}/long/{i}"), LONG)
+
+
+def call_long_small(seed, i):
+    """The record of long-small call i: [operation, ring, degrees, SHA-256 of the output]."""
+    return _long_zmod_call(random.Random(f"{seed}/long-small/{i}"), LONG_SMALL)
 
 
 def call_long_galois(seed, i):
@@ -282,7 +301,7 @@ def call_units(seed, i):
 
 
 CORPORA = {"main": call, "res_y": call_res_y, "inv": call_inv, "long": call_long,
-           "long-galois": call_long_galois, "units": call_units}
+           "long-galois": call_long_galois, "long-small": call_long_small, "units": call_units}
 
 
 def main(argv=None):

@@ -16,7 +16,10 @@
 # calls them directly; and the digest of 100 calls on long Galois chains,
 # degrees 100-400 over the benchmark's three Galois rings (about 10 s), which
 # must equal LONG_GALOIS_DIGEST: the main corpus stops at degree 10 over
-# Galois rings.  Last, it prints the non-blank line count of
+# Galois rings; and the digest of 600 calls on long chains over small and
+# many-factor moduli (510510, 30030, 1001, 2^31 - 1, 2, 3), degrees 200-1100
+# (about 10 s), which must equal LONG_SMALL_DIGEST: there quotients of three
+# or more coefficients are common.  Last, it prints the non-blank line count of
 # src/ringres (not a gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -59,4 +62,8 @@ LONG_GALOIS_DIGEST=81e8089ad65508b5ba46646709f5be9690e5adf356b20f82308a37132d9bb
 got=$(python3 scripts/outputs_digest.py --corpus long-galois --seed 1 --calls 100)
 test "$got" = "$LONG_GALOIS_DIGEST" || { echo "long-galois outputs digest: $got, expected $LONG_GALOIS_DIGEST" >&2; exit 1; }
 echo "long-galois outputs digest: $got"
+LONG_SMALL_DIGEST=0e1c2eadadc79ddfd3f1b9f006f24137f990074b2bbb93896c124d9f2a4ab6de
+got=$(python3 scripts/outputs_digest.py --corpus long-small --seed 1 --calls 600)
+test "$got" = "$LONG_SMALL_DIGEST" || { echo "long-small outputs digest: $got, expected $LONG_SMALL_DIGEST" >&2; exit 1; }
+echo "long-small outputs digest: $got"
 echo "non-blank lines in src/ringres: $(cat src/ringres/*.py | grep -cv '^[[:space:]]*$')"

@@ -149,6 +149,9 @@ class Poly:
         return acc
 
     def map_ring(self, ring2):
+        if self.ring.kind == ring2.kind == "zmod":
+            n = ring2.n
+            return Poly(ring2, [c % n for c in self.coeffs])
         return Poly(ring2, [ring2.coerce(c) for c in self.coeffs])
 
     def format(self) -> str:
@@ -638,41 +641,70 @@ class UnitChain:
     next.  The chain stops at the first G_s that is zero or constant, or
     whose highest non-nilpotent coefficient is missing or not a unit: the
     caller's next pass splits the ring or reduces the content.  Only the
-    first divisor raises NeedsSplitError, so every chain takes a step.
-    Divisions, factorisations and lift run on packed ints (_Packed), over
-    Z/n and Galois rings alike, and nothing is unpacked before pair().
+    first divisor raises, NeedsSplitError(x) for a splitting x or ValueError,
+    and it is checked on g before anything is packed, so every chain that
+    packs takes a step.  Divisions, factorisations and lift run on packed
+    ints (_Packed), over Z/n and Galois rings alike, and nothing is unpacked
+    before pair().
 
-    The usual step, a unit lc and deg F_i == deg G_i + 1, runs fused in the
-    loop over Z/n and Galois rings alike: q_i from the top two coefficients
-    of F_i with one lc inverse, G_{i+1} = F_i + (-q_i)*G_i in one update, cut
-    down to its top nonzero coefficient.  Over Z/n the update is one Barrett
-    step inline; over a Galois ring it is one addmul.  Longer quotients go
+    Over Z/n a division by a unit lc whose quotient has at most min(K, 5)
+    coefficients runs fused in the loop; K, the quotient coefficients one
+    packed update takes (4 for 510510 and 2^31 - 1), keeps that update from
+    overflowing a slot.  q_i comes from the top slots of F_i and G_i with one
+    lc inverse (in closed form for two coefficients, the usual step), and
+    G_{i+1} = F_i + (-q_i)*G_i is one update with one Barrett step inline,
+    cut down to its top nonzero coefficient.  Over a Galois ring the usual
+    step alone runs fused, its update one addmul.  Longer quotients go
     through _Packed.divrem, and nilpotent leading coefficients through
     factor.
 
     steps holds, in order, (deg F_i, deg G_i, deg G_{i+1}, lc G_i, -q_i) per
     division and (F_i, deg F_i, G_i, deg G_i, u, j) per factorisation, F_i,
-    G_i and -q_i packed and j as in _Packed.factor.
+    G_i and -q_i packed and j as in _Packed.factor.  res multiplies in
+    lc G_i^(deg F_i - deg G_{i+1}) and a sign per division; res_ideal skips
+    both, as lc G_i is a unit.
     """
 
     def __init__(self, f: Poly, g: Poly):
         R = self.ring = f.ring
+        if not R.is_unit(g.lc):     # the first divisor, on g before packing
+            _, x = top_non_nilpotent(g) or (-1, R.zero)
+            if not R.is_unit(x):
+                if R.is_splitting(x):
+                    raise NeedsSplitError(x)
+                raise ValueError("the first divisor must be primitive")
         ops = self.ops = _Packed(R, f.degree + 2)
         F, df, G, dg, c = ops.pack(f.coeffs), f.degree, ops.pack(g.coeffs), g.degree, g.lc
         steps = self.steps = []
         n, b, sm, a, h, m, mask = ops.n, ops.b, ops.slot_mask, ops.a, ops.h, ops.m, ops.mask
         ones, bb, zero, zmod = ops.ones, ops.bb, R.zero, not ops.galois
-        top = bb * ops.slots
+        top, cap = bb * ops.slots, min(ops.K, 5)
         while dg > 0:
-            if zmod and df == dg + 1 and math.gcd(c, n) == 1:
+            if zmod and df - dg < cap and math.gcd(c, n) == 1:
                 ci = pow(c, -1, n)
-                T = F >> (b * (df - 1))
-                q1 = (T >> b) * ci % n
-                q0 = ((T & sm) - q1 * ((G >> (b * (dg - 1))) & sm)) * ci % n
+                if df == dg + 1:
+                    T = F >> (b * (df - 1))
+                    q1 = (T >> b) * ci % n
+                    q0 = ((T & sm) - q1 * ((G >> (b * (dg - 1))) & sm)) * ci % n
+                    Nq = (-q0 % n) | ((-q1 % n) << b)
+                else:
+                    # the j quotient coefficients from the top j slots of F
+                    # and of G, as _Packed.divrem solves them
+                    j, s = df - dg + 1, min(df - dg + 1, dg + 1)
+                    T = F >> (b * dg)
+                    ft = [(T >> (b * (j - 1 - i))) & sm for i in range(j)]
+                    T = G >> (b * (dg + 1 - s))
+                    gt = [(T >> (b * (s - 1 - i))) & sm for i in range(s)]
+                    Nq = 0
+                    for i in range(j):
+                        q = ft[i] * ci % n
+                        for t in range(i + 1, min(j, i + s)):
+                            ft[t] -= q * gt[t - i]
+                        Nq = (Nq << b) | (-q % n)
                 # addmul and divrem's scan for the next nonzero slot, inlined:
                 # as two calls per step they took the small-modulus pool x1.11
                 # and zmod-euclid x1.08 (seed 1, one process, interleaved)
-                X = F + (Nq := (-q0 % n) | ((-q1 % n) << b)) * G
+                X = F + Nq * G
                 X -= (((((X >> a) & mask) * m) >> h) & mask) * n
                 dr = dg - 1
                 while dr >= 0 and not (cr := ((X >> (b * dr)) & sm) % n):
@@ -683,11 +715,7 @@ class UnitChain:
             if not R.is_unit(c):
                 k, x = ops.top_non_nilpotent(G, dg)
                 if not R.is_unit(x):
-                    if steps:
-                        break
-                    if R.is_splitting(x):
-                        raise NeedsSplitError(x)
-                    raise ValueError("the first divisor must be primitive")
+                    break   # not the first divisor, which was checked above
                 u, j, Gt = ops.factor(G, dg, k)
                 steps.append((F, df, G, dg, u, j))
                 G, dg, c = Gt, k, R.one
@@ -721,14 +749,16 @@ class UnitChain:
 
         (u, v) is first reduced (reduce_cofactors), so deg v < deg F_s.  Back
         through a division, u*F_{i+1} + v*G_{i+1} == v*F_i + (u - q_i*v)*G_i,
-        so U, V <- V, U + (-q_i)*V, -q_i packed in steps.  Back through a
-        factorisation G_i == unit*gtilde, V becomes V*unit^-1 (unitdiv) and
-        then, when lc(F_i) is a unit, V mod F_i, adding the quotient times G_i
-        to U, as reduce_cofactors does.  As lc(F_i) is a unit for i > 0 and
-        deg r < deg F_i + deg G_i, deg v < deg F_i gives deg u < deg G_i: no
-        cofactor outgrows its pair.
+        so U, V <- V, U + (-q_i)*V, -q_i packed in steps; over Z/n that is
+        one update inline, as in the fused step, while -q_i fits one.  Back
+        through a factorisation G_i == unit*gtilde, V becomes V*unit^-1
+        (unitdiv) and then, when lc(F_i) is a unit, V mod F_i, adding the
+        quotient times G_i to U, as reduce_cofactors does.  As lc(F_i) is a
+        unit for i > 0 and deg r < deg F_i + deg G_i, deg v < deg F_i gives
+        deg u < deg G_i: no cofactor outgrows its pair.
         """
         R, ops = self.ring, self.ops
+        n, a, h, m, zmod = ops.n, ops.a, ops.h, ops.m, not ops.galois
         u, v = reduce_cofactors(*self.pair(), u, v)
         U, lu, V, lv = ops.pack(u.coeffs), len(u.coeffs), ops.pack(v.coeffs), len(v.coeffs)
         for step in reversed(self.steps):
@@ -742,7 +772,13 @@ class UnitChain:
                 continue
             df, dg, _, _, Nq = step
             l = max(lu, lv + df - dg)
-            U, lu, V, lv = V, lv, ops.addmul(U, l, Nq, V), l
+            if zmod and df - dg < ops.K and l <= ops.slots:
+                # addmul's one update, inlined as in the chain's fused step
+                X, mask = U + Nq * V, ops.mask
+                X -= (((((X >> a) & mask) * m) >> h) & mask) * n
+            else:
+                X = ops.addmul(U, l, Nq, V)
+            U, lu, V, lv = V, lv, X, l
             if lv > df or lu > dg:
                 raise InvariantError("cofactor degrees exceed the chain's")
         return Poly(R, ops.unpack(U, lu)), Poly(R, ops.unpack(V, lv))

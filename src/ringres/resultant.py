@@ -324,6 +324,8 @@ def _res(f: Poly, g: Poly, ideal_mode=False):
             n, m, dr, c, _ = step
             if dr < 0:
                 return R.zero
+            if ideal_mode:  # lc(G) is a unit, so its factor and the sign are too
+                continue
             # res(F, G) = (-1)^(n m) lc(G)^(n - deg r) res(G, F mod G)
             acc = R.mul(acc, R.pow_elem(c, n - dr))
             if (n * m) % 2:
@@ -339,6 +341,7 @@ def res(f: Poly, g: Poly):
 
 def res_ideal(f: Poly, g: Poly):
     """Canonical generator of the ideal (res(f, g)); skips the unit-side
-    resultant whenever the higher-degree operand has an invertible lc."""
+    resultant whenever the higher-degree operand has an invertible lc, and
+    the unit lc powers and signs of the division steps."""
     f._check(g)
     return f.ring.ideal_gen(_res(f, g, ideal_mode=True))

@@ -451,6 +451,23 @@ class TestHelpers:
             back = crt_poly(R, R1, f.map_ring(R1), R2, f.map_ring(R2))
             assert back == f
 
+    def test_map_ring_matches_coerce(self):
+        # Z/n to Z/n reduces each coefficient mod the new modulus, which is
+        # what coerce does; into and between Galois rings map_ring coerces
+        rng = random.Random("map-ring")
+        lam = find_irreducible(3, 2)
+        for R, R2 in ((Zmod(9699690), Zmod(2)), (Zmod(9699690), Zmod(3 * 5 * 7)),
+                      (Zmod(3**40), Zmod(3**5)), (Zmod(72), Zmod(8)), (Zmod(10007), Zmod(10007)),
+                      (Zmod(3**20), GaloisRing(3, 20, lam)),
+                      (GaloisRing(3, 20, lam), GaloisRing(3, 4, lam))):
+            for d in (0, 1, 30):
+                cs = [tuple(rng.randrange(R.pe) for _ in range(R.k)) if R.kind == "galois"
+                      else rng.randrange(R.n) for _ in range(d)]
+                f = Poly(R, cs)
+                want = Poly(R2, [R2.from_int(c) if isinstance(c, int) else tuple(x % R2.pe for x in c)
+                                 for c in cs])
+                assert f.map_ring(R2) == want == Poly(R2, [R2.coerce(c) for c in f.coeffs]), (R, R2)
+
     def test_galois_ring_polynomials(self):
         gr = GaloisRing(2, 3, (1, 1, 1))
         f = Poly(gr, [(1, 0), (0, 1)])

@@ -758,9 +758,10 @@ class TestUnitChain:
         (2**64, [14, 13, 12, 11, 8, 7, 6, 5, 0], {4: 2}, "const"),
     ])
     def test_fused_runs_end_at_every_exit(self, monkeypatch, n, degs, gaps, bottom):
-        # every quotient of degree 1 under a unit leading coefficient is a
-        # fused step of the chain's own loop, every other one a
-        # _Packed.divrem; records, pair and lift are the planted ones
+        # every quotient of at most min(K, 5) coefficients under a unit
+        # leading coefficient is a fused step of the chain's own loop, every
+        # other one a _Packed.divrem; records, pair and lift are the planted
+        # ones
         R = Zmod(n)
         rng = random.Random(f"fused/{n}")
         elem, unit, nil = self.tools(R, rng)
@@ -770,10 +771,70 @@ class TestUnitChain:
         divided, divrem = [], _Packed.divrem
         monkeypatch.setattr(_Packed, "divrem", lambda *a: divided.append(a[2] - a[4]) or divrem(*a))
         chain = UnitChain(f, g)
+        cap = min(chain.ops.K, 5)
         assert chain_steps(chain) == steps and chain.pair() == pair
-        assert divided == [s[0] - s[1] for s in steps if len(s) == 5 and s[0] - s[1] > 1]
+        assert divided == [s[0] - s[1] for s in steps if len(s) == 5 and s[0] - s[1] + 1 > cap]
         assert len(steps) - len(divided) - len(gaps) >= 4
         self.check_lift(rng, chain, f, g, elem)
+
+    @pytest.mark.parametrize("n, degs, gaps", [
+        # unit-lc quotients of 1 to 6 coefficients, one per division
+        (P64, [21, 21, 20, 18, 15, 11, 6, 0], {}),
+        (10007, [21, 21, 20, 18, 15, 11, 6, 0], {}),
+        # K == 4: the quotients of 5 and 6 coefficients are not fused
+        (510510, [21, 21, 20, 18, 15, 11, 6, 0], {}),
+        (2**31 - 1, [21, 21, 20, 18, 15, 11, 6, 0], {}),
+        # after a factorisation of gap m the quotient by the monic factor
+        # has m + 2 coefficients; a later one has 6
+        (3**40, [22, 21, 19, 18, 13, 12, 0], {2: 1}),
+        (3**40, [22, 21, 18, 17, 12, 11, 0], {2: 2}),
+    ])
+    def test_fused_short_quotients(self, monkeypatch, n, degs, gaps):
+        # a unit-lc quotient of at most min(K, 5) coefficients is a fused
+        # step, a longer one a _Packed.divrem; records, pair, lift and res
+        # are the planted ones
+        R = Zmod(n)
+        rng = random.Random(f"fused-short/{n}/{gaps}")
+        elem, unit, nil = self.tools(R, rng)
+        f, g, pair, steps = plant_chain(rng, R, degs, gaps, Poly.const(R, unit()),
+                                        elem, unit, nil)
+        calls, divrem = [], _Packed.divrem
+        monkeypatch.setattr(_Packed, "divrem", lambda *a: calls.append(a) or divrem(*a))
+        chain = UnitChain(f, g)
+        cap = min(chain.ops.K, 5)
+        assert cap == (4 if n in (510510, 2**31 - 1) else 5)
+        divided = [a[2] - a[4] for a in calls if a[0] is chain.ops]
+        assert chain_steps(chain) == steps and chain.pair() == pair
+        lengths = [s[0] - s[1] + 1 for s in steps if len(s) == 5]
+        assert set(lengths) >= ({2, 6} | {m + 2 for m in gaps.values()} if gaps else set(range(1, 7)))
+        assert divided == [q - 1 for q in lengths if q > cap]
+        self.check_lift(rng, chain, f, g, elem)
+        check_pair(f, g)
+
+    @pytest.mark.parametrize("n", [COMPOSITE, 9699690, 3**40])
+    def test_first_divisor_checked_before_packing(self, monkeypatch, n):
+        # a first divisor whose highest non-nilpotent coefficient is not a
+        # unit raises before anything is packed: NeedsSplitError with that
+        # coefficient over squarefree n, ValueError for a nilpotent content
+        R = Zmod(n)
+        rng = random.Random(f"first-divisor/{n}")
+        built, init = [], _Packed.__init__
+        monkeypatch.setattr(_Packed, "__init__", lambda *a: built.append(1) or init(*a))
+        p = non_unit(n)
+        f = Poly(R, [rng.randrange(n) for _ in range(12)] + [unit(rng, n)])
+        for d in (1, 5, 12):
+            x = p * unit(rng, n) % n
+            g = Poly(R, [rng.randrange(n) for _ in range(d)] + [x])
+            if n == 3**40:
+                g = g.scale(3)
+                with pytest.raises(ValueError) as e:
+                    UnitChain(f, g)
+                assert not isinstance(e.value, NeedsSplitError)
+            else:
+                with pytest.raises(NeedsSplitError) as e:
+                    UnitChain(f, g)
+                assert e.value.element == x
+            assert not built
 
     @pytest.mark.parametrize("R", UNIT_CHAIN_RINGS[3:], ids=str)
     def test_fused_galois_runs(self, monkeypatch, R):
