@@ -38,32 +38,21 @@ w, r = sys.argv[1], json.load(sys.stdin)
 print("benchmark smoke", w, "correct:", r["correct"], "failed:", r["failed"], "of", r["attempted"])
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$w"
 done
-DIGEST=2e3ccff5d3fc92e4a3e0fa87cfbb83e6fcf49f4c2ea5fe4120e3eb725e995530
-got=$(python3 scripts/outputs_digest.py --seed 1 --calls 5000)
-test "$got" = "$DIGEST" || { echo "outputs digest: $got, expected $DIGEST" >&2; exit 1; }
-echo "outputs digest: $got"
-RES_Y_DIGEST=c6a1a54efbee092ef827b49b9662f79ca60f4cd60c685f9c621c37025f066573
-got=$(python3 scripts/outputs_digest.py --corpus res_y --seed 1 --calls 300)
-test "$got" = "$RES_Y_DIGEST" || { echo "res_y outputs digest: $got, expected $RES_Y_DIGEST" >&2; exit 1; }
-echo "res_y outputs digest: $got"
-INV_DIGEST=54a3e88f8adad472aca773db498e3658268965d22e93439c48659574f8f30122
-got=$(python3 scripts/outputs_digest.py --corpus inv --seed 1 --calls 20000)
-test "$got" = "$INV_DIGEST" || { echo "inv outputs digest: $got, expected $INV_DIGEST" >&2; exit 1; }
-echo "inv outputs digest: $got"
-LONG_DIGEST=ba9266f05b4575da74cbf604e6c4743369be269756a225dff825364321f46a4c
-got=$(python3 scripts/outputs_digest.py --corpus long --seed 1 --calls 60)
-test "$got" = "$LONG_DIGEST" || { echo "long outputs digest: $got, expected $LONG_DIGEST" >&2; exit 1; }
-echo "long outputs digest: $got"
-UNITS_DIGEST=3c0b67c56546e717389f1a7fe6f39a6e44c48b4ad09e9bdc603d44434569a3bb
-got=$(python3 scripts/outputs_digest.py --corpus units --seed 1 --calls 2000)
-test "$got" = "$UNITS_DIGEST" || { echo "units outputs digest: $got, expected $UNITS_DIGEST" >&2; exit 1; }
-echo "units outputs digest: $got"
-LONG_GALOIS_DIGEST=81e8089ad65508b5ba46646709f5be9690e5adf356b20f82308a37132d9bbc0d
-got=$(python3 scripts/outputs_digest.py --corpus long-galois --seed 1 --calls 100)
-test "$got" = "$LONG_GALOIS_DIGEST" || { echo "long-galois outputs digest: $got, expected $LONG_GALOIS_DIGEST" >&2; exit 1; }
-echo "long-galois outputs digest: $got"
-LONG_SMALL_DIGEST=0e1c2eadadc79ddfd3f1b9f006f24137f990074b2bbb93896c124d9f2a4ab6de
-got=$(python3 scripts/outputs_digest.py --corpus long-small --seed 1 --calls 600)
-test "$got" = "$LONG_SMALL_DIGEST" || { echo "long-small outputs digest: $got, expected $LONG_SMALL_DIGEST" >&2; exit 1; }
-echo "long-small outputs digest: $got"
+# one gate per row: the digest's name (as in the text above), its corpus, the
+# calls made and the expected digest; a mismatch exits 1
+while read -r _ corpus calls want; do
+    what="$corpus outputs digest"
+    [ "$corpus" != main ] || what="outputs digest"
+    got=$(python3 scripts/outputs_digest.py --corpus "$corpus" --seed 1 --calls "$calls")
+    test "$got" = "$want" || { echo "$what: $got, expected $want" >&2; exit 1; }
+    echo "$what: $got"
+done <<'DIGESTS'
+DIGEST main 5000 2e3ccff5d3fc92e4a3e0fa87cfbb83e6fcf49f4c2ea5fe4120e3eb725e995530
+RES_Y_DIGEST res_y 300 c6a1a54efbee092ef827b49b9662f79ca60f4cd60c685f9c621c37025f066573
+INV_DIGEST inv 20000 54a3e88f8adad472aca773db498e3658268965d22e93439c48659574f8f30122
+LONG_DIGEST long 60 ba9266f05b4575da74cbf604e6c4743369be269756a225dff825364321f46a4c
+UNITS_DIGEST units 2000 3c0b67c56546e717389f1a7fe6f39a6e44c48b4ad09e9bdc603d44434569a3bb
+LONG_GALOIS_DIGEST long-galois 100 81e8089ad65508b5ba46646709f5be9690e5adf356b20f82308a37132d9bbc0d
+LONG_SMALL_DIGEST long-small 600 0e1c2eadadc79ddfd3f1b9f006f24137f990074b2bbb93896c124d9f2a4ab6de
+DIGESTS
 echo "non-blank lines in src/ringres: $(cat src/ringres/*.py | grep -cv '^[[:space:]]*$')"

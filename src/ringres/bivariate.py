@@ -39,7 +39,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 
 from .ring import ContextMismatchError, GaloisRing, InvariantError, Zmod, find_irreducible
-from .poly import Poly, _pack, _product_width, _unpack, _unpack_product, crt_poly
+from .poly import Poly, _lift_root, _pack, _product_width, _unpack, _unpack_product, crt_poly
 from .resultant import res_at_degrees
 
 
@@ -104,13 +104,12 @@ class Branch:
 def _frobenius(S: GaloisRing) -> tuple:
     """The images tau^i (i < k) of t^i under the Frobenius automorphism phi
     of S, k >= 2.  tau is the root of lam with tau == t^p (mod p), lifted
-    from t^p by Newton; phi is Z/p^e-linear, so the images fix it."""
-    lam = Poly.from_ints(S, S.lam)
-    dlam = Poly.from_ints(S, [i * c for i, c in enumerate(S.lam)][1:])
-    tau = S.pow_elem((0, 1) + (0,) * (S.k - 2), S.p)
-    for _ in range(S.e.bit_length()):  # each step doubles the p-adic precision
-        tau = S.sub(tau, S.mul(lam.eval(tau), S.inv(dlam.eval(tau))))
-    if not S.is_zero(lam.eval(tau)):
+    from t^p by Newton steps (_lift_root), each doubling the p-adic
+    precision; phi is Z/p^e-linear, so the images fix it."""
+    lam = [S.from_int(c) for c in S.lam]
+    tp = S.pow_elem((0, 1) + (0,) * (S.k - 2), S.p)
+    tau = S.neg(_lift_root(S, lam, tp, [len(lam)] * S.e.bit_length())[0])
+    if not S.is_zero(Poly(S, lam).eval(tau)):
         raise InvariantError("Frobenius image of t is not a root of lam")
     images = [S.one]
     while len(images) < S.k:

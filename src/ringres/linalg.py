@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .poly import NonInvertibleLeadingCoeffError, Poly
-from .ring import InvariantError, Zmod, _ext_gcd
+from .ring import InvariantError, Zmod, _ext_gcd, bareiss
 
 
 @dataclass(frozen=True)
@@ -64,32 +64,9 @@ def sylvester(f: Poly, g: Poly) -> Matrix:
 # ---------------------------------------------------------------------------
 
 def bareiss_det_int(rows) -> int:
-    """Exact determinant of a square integer matrix (Bareiss, 0x0 -> 1)."""
+    """Exact determinant of a square integer matrix (bareiss, 0x0 -> 1)."""
     a = [list(r) for r in rows]
-    k = len(a)
-    if k == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for i in range(k - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, k):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = a[i][i]
-        for r in range(i + 1, k):
-            arow = a[r]
-            irow = a[i]
-            ari = arow[i]
-            for c in range(i + 1, k):
-                arow[c] = (piv * arow[c] - ari * irow[c]) // prev
-            arow[i] = 0
-        prev = piv
-    return sign * a[k - 1][k - 1]
+    return bareiss(a) * a[-1][-1] if a else 1
 
 
 def det(M: Matrix):

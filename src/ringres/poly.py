@@ -419,11 +419,11 @@ class _Packed:
     k >= 2 one _fold then reduces every block mod lam, leaving slots below
     3n + (k-1)(3n-1)(n-1) < 2^L, and a second Barrett step follows.  The
     masks cover `slots` blocks and grow on demand, so each chain or division
-    owns its _Packed.
+    owns its _Packed.  divrem and lowdiv divide by one quotient solve, solve.
     """
 
     def __init__(self, R, slots):
-        self.R, self.zero, self.galois = R, R.zero, R.kind == "galois"
+        self.R, self.zero, self.one, self.galois = R, R.zero, R.one, R.kind == "galois"
         self.n, self.k = (R.pe, R.k) if self.galois else (R.n, 1)
         self.w, self.a, self.h, self.m, self.K = _layout(self.n, self.k)
         self.b = 8 * self.w
@@ -484,83 +484,77 @@ class _Packed:
                 X -= (((((X >> a) & mask) * m) >> h) & mask) * n
         return X
 
+    def solve(self, ft, gt, ci):
+        """The quotient coefficients c_i = (ft_i - sum_{t>=1} c_(i-t)*gt_t)*ci
+        of one division step, written over ft and returned: ft holds the
+        dividend's coefficients in division order (from the top in divrem,
+        from the bottom in lowdiv), gt the divisor's from its pivot gt_0 on
+        (all, or at least len(ft)), and ci == gt_0^-1.  Over Z/n both may hold
+        unreduced slots; each c_i is reduced when it is solved."""
+        j, n = len(ft), self.n
+        if self.galois:
+            mul, sub, one = self.R.mul, self.R.sub, ci == self.one
+            for i in range(j):
+                c = ft[i] = ft[i] if one else mul(ft[i], ci)
+                for t, y in enumerate(gt[1:j - i], i + 1):
+                    ft[t] = sub(ft[t], mul(c, y))
+        elif len(gt) == 2:
+            # one term per coefficient, as at the usual gap-1 break: the 635
+            # gap-1 breaks of the local-hensel seed-1 pool took 114 against
+            # 130 us each with the general loop (one run each, 2-vCPU x86 VM)
+            c, y = 0, gt[1]
+            for i in range(j):
+                c = ft[i] = (ft[i] - c * y) * ci % n
+        else:
+            for i in range(j):
+                c = ft[i] = ft[i] * ci % n
+                for t, y in enumerate(gt[1:j - i], i + 1):
+                    ft[t] -= c * y
+        return ft
+
     def divrem(self, F, df, G, dg, ci):
         """(q, Nq, R, deg R, lc R) with F == q*G + R and Nq packing -q;
         ci == lc(G)^-1, dg >= 1.
 
-        Quotient coefficients come from scalar ring operations on the top
-        coefficients of F and G, J per step; every step updates all of F by
-        one addmul of the negated ones."""
-        n, b, sm, bb, J, galois = self.n, self.b, self.slot_mask, self.bb, self.J, self.galois
-        hi = df - dg
-        q, Nq = [self.zero] * (hi + 1), 0
-        gt = [self._coeff(G, dg - i) for i in range(min(J, hi + 1, dg + 1))]
-        mul, sub = self.R.mul, self.R.sub
-        one = ci == self.R.one
+        Quotient coefficients come from solve on the top coefficients of F
+        and G, J per step; every step updates all of F by one addmul of the
+        negated ones."""
+        b, sm, bb, J = self.b, self.slot_mask, self.bb, self.J
+        q, Nq = [], 0
+        gt = [self._coeff(G, dg - i) for i in range(min(J, df - dg + 1, dg + 1))]
         while df >= dg:
             # the top j quotient coefficients, from the top j coefficients of F
-            j = min(J, hi + 1)
-            if galois:
+            j = min(J, df - dg + 1)
+            if self.galois:
                 ft = [self._coeff(F, df - i) for i in range(j)]
-                for i in range(j):
-                    c = q[hi - i] = ft[i] if one else mul(ft[i], ci)
-                    for s in range(i + 1, min(j, i + len(gt))):
-                        ft[s] = sub(ft[s], mul(c, gt[s - i]))
             else:   # on ints, reduced only when a coefficient is read
                 ft = [(F >> (b * (df - i))) & sm for i in range(j)]
-                for i in range(j):
-                    c = q[hi - i] = ft[i] * ci % n
-                    for s in range(i + 1, min(j, i + len(gt))):
-                        ft[s] -= c * gt[s - i]
-            N, lo = self.negpack(q[hi - j + 1:hi + 1]), bb * (hi - j + 1)
-            F, Nq = self.addmul(F, df + 1, N, G, lo), Nq | N << lo
-            df, hi = df - j, hi - j
+            q += self.solve(ft, gt, ci)
+            N, lo = self.negpack(q[:-j - 1:-1]), bb * (df - dg - j + 1)
+            F, Nq, df = self.addmul(F, df + 1, N, G, lo), Nq | N << lo, df - j
             F &= self.ones >> (bb * (self.slots - df - 1))
-        d, c = df, self.zero
-        while d >= 0:
-            c = self._coeff(F, d) if galois else ((F >> (b * d)) & sm) % n
-            if c != self.zero:
-                break
-            d -= 1
-        if d < df:
-            F &= self.ones >> (bb * (self.slots - d - 1))
-        return q, Nq, F, d, c
+        F, l = self.trim(F, df + 1)
+        return q[::-1], Nq, F, l - 1, self._coeff(F, l - 1) if l else self.zero
 
     def lowdiv(self, X, D, ci, nq):
         """(Q, X') with X == Q*D + x^nq * X' and Q packing nq coefficients: X,
         of at most nq + dd blocks, divided from the bottom by D, a list of
         dd + 1 reduced coefficients with ci == D[0]^-1.  J quotient
-        coefficients per step, as in divrem, solved from the step's own
-        bottom j slots of X; a step adds them times -D, packed once, to the
-        j + dd blocks it changes, which it reads from and writes back to X's
-        bytes, so a division costs O(deg X) big-int work whatever J is."""
-        R, b, J, s, dd = self.R, self.b, self.J, self.bb // 8, len(D) - 1
+        coefficients per step, solved by solve from the step's own bottom j
+        slots of X; a step adds them times -D, packed once, to the j + dd
+        blocks it changes, which it reads from and writes back to X's bytes,
+        so a division costs O(deg X) big-int work whatever J is."""
+        b, sm, J, s, dd = self.b, self.slot_mask, self.J, self.bb // 8, len(D) - 1
         buf = bytearray(X.to_bytes((nq + dd) * s, "little"))
-        d1, N, q, one = D[1:], self.negpack(D), [], ci == R.one
+        N, q = self.negpack(D), []
         for lo in range(0, nq, J):
             j = min(J, nq - lo)
             Y = int.from_bytes(buf[lo * s:(lo + j + dd) * s], "little")
             if self.galois:
                 ft = [self._coeff(Y, i) for i in range(j)]
-                for i in range(j):
-                    c = ft[i] = ft[i] if one else R.mul(ft[i], ci)
-                    for t, y in zip(range(i + 1, j), d1):
-                        ft[t] = R.sub(ft[t], R.mul(c, y))
             else:   # on ints, reduced only when a coefficient is read
-                n, sm = self.n, self.slot_mask
                 ft = [(Y >> (b * i)) & sm for i in range(j)]
-                # gap 1, the usual break, one term per step: the 635 gap-1
-                # breaks of the local-hensel seed-1 pool took 114 against 130 us
-                # each with the general loop (one run each, 2-vCPU x86 VM)
-                if dd == 1:
-                    c, y = 0, d1[0]
-                    for i in range(j):
-                        c = ft[i] = (ft[i] - c * y) * ci % n
-                else:
-                    for i in range(j):
-                        c = ft[i] = ft[i] * ci % n
-                        for t, y in zip(range(i + 1, j), d1):
-                            ft[t] -= c * y
+            ft = self.solve(ft, D, ci)
             Y = self.addmul(Y, j + dd, self.pack(ft), N)
             buf[lo * s:(lo + j + dd) * s] = Y.to_bytes((j + dd) * s, "little")
             q += ft
@@ -651,7 +645,8 @@ class UnitChain:
     coefficients runs fused in the loop; K, the quotient coefficients one
     packed update takes (4 for 510510 and 2^31 - 1), keeps that update from
     overflowing a slot.  q_i comes from the top slots of F_i and G_i with one
-    lc inverse (in closed form for two coefficients, the usual step), and
+    lc inverse (in closed form for two coefficients, the usual step, else by
+    _Packed.solve), and
     G_{i+1} = F_i + (-q_i)*G_i is one update with one Barrett step inline,
     cut down to its top nonzero coefficient.  Over a Galois ring the usual
     step alone runs fused, its update one addmul.  Longer quotients go
@@ -687,19 +682,14 @@ class UnitChain:
                     q1 = (T >> b) * ci % n
                     q0 = ((T & sm) - q1 * ((G >> (b * (dg - 1))) & sm)) * ci % n
                     Nq = (-q0 % n) | ((-q1 % n) << b)
-                else:
-                    # the j quotient coefficients from the top j slots of F
-                    # and of G, as _Packed.divrem solves them
+                else:   # the j quotient coefficients from the top j slots of F and of G
                     j, s = df - dg + 1, min(df - dg + 1, dg + 1)
                     T = F >> (b * dg)
                     ft = [(T >> (b * (j - 1 - i))) & sm for i in range(j)]
                     T = G >> (b * (dg + 1 - s))
                     gt = [(T >> (b * (s - 1 - i))) & sm for i in range(s)]
-                    Nq = 0
-                    for i in range(j):
-                        q = ft[i] * ci % n
-                        for t in range(i + 1, min(j, i + s)):
-                            ft[t] -= q * gt[t - i]
+                    Nq = 0  # negpack's loop inlined: as a call it took a Z/2 chain x1.04
+                    for q in ops.solve(ft, gt, ci):
                         Nq = (Nq << b) | (-q % n)
                 # addmul and divrem's scan for the next nonzero slot, inlined:
                 # as two calls per step they took the small-modulus pool x1.11

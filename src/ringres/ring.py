@@ -255,6 +255,28 @@ def find_irreducible(p: int, k: int, seed: int = 0) -> tuple[int, ...]:
             return tuple(coeffs)
 
 
+def bareiss(rows) -> int:
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968) of the k
+    integer rows on their first k columns, in place: below each pivot the
+    column becomes zero, every division is exact, and the last pivot is the
+    determinant of the k x k block times the sign returned, which counts the
+    row swaps made at zero pivots.  0 when a column has no pivot (the
+    determinant is 0), the rows then left part way."""
+    k, sign, prev = len(rows), 1, 1
+    for i in range(k):
+        if not rows[i][i]:
+            piv = next((j for j in range(i + 1, k) if rows[j][i]), None)
+            if piv is None:
+                return 0
+            rows[piv], rows[i], sign = rows[i], rows[piv], -sign
+        row, d = rows[i], rows[i][i]
+        for j in range(i + 1, k):
+            c = rows[j][i]
+            rows[j] = [(d * y - c * z) // prev for y, z in zip(rows[j], row)]
+        prev = d
+    return sign
+
+
 @dataclass(frozen=True)
 class GaloisRing:
     """(Z/p^e)[t]/(lam) with lam monic of degree k, irreducible mod p.
@@ -367,11 +389,10 @@ class GaloisRing:
         return False  # local ring
 
     def inv(self, a):
-        """x with x*a == 1, by fraction-free elimination (Bareiss, Math.
-        Comp. 22, 1968) on the integer matrix M whose column i is t^i * a
-        mod lam, and e_0 beside it.  Rows swap at a zero integer pivot, and
-        every division is exact: the last pivot is d = ±det(M), and back
-        substitution gives the integer vector d*M^-1*e_0 = ±adj(M)*e_0.
+        """x with x*a == 1, by fraction-free elimination (bareiss) on the
+        integer matrix M whose column i is t^i * a mod lam, and e_0 beside
+        it: the last pivot is d = ±det(M), and back substitution gives the
+        integer vector d*M^-1*e_0 = ±adj(M)*e_0, every division exact.
         det(M) is the norm of a from the algebra to Z/p^e, so a is a unit
         exactly when d is a unit mod p, lam irreducible or not, and then
         x = d*M^-1*e_0 * d^-1 mod p^e: one modular inverse per call."""
@@ -384,17 +405,7 @@ class GaloisRing:
             r = [-r[-1] * lam[0] % q] + [(r[j - 1] - r[-1] * lam[j]) % q for j in range(1, k)]
         cols.append(r)
         rows = [list(c) + [int(j == 0)] for j, c in enumerate(zip(*cols))]
-        d = 1
-        for i in range(k):
-            if not rows[i][i]:
-                piv = next((j for j in range(i + 1, k) if rows[j][i]), None)
-                if piv is None:                 # det(M) == 0
-                    raise NotUnitError(f"{a} is not a unit in {self}")
-                rows[piv], rows[i] = rows[i], rows[piv]
-            row, prev, d = rows[i], d, rows[i][i]
-            for j in range(i + 1, k):
-                c = rows[j][i]
-                rows[j] = [(d * y - c * z) // prev for y, z in zip(rows[j], row)]
+        d = rows[k - 1][k - 1] if bareiss(rows) else 0
         if d % self.p == 0:
             raise NotUnitError(f"{a} is not a unit in {self}")
         x = [0] * k

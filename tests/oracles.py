@@ -431,3 +431,17 @@ def divrem_rowwise(f, g):
         for j, gc in enumerate(g.coeffs):
             rem[i - dg + j] = R.sub(rem[i - dg + j], R.mul(qc, gc))
     return Poly(R, q), Poly(R, rem[:dg])
+
+
+def lowdiv_rowwise(R, xs, D, nq):
+    """(q, rest) with xs == q*D + x^nq * rest, q of nq coefficients: xs (at
+    most nq + deg D coefficients) divided by D from the bottom, one row per
+    quotient coefficient; D[0] must be a unit."""
+    dd, d0inv = len(D) - 1, R.inv(D[0])
+    rem, q = list(xs) + [R.zero] * (nq + dd - len(xs)), []
+    for i in range(nq):
+        c = R.mul(rem[i], d0inv)
+        q.append(c)
+        for t, y in enumerate(D, i):
+            rem[t] = R.sub(rem[t], R.mul(c, y))
+    return q, rem[nq:]

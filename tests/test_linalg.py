@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -46,6 +47,28 @@ class TestBareiss:
                 rows = [[rng.randrange(-50, 50) for _ in range(size)] for _ in range(size)]
                 want = int(sympy.Matrix(rows).det()) if size else 1
                 assert bareiss_det_int(rows) == want
+        # inputs that swap rows or find no pivot, which random dense entries
+        # almost never do: permutation matrices (the swap sign), a zero first
+        # column, and zero pivots that appear only after elimination, with
+        # a nonzero entry below them (a swap) or none (determinant 0)
+        cases = [[[int(j == p[i]) for j in range(size)] for i in range(size)]
+                 for size in range(1, 5) for p in itertools.permutations(range(size))]
+        cases += [[[0, 2], [3, 5]], [[0, 1, 2], [0, 3, 4], [0, 5, 7]],
+                  [[1, 2, 3], [2, 4, 5], [3, 7, 1]], [[1, 2, 3], [2, 4, 6], [1, 1, 1]],
+                  [[2, 4, 1, 3], [1, 2, 5, 1], [3, 6, 2, 2], [1, 1, 1, 1]]]
+        for i in range(30):
+            # row 1 starts as a multiple of row 0, so the second pivot is zero;
+            # in every other case the last row is a sum of multiples of rows
+            # 0 and 1, so the matrix is singular and some column has no pivot
+            size = rng.randrange(3, 6)
+            rows = [[rng.randrange(-9, 10) for _ in range(size)] for _ in range(size)]
+            rows[1][:2] = [rng.randrange(-3, 4) * x for x in rows[0][:2]]
+            if i % 2:
+                a, b = rng.randrange(-3, 4), rng.randrange(-3, 4)
+                rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+            cases.append(rows)
+        for rows in cases:
+            assert bareiss_det_int(rows) == int(sympy.Matrix(rows).det()), rows
 
     def test_berkowitz_oracle_agrees_over_zmod(self):
         # the division-free oracle that checks res over Galois rings

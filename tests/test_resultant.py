@@ -11,7 +11,8 @@ from ringres.poly import (UnitChain, _Packed, divrem, divrem_primitive, fun_fact
                           is_primitive, primitive_part)
 from ringres.resultant import Reduced, _res_unit, ppa
 
-from oracles import berkowitz_det, divrem_rowwise, rres_galois_oracle, rres_howell_oracle
+from oracles import (berkowitz_det, divrem_rowwise, lowdiv_rowwise, rres_galois_oracle,
+                     rres_howell_oracle)
 
 P64 = 18446744073709551557          # largest 64-bit prime
 COMPOSITE = 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211
@@ -495,6 +496,66 @@ class TestPackedEuclid:
 
 GALOIS_PACKED = [GaloisRing(p, e, find_irreducible(p, k)) for p, e, k in (
     (2, 8, 3), (3, 20, 2), (101, 4, 4), (2, 4, 5), (2, 4, 6), (5, 1, 2), (7, 3, 1))]
+
+
+class TestPackedSolve:
+    """_Packed.divrem and _Packed.lowdiv, called directly, solve their
+    quotient coefficients by one routine (_Packed.solve): over Z/n a
+    two-term recurrence for a divisor of two terms and a general loop for
+    longer ones, over a Galois ring ring operations.  Public divrem divides
+    by Z/n divisors of up to 17 terms on int lists, so these calls are the
+    ones that reach the packed solve with them.  Quotients run longer than
+    one step's J coefficients and than K, every coefficient is random or
+    every one is the largest, and each result must equal the row-by-row
+    division's: from the top for divrem, from the bottom for lowdiv."""
+
+    RINGS = [Zmod(n) for n in PACKED_MODULI] + GALOIS_PACKED
+
+    @staticmethod
+    def elem(rng, R, top):
+        if R.kind == "zmod":
+            return R.n - 1 if top else rng.randrange(R.n)
+        return (R.pe - 1,) * R.k if top else tuple(rng.randrange(R.pe) for _ in range(R.k))
+
+    @classmethod
+    def pivot(cls, rng, R, top):
+        """A unit: -1 for top, else a random one."""
+        if top:
+            return R.from_int(-1)
+        while not R.is_unit(x := cls.elem(rng, R, False)):
+            pass
+        return x
+
+    @pytest.mark.parametrize("R", RINGS, ids=str)
+    def test_divrem_matches_rowwise(self, R):
+        rng = random.Random(f"solve-divrem/{R}")
+        P = _Packed(R, 8)
+        for dg in (1, 2, 3, 5, 16):             # divisors of 2 to 17 terms
+            for nq in (1, 2, P.J + 1, P.K + 2 + rng.randrange(3)):
+                for top in (False, True):
+                    g = Poly(R, [self.elem(rng, R, top) for _ in range(dg)]
+                             + [self.pivot(rng, R, top)])
+                    f = Poly(R, [self.elem(rng, R, top) for _ in range(dg + nq - 1)]
+                             + [self.pivot(rng, R, top)])
+                    q, Nq, X, dr, c = P.divrem(P.pack(f.coeffs), f.degree, P.pack(g.coeffs), dg,
+                                               R.inv(g.lc))
+                    wq, wr = divrem_rowwise(f, g)
+                    assert (Poly(R, q), Poly(R, P.unpack(X, dr + 1))) == (wq, wr), (dg, nq, top)
+                    assert len(q) == nq and c == (wr.lc if wr.coeffs else R.zero)
+                    assert P.unpack(Nq, nq) == [R.neg(x) for x in q]
+
+    @pytest.mark.parametrize("R", RINGS, ids=str)
+    def test_lowdiv_matches_rowwise(self, R):
+        rng = random.Random(f"solve-lowdiv/{R}")
+        P = _Packed(R, 8)
+        for dd in (1, 2, 3, 5, 16):
+            for nq in (1, 2, P.J + 1, P.K + 2 + rng.randrange(3)):
+                for top in (False, True):
+                    D = [self.pivot(rng, R, top)] + [self.elem(rng, R, top) for _ in range(dd)]
+                    xs = [self.elem(rng, R, top) for _ in range(nq + dd)]
+                    Q, X = P.lowdiv(P.pack(xs), D, R.inv(D[0]), nq)
+                    assert (P.unpack(Q, nq), P.unpack(X, dd)) == lowdiv_rowwise(R, xs, D, nq), \
+                        (dd, nq, top)
 
 
 class TestPackedGalois:
