@@ -7,6 +7,7 @@
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus units --seed 1 --calls 2000
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long-galois --seed 1 --calls 100
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long-small --seed 1 --calls 600
+    PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long-7 --seed 1 --calls 100
 
 Call i draws its operation, ring and operands from random.Random(f"{seed}/{i}"):
 res, res_ideal, rres and rres_bezout (value, u and v) over Z/n (primes,
@@ -43,6 +44,13 @@ remainders often drop degree: 510510 and 30030 (7 and 6 prime factors below
 20), 1001 = 7*11*13, 2^31 - 1, 2 and 3.  Over such moduli a quotient often has
 more than two coefficients, and at 510510 and 2^31 - 1 a packed step takes
 only 4 of them.
+
+The long-7 corpus draws call i from random.Random(f"{seed}/long-7/{i}") as
+the long corpus does, over 1000003, 3^13 and 2^22, whose packed chains have
+7-byte slots: the long corpus's 9699690 has 8-byte slots, and the long-small
+moduli but 2^31 - 1 (9 bytes) and their prime branches have 2- to 6-byte
+ones, so with this corpus long chains run at every slot width that _pack
+moves through 8-byte words.
 
 The long-galois corpus draws call i from random.Random(f"{seed}/long-galois/{i}"):
 res, res_ideal, rres or rres_bezout on a pair of degrees d and d - 1..3, d in
@@ -106,6 +114,7 @@ LONG_GALOIS = [(2, 8, 3), (3, 20, 2), (101, 4, 4)]
 LONG_GALOIS_DEGREES = range(100, 401)
 LONG = [P64, 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211, 10007, 9699690, 3**40, 2**64]
 LONG_SMALL = [510510, 2**31 - 1, 30030, 2, 3, 7 * 11 * 13]
+LONG_7 = [1000003, 3**13, 2**22]
 
 
 def _elem(rng, R, primes):
@@ -241,6 +250,11 @@ def call_long_small(seed, i):
     return _long_zmod_call(random.Random(f"{seed}/long-small/{i}"), LONG_SMALL)
 
 
+def call_long_7(seed, i):
+    """The record of long-7 call i: [operation, ring, degrees, SHA-256 of the output]."""
+    return _long_zmod_call(random.Random(f"{seed}/long-7/{i}"), LONG_7)
+
+
 def call_long_galois(seed, i):
     """The record of long-galois call i: [operation, ring, degrees, SHA-256 of the output]."""
     rng = random.Random(f"{seed}/long-galois/{i}")
@@ -301,7 +315,8 @@ def call_units(seed, i):
 
 
 CORPORA = {"main": call, "res_y": call_res_y, "inv": call_inv, "long": call_long,
-           "long-galois": call_long_galois, "long-small": call_long_small, "units": call_units}
+           "long-galois": call_long_galois, "long-small": call_long_small, "long-7": call_long_7,
+           "units": call_units}
 
 
 def main(argv=None):

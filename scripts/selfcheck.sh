@@ -19,8 +19,10 @@
 # Galois rings; and the digest of 600 calls on long chains over small and
 # many-factor moduli (510510, 30030, 1001, 2^31 - 1, 2, 3), degrees 200-1100
 # (about 10 s), which must equal LONG_SMALL_DIGEST: there quotients of three
-# or more coefficients are common.  Last, it prints the non-blank line count of
-# src/ringres (not a gate).
+# or more coefficients are common; and the digest of 100 calls on long chains
+# over 1000003, 3^13 and 2^22 (about 8 s), which must equal LONG_7_DIGEST: no
+# other long corpus packs 7-byte slots.  Last, it prints the non-blank line
+# count of src/ringres (not a gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -54,5 +56,6 @@ LONG_DIGEST long 60 ba9266f05b4575da74cbf604e6c4743369be269756a225dff825364321f4
 UNITS_DIGEST units 2000 3c0b67c56546e717389f1a7fe6f39a6e44c48b4ad09e9bdc603d44434569a3bb
 LONG_GALOIS_DIGEST long-galois 100 81e8089ad65508b5ba46646709f5be9690e5adf356b20f82308a37132d9bbc0d
 LONG_SMALL_DIGEST long-small 600 0e1c2eadadc79ddfd3f1b9f006f24137f990074b2bbb93896c124d9f2a4ab6de
+LONG_7_DIGEST long-7 100 3ff6371842e2002c94fc001d051008161d2855edf6b4b3c717619997a43bf0a5
 DIGESTS
 echo "non-blank lines in src/ringres: $(cat src/ringres/*.py | grep -cv '^[[:space:]]*$')"

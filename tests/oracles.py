@@ -445,3 +445,25 @@ def lowdiv_rowwise(R, xs, D, nq):
         for t, y in enumerate(D, i):
             rem[t] = R.sub(rem[t], R.mul(c, y))
     return q, rem[nq:]
+
+
+# ---------------------------------------------------------------------------
+# packed ints: one slot at a time
+# ---------------------------------------------------------------------------
+
+def pack_slots(cs, w):
+    """The Z/n coefficients cs in one int of w-byte slots, ascending, one
+    shift per slot; ValueError on a coefficient that is negative or needs
+    more than w bytes."""
+    X = 0
+    for i, c in enumerate(cs):
+        if not 0 <= c < 1 << 8 * w:
+            raise ValueError(f"coefficient {i} does not fit {w} bytes")
+        X |= c << 8 * w * i
+    return X
+
+
+def unpack_slots(X, l, w, n):
+    """The first l w-byte slots of X, ascending, each reduced mod n."""
+    mask = (1 << 8 * w) - 1
+    return [(X >> 8 * w * i & mask) % n for i in range(l)]

@@ -21,10 +21,11 @@ from ringres import (
     is_unit_poly,
     reciprocal,
 )
-from ringres.poly import (_divrem_lists, _mul_lists, _nil_index, primitive_part,
-                          top_non_nilpotent)
+from ringres.poly import (_WORD_MIN, _divrem_lists, _layout, _mul_lists, _nil_index, _pack,
+                          _unpack, primitive_part, top_non_nilpotent)
+from ringres.ring import InvariantError
 
-from oracles import fun_factor_forward
+from oracles import fun_factor_forward, pack_slots, unpack_slots
 
 
 def rand_poly(rng, R, max_deg):
@@ -474,3 +475,58 @@ class TestHelpers:
         g = Poly(gr, [(0, 1), (1, 0)])
         assert (f * g).ring == gr
         assert f * g == g * f
+
+
+# one modulus for each Z/n slot width of 2..8 bytes, where _pack and _unpack
+# move coefficients through machine words, then two with 18- and 34-byte
+# slots, which keep the per-slot path
+WORD_MODULI = (2, 19, 1001, 30030, 510510, 1000003, 9699690)
+PACK_MODULI = WORD_MODULI + (18446744073709551557, 2**127 - 1)
+PACK_LENGTHS = (0, 1, _WORD_MIN - 1, _WORD_MIN, _WORD_MIN + 1, 1100)
+
+
+class TestPackWords:
+    """_pack and _unpack over Z/n against the slot-by-slot oracle, on both
+    sides of _WORD_MIN, at _Packed's slot width w, and at w = 1 (a product
+    width of _ks_mul over Z/2)."""
+
+    CASES = [(n, _layout(n, 1)[0]) for n in PACK_MODULI] + [(2, 1)]
+
+    def test_word_moduli_cover_every_word_width(self):
+        assert sorted(_layout(n, 1)[0] for n in WORD_MODULI) == list(range(2, 9))
+        assert all(_layout(n, 1)[0] > 8 for n in PACK_MODULI[len(WORD_MODULI):])
+
+    @pytest.mark.parametrize("n,w", CASES)
+    def test_round_trip(self, n, w):
+        # reduced coefficients, and any value a slot holds: the top bytes of a
+        # slot are zero below n
+        rng, R, top = random.Random(f"pack/{n}/{w}"), Zmod(n), (1 << 8 * w) - 1
+        for l in PACK_LENGTHS:
+            cs = [rng.choice([0, n - 1, rng.randrange(n), rng.randrange(top), top]) for _ in range(l)]
+            X = _pack(R, cs, w)
+            assert X == pack_slots(cs, w), (n, w, l)
+            assert _unpack(R, X, l, w) == [c % n for c in cs], (n, w, l)
+
+    @pytest.mark.parametrize("n,w", CASES)
+    def test_unpack_reduces_every_slot(self, n, w):
+        # slots as addmul leaves them (below 3n) and the largest a slot holds
+        vals, R = [0, n - 1, 3 * n - 1, (1 << 8 * w) - 1], Zmod(n)
+        for l in PACK_LENGTHS:
+            for shift in range(len(vals)):
+                slots = [vals[(i + shift) % len(vals)] for i in range(l)]
+                X = pack_slots(slots, w)
+                assert _unpack(R, X, l, w) == unpack_slots(X, l, w, n), (n, w, l)
+
+    @pytest.mark.parametrize("n,w", CASES)
+    def test_pack_raises_on_a_coefficient_outside_its_slot(self, n, w):
+        # -1, and a set bit in each byte above the slot up to the 8-byte word
+        # (the bytes the word path drops) and beyond it
+        bad = [-1] + [1 << 8 * b for b in range(w, max(w, 8) + 1)]
+        R = Zmod(n)
+        for l in (_WORD_MIN - 1, _WORD_MIN + 1):
+            for c in bad:
+                for i in (0, l // 2, l - 1):
+                    cs = [n - 1] * l
+                    cs[i] = c
+                    with pytest.raises(InvariantError):
+                        _pack(R, cs, w)

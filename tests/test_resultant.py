@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ringres import (ContextMismatchError, GaloisRing, NeedsSplitError, Poly, Zmod, det,
                      find_irreducible, invert_unit, res, res_ideal, rres, rres_bezout, sylvester)
 from ringres.ring import InvariantError
-from ringres.poly import (UnitChain, _Packed, divrem, divrem_primitive, fun_factor,
+from ringres.poly import (_WORD_MIN, UnitChain, _Packed, divrem, divrem_primitive, fun_factor,
                           is_primitive, primitive_part)
 from ringres.resultant import Reduced, _res_unit, ppa
 
@@ -428,16 +428,18 @@ class TestPackedEuclid:
     def test_packed_step_at_the_slot_bound(self, n):
         # the largest operands one packed update X + Q*Y admits: X slots
         # (n-1)(3n-1), Y slots 3n-1 (reduced, not canonical), K coefficients
-        # n-1, so every slot sums X's and K products at their largest
+        # n-1, so every slot sums X's and K products at their largest; X of
+        # K + 3 slots, and of more than _WORD_MIN, which _pack packs by words
         P = _Packed(Zmod(n), 16)
-        top, l = 3 * n - 1, P.K + 3
-        xs, ys, cs = [(n - 1) * top] * l, [top] * 4, [n - 1] * P.K
-        Z = P.addmul(P.pack(xs), l, P.pack(cs), P.pack(ys))
-        raw = Z.to_bytes(l * P.w, "little")
-        for i in range(l):
-            z = int.from_bytes(raw[i * P.w:(i + 1) * P.w], "little")
-            t = sum(cs[j] * ys[i - j] for j in range(len(cs)) if 0 <= i - j < len(ys))
-            assert z < 3 * n and z % n == (xs[i] + t) % n, (n, i)
+        top = 3 * n - 1
+        for l in (P.K + 3, P.K + 3 + _WORD_MIN):
+            xs, ys, cs = [(n - 1) * top] * l, [top] * 4, [n - 1] * P.K
+            Z = P.addmul(P.pack(xs), l, P.pack(cs), P.pack(ys))
+            raw = Z.to_bytes(l * P.w, "little")
+            for i in range(l):
+                z = int.from_bytes(raw[i * P.w:(i + 1) * P.w], "little")
+                t = sum(cs[j] * ys[i - j] for j in range(len(cs)) if 0 <= i - j < len(ys))
+                assert z < 3 * n and z % n == (xs[i] + t) % n, (n, l, i)
 
     @pytest.mark.parametrize("n", PACKED_MODULI)
     def test_all_top_coefficients(self, n):
