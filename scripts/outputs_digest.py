@@ -8,6 +8,7 @@
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long-galois --seed 1 --calls 100
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long-small --seed 1 --calls 600
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long-7 --seed 1 --calls 100
+    PYTHONPATH=src python3 scripts/outputs_digest.py --corpus howell --seed 1 --calls 1000
 
 Call i draws its operation, ring and operands from random.Random(f"{seed}/{i}"):
 res, res_ideal, rres and rres_bezout (value, u and v) over Z/n (primes,
@@ -71,6 +72,17 @@ the nil index runs up to E) of degree up to 40, as the operand to invert or
 as the unit factor of the divisor or polynomial to factor; a tenth of the
 operands break that shape (a unit higher coefficient, or a zero divisor as a
 factor), so the error paths are recorded too.
+
+The howell corpus draws call i from random.Random(f"{seed}/howell/{i}"): over
+2^64, the 63-bit composite of the long corpus, 72, 9699690, 3^40, 2, 4 and
+2^127 - 1 (slots wider than 8 bytes), howell on an N x N matrix, N in 1..64
+(one call in four at N in 40..64), with uniform entries, entries biased
+toward the modulus's prime factors, all entries n - 1, or rows that are small
+combinations of a few base rows (rank-deficient); rres_linalg on a pair of
+degrees up to 12, one operand with a unit leading coefficient; and
+res_bezout_linalg (value, u and v) on a pair of degrees up to 12, whose
+identity block rides along in the elimination.  The certificate's u and v
+depend on the order of the row operations, not on the Howell form alone.
 """
 from __future__ import annotations
 
@@ -80,9 +92,9 @@ import json
 import math
 import random
 
-from ringres import (BiPoly, GaloisRing, PadicCtx, Poly, Zmod, divrem_primitive, find_irreducible,
-                     fun_factor, invert_mod, invert_unit, padic_gcd, res, res_ideal, res_y, rres,
-                     rres_bezout)
+from ringres import (BiPoly, GaloisRing, Matrix, PadicCtx, Poly, Zmod, divrem_primitive,
+                     find_irreducible, fun_factor, howell, invert_mod, invert_unit, padic_gcd, res,
+                     res_bezout_linalg, res_ideal, res_y, rres, rres_bezout, rres_linalg)
 
 P64 = 18446744073709551557
 ZMOD = [  # (n, its prime factors)
@@ -115,6 +127,11 @@ LONG_GALOIS_DEGREES = range(100, 401)
 LONG = [P64, 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211, 10007, 9699690, 3**40, 2**64]
 LONG_SMALL = [510510, 2**31 - 1, 30030, 2, 3, 7 * 11 * 13]
 LONG_7 = [1000003, 3**13, 2**22]
+HOWELL = [  # (n, its prime factors)
+    (2**64, (2,)), (LONG[1], (251, 241, 239, 233, 229, 227, 223, 211)), (72, (2, 3)),
+    (9699690, (2, 3, 5, 7, 11, 13, 17, 19)), (3**40, (3,)), (2, (2,)), (4, (2,)),
+    (2**127 - 1, (2**127 - 1,)),
+]
 
 
 def _elem(rng, R, primes):
@@ -314,9 +331,48 @@ def call_units(seed, i):
     return [op, str(R), [_out(a) for a in args], got]
 
 
+def call_howell(seed, i):
+    """The record of howell call i: [operation, ring, operands, output]."""
+    rng = random.Random(f"{seed}/howell/{i}")
+    op, (n, primes) = rng.choice(["howell"] * 3 + ["rres_linalg", "res_bezout_linalg"]), rng.choice(HOWELL)
+    R = Zmod(n)
+    if op == "howell":
+        N = rng.randrange(40, 65) if rng.random() < 0.25 else rng.randrange(1, 40)
+        kind = rng.choice(["uniform", "biased", "n-1", "deficient"])
+        if kind == "uniform":
+            rows = [[rng.randrange(n) for _ in range(N)] for _ in range(N)]
+        elif kind == "n-1":
+            rows = [[n - 1] * N for _ in range(N)]
+        else:
+            base = [[_elem(rng, R, primes) for _ in range(N)] for _ in range(rng.randrange(1, N + 1))]
+            if kind == "biased":
+                rows = base + [[_elem(rng, R, primes) for _ in range(N)] for _ in range(N - len(base))]
+            else:
+                rows = [[sum(rng.randrange(3) * r[c] for r in base[:3]) % n for c in range(N)]
+                        for _ in range(N)]
+        return [op, str(R), rows, _out(howell(Matrix(R, rows)).rows)]
+    f, g = (_poly(rng, R, primes, rng.randrange(0, 13)) for _ in range(2))
+    if op == "rres_linalg":     # a unit leading coefficient on f
+        u = rng.randrange(1, n)
+        while math.gcd(u, n) != 1:
+            u = rng.randrange(1, n)
+        f = Poly(R, f.coeffs + (u,))
+    if f.is_zero() or g.is_zero() or f.degree + g.degree < 1:
+        return [op, str(R), [], "zero"]
+    try:
+        if op == "rres_linalg":
+            got = _out(rres_linalg(f, g))
+        else:
+            c = res_bezout_linalg(f, g)
+            got = [_out(c.value), _out(c.u), _out(c.v)]
+    except (ArithmeticError, ValueError) as e:
+        got = type(e).__name__
+    return [op, str(R), [_out(f), _out(g)], got]
+
+
 CORPORA = {"main": call, "res_y": call_res_y, "inv": call_inv, "long": call_long,
            "long-galois": call_long_galois, "long-small": call_long_small, "long-7": call_long_7,
-           "units": call_units}
+           "units": call_units, "howell": call_howell}
 
 
 def main(argv=None):

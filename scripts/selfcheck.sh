@@ -21,8 +21,11 @@
 # (about 10 s), which must equal LONG_SMALL_DIGEST: there quotients of three
 # or more coefficients are common; and the digest of 100 calls on long chains
 # over 1000003, 3^13 and 2^22 (about 8 s), which must equal LONG_7_DIGEST: no
-# other long corpus packs 7-byte slots.  Last, it prints the non-blank line
-# count of src/ringres (not a gate).
+# other long corpus packs 7-byte slots; and the digest of 1,000 calls of howell
+# (N up to 64), rres_linalg and res_bezout_linalg over 2^64, a 63-bit
+# composite, 72, 9699690, 3^40, 2, 4 and 2^127 - 1 (about 4 s), which must
+# equal HOWELL_DIGEST: no other corpus calls the Howell form.  Last, it prints
+# the non-blank line count of src/ringres (not a gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -57,5 +60,6 @@ UNITS_DIGEST units 2000 3c0b67c56546e717389f1a7fe6f39a6e44c48b4ad09e9bdc603d4443
 LONG_GALOIS_DIGEST long-galois 100 81e8089ad65508b5ba46646709f5be9690e5adf356b20f82308a37132d9bbc0d
 LONG_SMALL_DIGEST long-small 600 0e1c2eadadc79ddfd3f1b9f006f24137f990074b2bbb93896c124d9f2a4ab6de
 LONG_7_DIGEST long-7 100 3ff6371842e2002c94fc001d051008161d2855edf6b4b3c717619997a43bf0a5
+HOWELL_DIGEST howell 1000 a38b2ae34f87c5051ef84275c7f08cd28f1c7667aa0492b27a0d18e57019833b
 DIGESTS
 echo "non-blank lines in src/ringres: $(cat src/ringres/*.py | grep -cv '^[[:space:]]*$')"

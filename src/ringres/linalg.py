@@ -4,17 +4,18 @@ The determinant (fraction-free Bareiss on an integer lift) and the Howell
 strong echelon form are the independent linear-algebra route used to
 cross-check the Euclidean resultant algorithms.
 
-The Howell elimination carries rows only.  A caller that needs the transform
-appends an identity block to its rows and puts only the leading columns in
-echelon form: a pivot row (a | t) then has t*M == a (Storjohann and Mulders,
-"Fast algorithms for linear algebra modulo N", ESA 1998).
+The Howell elimination carries rows only, each one packed int.  A caller
+that needs the transform appends an identity block to its rows and puts only
+the leading columns in echelon form: a pivot row (a | t) then has t*M == a
+(Storjohann and Mulders, "Fast algorithms for linear algebra modulo N", ESA
+1998).  The tests check it against a list elimination (tests/oracles.py).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .poly import NonInvertibleLeadingCoeffError, Poly
+from .poly import NonInvertibleLeadingCoeffError, Poly, _Packed
 from .ring import InvariantError, Zmod, _ext_gcd, bareiss
 
 
@@ -93,79 +94,85 @@ def _unit_scale(n: int, h: int) -> int:
     return u % n
 
 
-def _echelon_insert(n, pivots, row, width):
-    """Insert a row into the pivot dict keyed by pivot column, looking for
-    pivots in the first `width` columns only.
-
-    Eliminates left to right with unimodular 2x2 integer transforms; the
-    span over Z/n is preserved exactly.
-    """
-    while True:
-        j = next((c for c in range(width) if row[c]), None)
-        if j is None:
-            return
-        if j not in pivots:
-            pivots[j] = row
-            return
-        prow = pivots[j]
-        a, b = prow[j], row[j]
-        if b % a == 0:
-            # cheap path: just eliminate
-            q = b // a
-            row = [(y - q * x) % n for x, y in zip(prow, row)]
-        else:
-            g, s, t = _ext_gcd(a, b)
-            pivots[j] = [(s * x + t * y) % n for x, y in zip(prow, row)]
-            row = [((b // g) * x - (a // g) * y) % n for x, y in zip(prow, row)]
-
-
 def _howell_core(n: int, rows, width: int):
-    """Howell form over Z/n of the first `width` columns of `rows`: a dict
-    from pivot column to its row.
+    """Howell form over Z/n of the first `width` columns of `rows`, entries
+    in [0, n): a dict from pivot column to its row.
 
     Columns from `width` on only ride along in the row operations.  With an
     identity block appended to M's rows, a pivot row (a | t) has t*M == a.
+
+    A row is one int in _Packed(Zmod(n), ncols)'s layout, packed on entry and
+    unpacked once for the result.  A row operation, a unimodular 2x2 integer
+    transform or a scaling, is one s*X + t*Y (s, t in [0, n)) and one Barrett
+    step, which leaves each slot below 3n, so entry j is slot j mod n.
     """
+    if n == 1 or not rows:
+        return {}
+    P, ncols = _Packed(Zmod(n), len(rows[0])), len(rows[0])
+    b, sm, a, h, m, mask = P.b, P.slot_mask, P.a, P.h, P.m, P.mask
     pivots = {}
+
+    def insert(X, j=0):
+        """Insert X, zero mod n before column j: True if it adds or lowers a pivot."""
+        changed = False
+        while True:
+            while j < width and not (y := ((X >> (b * j)) & sm) % n):
+                j += 1
+            if j == width:
+                return changed
+            if j not in pivots:
+                pivots[j] = X
+                return True
+            Y = pivots[j]
+            x = ((Y >> (b * j)) & sm) % n
+            if y % x == 0:      # cheap path: just eliminate
+                X += (n - y // x) * Y
+            else:
+                g, s, t = _ext_gcd(x, y)
+                Z = s % n * Y + t % n * X
+                pivots[j] = Z - (((((Z >> a) & mask) * m) >> h) & mask) * n
+                X = y // g * Y + (n - x // g) * X
+                changed = True
+            X -= (((((X >> a) & mask) * m) >> h) & mask) * n
+            j += 1      # both updates leave column j of X zero mod n
+
     for row in rows:
-        _echelon_insert(n, pivots, [c % n for c in row], width)
+        insert(P.pack(row))
     # a unit pivot in every column, and no columns riding along: the rows
     # span all of (Z/n)^width, whose Howell form is the identity
-    if (len(pivots) == width and rows and len(rows[0]) == width
-            and all(math.gcd(row[j], n) == 1 for j, row in pivots.items())):
+    if len(pivots) == width == ncols and all(
+            math.gcd((Y >> (b * j)) & sm, n) == 1 for j, Y in pivots.items()):
         return {j: [int(i == j) for i in range(width)] for j in pivots}
-    # annihilator rows: (n / gcd(n, pivot)) * row re-enters the worklist;
-    # pivot ideals only grow, so this stabilises quickly.
+    # annihilator rows: (n / gcd(n, pivot)) * row re-enters the worklist; a
+    # unit pivot's is zero.  Pivot entries only fall and pivots are only
+    # added, so a pass that changes neither has stabilised.
     for _ in range(width + 1):
-        before = {j: row[:width] for j, row in pivots.items()}
+        changed = False
         for j in sorted(pivots):
-            row = pivots[j]
-            ann = n // math.gcd(n, row[j])
-            if ann == 1:
-                continue
-            arow = [(ann * c) % n for c in row]
-            if any(arow[:width]):
-                _echelon_insert(n, pivots, arow, width)
-        if {j: row[:width] for j, row in pivots.items()} == before:
+            Y = pivots[j]
+            ann = n // math.gcd(n, (Y >> (b * j)) & sm)
+            if ann != n:
+                changed |= insert((X := ann * Y) - (((((X >> a) & mask) * m) >> h) & mask) * n, j)
+        if not changed:
             break
     else:
         raise InvariantError("howell annihilator pass failed to stabilise")
     # normalise pivots to canonical divisors of n
-    for j, row in pivots.items():
-        u = _unit_scale(n, row[j])
+    for j, Y in pivots.items():
+        u = _unit_scale(n, ((Y >> (b * j)) & sm) % n)
         if u != 1:
-            pivots[j] = [(u * c) % n for c in row]
+            pivots[j] = (Y := u * Y) - (((((Y >> a) & mask) * m) >> h) & mask) * n
     # size-reduce entries above each pivot
-    for j in sorted(pivots):
-        prow = pivots[j]
-        h = prow[j]
-        for i in sorted(pivots):
-            if i >= j:
-                break
-            q = pivots[i][j] // h
+    order = sorted(pivots)
+    for k, j in enumerate(order):
+        Y = pivots[j]
+        hj = ((Y >> (b * j)) & sm) % n
+        for i in order[:k]:
+            q = ((pivots[i] >> (b * j)) & sm) % n // hj
             if q:
-                pivots[i] = [(x - q * y) % n for x, y in zip(pivots[i], prow)]
-    return pivots
+                X = pivots[i] + (n - q) * Y
+                pivots[i] = X - (((((X >> a) & mask) * m) >> h) & mask) * n
+    return {j: P.unpack(Y, ncols) for j, Y in pivots.items()}
 
 
 def howell(M: Matrix) -> Matrix:
@@ -173,10 +180,10 @@ def howell(M: Matrix) -> Matrix:
     pivot entries canonical divisors of n, entries above pivots reduced."""
     if M.nrows != M.ncols:
         raise ValueError("howell expects a square matrix")
-    out = [[M.ring.zero] * M.ncols for _ in range(M.ncols)]
-    for j, row in _howell_core(M.ring.n, M.to_lists(), M.ncols).items():
-        out[j] = row
-    return Matrix(M.ring, tuple(tuple(r) for r in out))
+    pivots, zero = _howell_core(M.ring.n, M.rows, M.ncols), (M.ring.zero,) * M.ncols
+    H = object.__new__(Matrix)  # the rows are reduced: no second coercion in __post_init__
+    H.__dict__.update(ring=M.ring, rows=tuple(tuple(pivots.get(j, zero)) for j in range(M.ncols)))
+    return H
 
 
 def rres_linalg(f: Poly, g: Poly):

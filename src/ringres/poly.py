@@ -704,8 +704,11 @@ class UnitChain:
         ones, bb, zero, zmod = ops.ones, ops.bb, R.zero, not ops.galois
         top, cap = bb * ops.slots, min(ops.K, 5)
         while dg > 0:
-            if zmod and df - dg < cap and math.gcd(c, n) == 1:
-                ci = pow(c, -1, n)
+            try:    # pow alone tests c: a gcd test first ran zmod-euclid x1.027 slower
+                ci = zmod and df - dg < cap and pow(c, -1, n)
+            except ValueError:      # c is a zero divisor
+                ci = 0
+            if ci:
                 if df == dg + 1:
                     T = F >> (b * (df - 1))
                     q1 = (T >> b) * ci % n

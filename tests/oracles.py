@@ -1,14 +1,15 @@
 """Independent oracles used by the test suite.
 
-Everything here deliberately avoids the code paths under test: reduced
-resultants come from a stabilized extended-degree Howell form (over Galois
-rings, the chain-ring form of rres_galois_oracle), bivariate
-resultants from symbolic cofactor expansion, their interpolation from the
-textbook Lagrange formula, irreducibility over F_p from trial division,
-determinants over Galois rings from Berkowitz's division-free algorithm,
-Galois-ring division from the schoolbook row loop,
-divisibility from module membership, and number-field data from an integer
-Hermite-normal-form computation on the underlying Z-module.
+Everything here deliberately avoids the code paths under test: the Howell
+form over Z/n comes from the list elimination howell_lists, one entry at a
+time (linalg's runs on packed rows), reduced resultants from its stabilized
+extended-degree form (over Galois rings, the chain-ring form of
+rres_galois_oracle), bivariate resultants from symbolic cofactor expansion,
+their interpolation from the textbook Lagrange formula, irreducibility over
+F_p from trial division, determinants over Galois rings from Berkowitz's
+division-free algorithm, Galois-ring division from the schoolbook row loop,
+divisibility from module membership in howell_lists, and number-field data
+from an integer Hermite-normal-form computation on the underlying Z-module.
 """
 
 from __future__ import annotations
@@ -17,12 +18,115 @@ import math
 
 import sympy
 
-from ringres import Matrix, Poly, divrem, howell
-# the reduced resultant from stabilized extended-degree Howell forms lives in
-# linalg, where `ringres selfcheck` uses it too
-from ringres.linalg import rres_howell as rres_howell_oracle
+from ringres import Poly, divrem
+# the scalar steps of a Howell elimination: with the same cofactors and unit
+# scales, howell_lists and linalg's packed form agree on riding columns too
+from ringres.linalg import _unit_scale
+from ringres.ring import _ext_gcd
 
 _x = sympy.Symbol("x")
+
+
+# ---------------------------------------------------------------------------
+# Howell form over Z/n: the list elimination
+# ---------------------------------------------------------------------------
+
+def _echelon_insert(n, pivots, row, width):
+    """Insert a row into the pivot dict keyed by pivot column, looking for
+    pivots in the first `width` columns only.
+
+    Eliminates left to right with unimodular 2x2 integer transforms; the
+    span over Z/n is preserved exactly.
+    """
+    while True:
+        j = next((c for c in range(width) if row[c]), None)
+        if j is None:
+            return
+        if j not in pivots:
+            pivots[j] = row
+            return
+        prow = pivots[j]
+        a, b = prow[j], row[j]
+        if b % a == 0:
+            # cheap path: just eliminate
+            q = b // a
+            row = [(y - q * x) % n for x, y in zip(prow, row)]
+        else:
+            g, s, t = _ext_gcd(a, b)
+            pivots[j] = [(s * x + t * y) % n for x, y in zip(prow, row)]
+            row = [((b // g) * x - (a // g) * y) % n for x, y in zip(prow, row)]
+
+
+def howell_lists(n: int, rows, width: int):
+    """Howell form over Z/n of the first `width` columns of `rows`: a dict
+    from pivot column to its row, a list of reduced entries, each row
+    operation one list comprehension.
+
+    Columns from `width` on only ride along in the row operations.  With an
+    identity block appended to M's rows, a pivot row (a | t) has t*M == a."""
+    pivots = {}
+    for row in rows:
+        _echelon_insert(n, pivots, [c % n for c in row], width)
+    # annihilator rows: (n / gcd(n, pivot)) * row re-enters the worklist;
+    # pivot ideals only grow, so this stabilises quickly.
+    for _ in range(width + 1):
+        before = {j: row[:width] for j, row in pivots.items()}
+        for j in sorted(pivots):
+            row = pivots[j]
+            ann = n // math.gcd(n, row[j])
+            if ann == 1:
+                continue
+            arow = [(ann * c) % n for c in row]
+            if any(arow[:width]):
+                _echelon_insert(n, pivots, arow, width)
+        if {j: row[:width] for j, row in pivots.items()} == before:
+            break
+    else:
+        raise AssertionError("howell annihilator pass failed to stabilise")
+    # normalise pivots to canonical divisors of n
+    for j, row in pivots.items():
+        u = _unit_scale(n, row[j])
+        if u != 1:
+            pivots[j] = [(u * c) % n for c in row]
+    # size-reduce entries above each pivot
+    for j in sorted(pivots):
+        prow = pivots[j]
+        h = prow[j]
+        for i in sorted(pivots):
+            if i >= j:
+                break
+            q = pivots[i][j] // h
+            if q:
+                pivots[i] = [(x - q * y) % n for x, y in zip(pivots[i], prow)]
+    return pivots
+
+
+def rres_howell_oracle(f, g):
+    """Canonical generator of (f, g) ∩ R for nonzero f, g over Z/n, from the
+    Howell forms (howell_lists) of extended-degree Sylvester matrices: rows
+    x^i f and x^i g for i <= D, constant term in the last column, raising D
+    until the generator is stable."""
+    R = f.ring
+
+    def attempt(D):
+        w = D + max(f.degree, g.degree) + 1
+        rows = []
+        for p in (f, g):
+            for i in range(D + 1):
+                row = [0] * w
+                for j, c in enumerate(p.coeffs):
+                    row[w - 1 - (i + j)] = c
+                rows.append(row)
+        pivots = howell_lists(R.n, rows, w)
+        return R.ideal_gen(pivots[w - 1][w - 1] if w - 1 in pivots else 0)
+
+    D = f.degree + g.degree + 1
+    prev = attempt(D)
+    while True:
+        cur = attempt(D + 1)
+        if cur == prev:
+            return cur
+        prev, D = cur, D + 1
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +360,18 @@ def divides_mod(dpoly: Poly, target: Poly) -> bool:
         for j, c in enumerate(dpoly.coeffs):
             row[i + j] = c
         rows.append(row)
-    N = max(w, len(rows))
-    rows = [r + [R.zero] * (N - w) for r in rows]
-    while len(rows) < N:
-        rows.append([R.zero] * N)
-    H = howell(Matrix(R, rows))
-    t = list(target.coeffs) + [R.zero] * (N - len(target.coeffs))
-    for col in range(N):
+    H = howell_lists(R.n, rows, w)
+    t = list(target.coeffs) + [R.zero] * (w - len(target.coeffs))
+    for col in range(w):
         if R.is_zero(t[col]):
             continue
-        piv = H.rows[col][col]
-        if R.is_zero(piv):
+        if col not in H:
             return False
-        q = R.try_divide(t[col], piv)
+        q = R.try_divide(t[col], H[col][col])
         if q is None:
             return False
-        for idx in range(N):
-            t[idx] = R.sub(t[idx], R.mul(q, H.rows[col][idx]))
+        for idx in range(w):
+            t[idx] = R.sub(t[idx], R.mul(q, H[col][idx]))
     return all(R.is_zero(c) for c in t)
 
 

@@ -19,7 +19,9 @@ from ringres import (
     sylvester,
 )
 
-from oracles import berkowitz_det
+from oracles import berkowitz_det, howell_lists
+
+COMPOSITE = 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211   # 63 bits, 8 primes
 
 
 def rand_poly(rng, R, max_deg):
@@ -191,6 +193,24 @@ class TestHowell:
         cert = res_bezout_linalg(f, g)
         assert R.is_unit(cert.value) and scaled
         assert cert.u * f + cert.v * g == Poly.const(R, cert.value)
+
+    def test_matches_list_oracle(self):
+        # the packed elimination against the list one, pivot dict for pivot
+        # dict: random, all-(n - 1) and rank-deficient rows, square and with
+        # an identity block riding along (as res_bezout_linalg appends), over
+        # moduli with 1- to 17-byte slots (2^127 - 1 is wider than a word)
+        rng = random.Random(27)
+        for n in (2**64, COMPOSITE, 72, 9699690, 3**40, 2, 4, 2**127 - 1):
+            for N in (1, 2, 3, 24, 40, 64):
+                base = [[rng.randrange(n) for _ in range(N)] for _ in range(max(1, N // 3))]
+                cases = [[[rng.randrange(n) for _ in range(N)] for _ in range(N)],
+                         [[n - 1] * N for _ in range(N)],
+                         [[sum(rng.randrange(3) * r[c] for r in base) % n for c in range(N)]
+                          for _ in range(N)]]
+                for rows in cases:
+                    assert linalg._howell_core(n, rows, N) == howell_lists(n, rows, N), (n, rows)
+                    rows = [r + [int(i == j) for j in range(N)] for i, r in enumerate(rows)]
+                    assert linalg._howell_core(n, rows, N) == howell_lists(n, rows, N), (n, rows)
 
     def test_empty_and_zero(self):
         R = Zmod(12)
