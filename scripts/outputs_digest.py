@@ -9,6 +9,7 @@
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long-small --seed 1 --calls 600
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus long-7 --seed 1 --calls 100
     PYTHONPATH=src python3 scripts/outputs_digest.py --corpus howell --seed 1 --calls 1000
+    PYTHONPATH=src python3 scripts/outputs_digest.py --corpus linear --seed 1 --calls 400
 
 Call i draws its operation, ring and operands from random.Random(f"{seed}/{i}"):
 res, res_ideal, rres and rres_bezout (value, u and v) over Z/n (primes,
@@ -83,6 +84,16 @@ degrees up to 12, one operand with a unit leading coefficient; and
 res_bezout_linalg (value, u and v) on a pair of degrees up to 12, whose
 identity block rides along in the elimination.  The certificate's u and v
 depend on the order of the row operations, not on the Howell form alone.
+
+The linear corpus draws call i from random.Random(f"{seed}/linear/{i}"): res
+or res_ideal over 2^64, 3^40, the 63-bit 8-prime composite, 10007, 9699690
+and the benchmark's three Galois rings, with one operand of degree 1 and the
+other of degree 0..1000, in either order; its linear coefficient is a unit, a
+zero divisor or, over a prime power, a nilpotent, and a fifth of its constant
+terms are zero.  Or res_y over the five Z/n moduli, with one operand of
+y-degree 1 and the other of y-degree 0..24 (the degree bound, and with it the
+number of interpolation points, grows with that degree), x-degrees up to 2,
+so that the point resultants have a linear operand.
 """
 from __future__ import annotations
 
@@ -127,6 +138,10 @@ LONG_GALOIS_DEGREES = range(100, 401)
 LONG = [P64, 251 * 241 * 239 * 233 * 229 * 227 * 223 * 211, 10007, 9699690, 3**40, 2**64]
 LONG_SMALL = [510510, 2**31 - 1, 30030, 2, 3, 7 * 11 * 13]
 LONG_7 = [1000003, 3**13, 2**22]
+LINEAR = [  # (n, its prime factors)
+    (2**64, (2,)), (3**40, (3,)), (LONG[1], (251, 241, 239, 233, 229, 227, 223, 211)),
+    (10007, (10007,)), (9699690, (2, 3, 5, 7, 11, 13, 17, 19)),
+]
 HOWELL = [  # (n, its prime factors)
     (2**64, (2,)), (LONG[1], (251, 241, 239, 233, 229, 227, 223, 211)), (72, (2, 3)),
     (9699690, (2, 3, 5, 7, 11, 13, 17, 19)), (3**40, (3,)), (2, (2,)), (4, (2,)),
@@ -370,9 +385,46 @@ def call_howell(seed, i):
     return [op, str(R), [_out(f), _out(g)], got]
 
 
+def call_linear(seed, i):
+    """The record of linear call i: [operation, ring, operands, output]."""
+    rng = random.Random(f"{seed}/linear/{i}")
+    op = rng.choice(["res", "res_ideal", "res_y"])
+    if op != "res_y" and rng.random() < 0.3:
+        p, e, k = rng.choice(LONG_GALOIS)
+        R, primes = GaloisRing(p, e, find_irreducible(p, k)), (p,)
+    else:
+        n, primes = rng.choice(LINEAR)
+        R = Zmod(n)
+
+    def linear():
+        u0 = R.zero if rng.random() < 0.2 else _elem(rng, R, primes)
+        u1 = R.zero
+        while R.is_zero(u1):  # uniform half the time, else times a prime factor's power
+            u1 = _elem(rng, R, primes)
+        return Poly(R, [u0, u1])
+    if op == "res_y":
+        def x_poly():
+            return _poly(rng, R, primes, rng.randrange(0, 3))
+        top = Poly.zero(R)
+        while top.is_zero():
+            top = x_poly()
+        f = BiPoly(R, (x_poly(), top))
+        g = BiPoly(R, tuple(x_poly() for _ in range(rng.randrange(0, 25) + 1)))
+    else:
+        f, g = linear(), _poly(rng, R, primes, rng.randrange(0, 1001))
+    if rng.random() < 0.5:
+        f, g = g, f
+    try:
+        got = _out(res_y(f, g) if op == "res_y" else OPS[op](f, g))
+    except (ArithmeticError, ValueError) as e:
+        got = type(e).__name__
+    ops = (f.coeffs, g.coeffs) if op == "res_y" else (f, g)
+    return [op, str(R), [_out(x) for x in ops], got]
+
+
 CORPORA = {"main": call, "res_y": call_res_y, "inv": call_inv, "long": call_long,
            "long-galois": call_long_galois, "long-small": call_long_small, "long-7": call_long_7,
-           "units": call_units, "howell": call_howell}
+           "units": call_units, "howell": call_howell, "linear": call_linear}
 
 
 def main(argv=None):

@@ -24,8 +24,13 @@
 # other long corpus packs 7-byte slots; and the digest of 1,000 calls of howell
 # (N up to 64), rres_linalg and res_bezout_linalg over 2^64, a 63-bit
 # composite, 72, 9699690, 3^40, 2, 4 and 2^127 - 1 (about 4 s), which must
-# equal HOWELL_DIGEST: no other corpus calls the Howell form.  Last, it prints
-# the non-blank line count of src/ringres (not a gate).
+# equal HOWELL_DIGEST: no other corpus calls the Howell form; and the digest of
+# 400 calls of res, res_ideal and res_y with one operand of degree 1 (y-degree
+# 1 for res_y) and the other of degree up to 1000 (y-degree up to 24) over
+# 2^64, 3^40, the 63-bit composite, 10007, 9699690 and the benchmark's Galois
+# rings (about 8 s), which must equal LINEAR_DIGEST: the closed form for a
+# linear operand must give what a Euclidean chain gives.  Last, it prints the
+# non-blank line count of src/ringres (not a gate).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
@@ -61,5 +66,6 @@ LONG_GALOIS_DIGEST long-galois 100 81e8089ad65508b5ba46646709f5be9690e5adf356b20
 LONG_SMALL_DIGEST long-small 600 0e1c2eadadc79ddfd3f1b9f006f24137f990074b2bbb93896c124d9f2a4ab6de
 LONG_7_DIGEST long-7 100 3ff6371842e2002c94fc001d051008161d2855edf6b4b3c717619997a43bf0a5
 HOWELL_DIGEST howell 1000 a38b2ae34f87c5051ef84275c7f08cd28f1c7667aa0492b27a0d18e57019833b
+LINEAR_DIGEST linear 400 65800705c6259f5a2573950ece84946a7928d50b91cf5362982064ef7086947b
 DIGESTS
 echo "non-blank lines in src/ringres: $(cat src/ringres/*.py | grep -cv '^[[:space:]]*$')"

@@ -269,8 +269,6 @@ def res_y(f: BiPoly, g: BiPoly) -> Poly:
     if f.is_zero() or g.is_zero():
         return Poly.zero(R)
     N, M = f.deg_y, g.deg_y
-    if N == 0 and M == 0:
-        return Poly.const(R, R.one)
     B, pieces = degree_bound(f, g), []  # pieces: (Zmod ring, Poly) per branch
     for bp in _plan(R, B, max(f.deg_x, g.deg_x)):
         S = bp.branch.ring

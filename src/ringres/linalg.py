@@ -85,8 +85,6 @@ def _unit_scale(n: int, h: int) -> int:
     """Unit u of Z/n with u*h == gcd(h, n) mod n."""
     g = math.gcd(h, n)
     ng = n // g
-    if ng == 1:
-        return 1
     w = (h // g) % ng
     u = pow(w, -1, ng)
     while math.gcd(u, n) != 1:

@@ -110,8 +110,6 @@ def elem_norm_mod(ctx: NumberFieldCtx, alpha: FieldElem, M: int) -> int:
     priori in Z[1/den], is not integral."""
     if M < 2:
         raise ValueError("modulus must be at least 2")
-    if alpha.is_zero():
-        return 0
     n = ctx.degree
     d = alpha.den
     Mp = M * d**n
@@ -135,8 +133,6 @@ def ideal_norm(ctx: NumberFieldCtx, I: Ideal2) -> int:
     a = I.a
     if a == 1:
         return 1
-    if I.alpha.is_zero():
-        return a**n
     c = _a_part(I.alpha.den, a)
     try:
         return math.gcd(a**n, elem_norm_mod(ctx, FieldElem(I.alpha.num, c), a**n))
@@ -153,9 +149,6 @@ def ideal_min(ctx: NumberFieldCtx, I: Ideal2) -> int:
     if a == 1:
         return 1
     alpha = I.alpha
-    if alpha.is_zero():
-        return a
-    n = ctx.degree
     d = alpha.den
     if math.gcd(a, d) == 1 and math.gcd(a, ctx.exponent_hint) == 1:
         # fast path: denominators appearing in the Bezout data stay units

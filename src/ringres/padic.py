@@ -189,8 +189,6 @@ def _gcd_unitlike(ctx: PadicCtx, ops, F, df, u: Poly, delta: int):
     (_Packed.factor with window)."""
     R = u.ring
     one = Poly.const(R, R.one)
-    if u.degree == 0:
-        return one, delta
     k, _ = ops.top_non_nilpotent(F, df)   # a unit, as f is primitive
     if k == df:
         return one, delta   # f1 is a constant

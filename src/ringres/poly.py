@@ -118,10 +118,6 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(R, [])
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            return Poly(R, [R.mul(a[0], y) for y in b])
         return Poly(R, _ks_mul(R, a, b))
 
     def scale(self, c):
@@ -623,13 +619,14 @@ class _Packed:
     def factor(self, G, dg, k, window=False):
         """(u, j, gtilde) with G == u*gtilde for G of degree dg whose highest
         non-nilpotent coefficient G_k, k < dg, is a unit: u a unit of R[x] of
-        degree at most m = dg - k, gtilde monic of degree k (packed), and j the
-        index of the ideal J of G's top m coefficients (_nil_index), so u^-1
-        has at most (j - 1)*deg u + 1 coefficients.  With window, gtilde is
-        that of G's top m*j + 1 coefficients, which have the same u.
+        degree m = dg - k, gtilde monic of degree k (packed), and j the index
+        of the ideal J of G's top m coefficients (_nil_index), so u^-1 has at
+        most (j - 1)*m + 1 coefficients.  With window, gtilde is that of G's
+        top m*j + 1 coefficients, which have the same u.
 
         rev(G) == P*Q with P = rev(u)/u(0) monic of degree m and P == y^m
-        modulo J, so y^(mj) == (y^m - P)^j == 0 modulo P: _lift finds P from
+        modulo J; u's top coefficient u(0)*P(0) is nonzero, as P(0)*Q(0) is
+        G's lc.  So y^(mj) == (y^m - P)^j == 0 modulo P: _lift finds P from
         rev(G) mod y^(mj).  G divided by rev(P) from the bottom is then
         u(0)*gtilde, and a zero remainder with u(0) a unit and P nilpotent
         below its top certifies G == u*gtilde.

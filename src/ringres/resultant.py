@@ -7,6 +7,8 @@ nilpotent by its monic Hensel factor.  Contents are extracted before each
 chain; a step that meets a splitting element (primitive_part, ppa, the first
 divisor's factorization) raises NeedsSplitError(element), and each engine
 catches it in one place and splits, by CRT, the pair it held before the step.
+res builds no chain for a linear operand: res(f, u0 + u1*x) has the closed
+form sum_i f_i * u0^i * (-u1)^(deg f - i) (_res_linear), whatever u1 is.
 
 Conventions:
   * res(f, g) == det(sylvester(f, g)) for all nonzero f, g; swapping the
@@ -218,8 +220,6 @@ def res_at_degrees(f: Poly, N: int, g: Poly, M: int, ideal_mode=False):
     zeroes the first column, hence the determinant.
     """
     R = f.ring
-    if N == 0 and M == 0:
-        return R.one
     if M == 0:
         return R.pow_elem(g.coeff(0), N)
     if N == 0:
@@ -235,13 +235,11 @@ def res_at_degrees(f: Poly, N: int, g: Poly, M: int, ideal_mode=False):
 
 
 def _res_unit(top, df, u: Poly, ideal_mode):
-    """res(f, u) for a unit u of R[x] and f of degree df, from top, the
-    coefficients f_df, f_(df-1), ... down to f_(df - m - deg u^-1) or to
-    f_0, m = deg u."""
+    """res(f, u) for a unit u of R[x] of degree m >= 1 (_Packed.factor's) and
+    f of degree df, from top = f_df, f_(df-1), ... down to f_(df - m - deg u^-1)
+    or to f_0.  At m = 2, r below has degree <= 1, so _res(U, r) builds no chain."""
     R = u.ring
     m, u0 = u.degree, u.coeffs[0]
-    if m == 0:
-        return R.pow_elem(u0, df)
     if m == 1:
         return _res_linear(R, top, df, u0, u.coeffs[1])
     # With f = x^s*f2, f2(0) != 0: res(x, u) = u0 and, for the reciprocals,
@@ -252,8 +250,6 @@ def _res_unit(top, df, u: Poly, ideal_mode):
     # top, whose entries below f_s are zero.
     U = reciprocal(u)
     r = divrem(Poly(R, top), U)[1]
-    if r.is_zero():
-        return R.zero
     return R.mul(R.pow_elem(u0, df - r.degree), _res(U, r, ideal_mode))
 
 
@@ -291,14 +287,13 @@ def _res(f: Poly, g: Poly, ideal_mode=False):
             return R.mul(acc, R.pow_elem(f.coeffs[0], m))
         if m == 0:
             return R.mul(acc, R.pow_elem(g.coeffs[0], n))
-        if n == 1 and m == 1:
-            return R.mul(acc, R.sub(R.mul(f.coeffs[1], g.coeffs[0]),
-                                    R.mul(f.coeffs[0], g.coeffs[1])))
         if m > n:
             f, g = g, f
             n, m = m, n
             if (n * m) % 2:
                 acc = R.neg(acc)
+        if m == 1:
+            return R.mul(acc, _res_linear(R, f.coeffs[::-1], n, *g.coeffs))
 
         try:
             cf, pf = primitive_part(f)

@@ -419,6 +419,18 @@ class TestResY:
         expect = Poly.from_ints(R, [5, 1]) * Poly.from_ints(R, [5, 1])
         assert res_y(f, cx) == expect
 
+    @pytest.mark.parametrize("n", [12, 15120, 101, 2**64, 9699690])
+    def test_both_constant_in_y(self, n):
+        # an empty Sylvester matrix: res_y == 1 whatever the x-polynomials,
+        # with B = 0 and the plan's powers reaching x^3
+        R = Zmod(n)
+        rng = random.Random(f"y-constants/{n}")
+        for dx, ex in ((0, 0), (0, 3), (2, 1), (3, 3)):
+            f, g = (BiPoly(R, (Poly.from_ints(R, [rng.randrange(n) for _ in range(d)] + [1]),))
+                    for d in (dx, ex))
+            assert f.deg_y == g.deg_y == 0 and degree_bound(f, g) == 0
+            assert res_y(f, g) == Poly.const(R, R.one) == res_y(g, f)
+
     @pytest.mark.parametrize("n", [12, 15120, 101])
     def test_constant_in_y_beside_x_degree_above_B(self, n):
         # g constant in y and f of x-degree 7 give B = deg_y f * deg_x g = 2,

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -108,11 +109,16 @@ class TestFixedIdeals:
         assert ideal_min(ctx, I) == 1
 
     def test_integer_generated(self):
-        # (6, 0) = (6): norm 6^n, min 6
-        ctx = NumberFieldCtx((1, 0, 1))
-        I = Ideal2(6, FieldElem(()))
-        assert ideal_norm(ctx, I) == 36
-        assert ideal_min(ctx, I) == 6
+        # (a, 0) = (a): N(0) = 0, norm a^n, min a; an exponent hint sharing
+        # a prime with a sends ideal_min down its general path
+        for minpoly, hint in product([(1, 0, 1), (-2, 0, 0, 1), (5, -3, 0, 1, 1)], (1, 6)):
+            ctx = NumberFieldCtx(minpoly, exponent_hint=hint)
+            for M in (2, 12, 3**40):
+                assert elem_norm_mod(ctx, FieldElem(()), M) == 0
+            for a, zero in product((2, 3, 6, 35, 2**64), (FieldElem(()), FieldElem((0, 0), 7))):
+                I = Ideal2(a, zero)
+                assert ideal_norm(ctx, I) == a**ctx.degree, (minpoly, hint, a)
+                assert ideal_min(ctx, I) == a, (minpoly, hint, a)
 
     def test_non_integral_norm_is_insufficient_hint(self):
         # (2, 1/2) in Z[i]: N(1/2) = 1/4 is not integral at a = 2

@@ -166,6 +166,20 @@ class TestPrecisionLoss:
         with pytest.raises(PrecisionError):
             padic_gcd(ctx, ctx.poly([1, 1, 3, 0, 2]), ctx.poly([1, 3, 3, 2, 2]))
 
+    def test_zero_operand(self):
+        # gcd(0, g) is g made monic: 3x^2 + 6x + 9 already is (times its
+        # content 3), 2x + 4 becomes x + 2 with v = 2^-1 = 41 mod 81
+        ctx = PadicCtx(3, 4)
+        z = ctx.poly([0])
+        for g, d, v in (([9, 6, 3], [9, 6, 3], 1), ([4, 2], [2, 1], 41)):
+            g = ctx.poly(g)
+            out = padic_gcd(ctx, z, g, track_bezout=True)
+            assert (out.value, out.delta, out.normalized) == (ctx.poly(d), 0, True)
+            assert out.u.is_zero() and out.v == ctx.poly([v])
+            assert out.u * z + out.v * g == out.value
+            assert padic_gcd(ctx, z, g).u is None
+            assert padic_gcd(ctx, g, z).value == out.value
+
     def test_zero_pair_rejected(self):
         ctx = PadicCtx(2, 3)
         with pytest.raises(ValueError):

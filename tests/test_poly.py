@@ -124,11 +124,21 @@ class TestArithmetic:
             # every entry q-1: the largest sums the packed slots must hold
             return [R.n - 1 if isinstance(R, Zmod) else (R.pe - 1,) * R.k] * length
 
+        def killer(R):
+            """[c], [t] with c*t == 0, or None over a field."""
+            if isinstance(R, GaloisRing):
+                return [R.from_int(R.p ** (R.e - 1))], [R.from_int(R.p)]
+            f = next((q for q in (2, 3) if R.n % q == 0), None)
+            return f and ([R.n // f], [f])
+
         for R in rings:
             for m in range(1, 60, 4):
                 a = rand(R, rng.randrange(1, 70))
                 shapes = [(rand(R, 1), a), (a, rand(R, 1)), (a, rand(R, m)), (a, a),
                           (top(R, m), top(R, m + 3))]
+                if killer(R):   # a 1-term zero divisor that cuts the product's degree
+                    c, t = killer(R)
+                    shapes += [(c, a + t), (a + t, c)]
                 for x, y in shapes:
                     slow = [R.zero] * (len(x) + len(y) - 1)
                     for i, u in enumerate(x):

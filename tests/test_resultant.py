@@ -9,7 +9,8 @@ from ringres import (ContextMismatchError, GaloisRing, NeedsSplitError, Poly, Zm
 from ringres.ring import InvariantError
 from ringres.poly import (_WORD_MIN, UnitChain, _Packed, divrem, divrem_primitive, fun_factor,
                           is_primitive, primitive_part)
-from ringres.resultant import Reduced, _res_unit, ppa
+from ringres import resultant
+from ringres.resultant import Reduced, _res_unit, ppa, res_at_degrees
 
 from oracles import (berkowitz_det, divrem_rowwise, lowdiv_rowwise, rres_galois_oracle,
                      rres_howell_oracle)
@@ -260,6 +261,116 @@ class TestResUnit:
             truncated += m >= 2 and f.degree - (f.coeffs[0] == R.zero) >= len(top)
         if R.E <= 6:
             assert truncated >= 10
+
+
+class TestDegenerateOperands:
+    """Zero and constant operands, which the general paths answer: res with a
+    zero operand is 0, and a Sylvester matrix of formal degrees 0 and 0 is
+    empty, so its determinant is 1."""
+
+    RINGS = [Zmod(12), Zmod(3**40), Zmod(2**64), Zmod(9699690),
+             GaloisRing(3, 20, find_irreducible(3, 2)), GaloisRing(2, 3, find_irreducible(2, 2))]
+
+    @staticmethod
+    def elems(R):
+        if isinstance(R, GaloisRing):
+            return [R.zero, R.one, R.from_int(R.p), (1, 2)]
+        return [0, 1, 2, 3, R.n - 1]
+
+    @pytest.mark.parametrize("R", RINGS, ids=str)
+    def test_res_with_a_zero_operand(self, R):
+        z = Poly.zero(R)
+        for c in self.elems(R):
+            for f in (Poly.const(R, c), Poly(R, [c, R.one]), Poly(R, [R.one, c, c, R.from_int(2)])):
+                for a, b in ((z, f), (f, z)):
+                    assert res(a, b) == R.zero, (a, b)
+                    assert res_ideal(a, b) == R.zero, (a, b)
+        assert res(z, z) == res_ideal(z, z) == R.zero
+
+    @pytest.mark.parametrize("R", RINGS, ids=str)
+    def test_res_at_formal_degrees_zero(self, R):
+        for c in self.elems(R):
+            for d in self.elems(R):
+                f, g = Poly.const(R, c), Poly.const(R, d)
+                assert res_at_degrees(f, 0, g, 0) == R.one, (c, d)
+                assert res_at_degrees(f, 0, g, 0, ideal_mode=True) == R.one, (c, d)
+
+    @pytest.mark.parametrize("R, p", [(Zmod(3**40), 3), (Zmod(2**64), 2),
+                                      (GaloisRing(3, 20, find_irreducible(3, 2)), 3)], ids=str)
+    def test_res_unit_of_a_multiple_of_u(self, R, p):
+        # f = u*q with q monic: the reversal of f is a multiple of rev(u), so
+        # the truncated reversal leaves remainder 0, and res(f, u) == 0 since
+        # u divides f
+        galois = isinstance(R, GaloisRing)
+        q = R.pe if galois else R.n
+        rng = random.Random(f"multiple/{R}")
+
+        def elem():
+            return tuple(rng.randrange(q) for _ in range(R.k)) if galois else rng.randrange(q)
+        for m in (1, 2, 3):
+            for dq in (1, 4):
+                us = [R.one] + [R.mul(elem(), R.from_int(p)) for _ in range(m - 1)] + [R.from_int(p)]
+                u = Poly(R, us)
+                f = u * Poly(R, [elem() for _ in range(dq)] + [R.one])
+                assert f.degree == m + dq
+                S = sylvester(f, u)
+                want = berkowitz_det(R, S.rows) if galois else det(S)
+                assert _res_unit(list(f.coeffs[::-1]), f.degree, u, False) == want == R.zero
+
+
+class TestLinearOperand:
+    """res and res_ideal with one operand of degree 1 take the closed form
+    sum_i f_i u0^i (-u1)^(n-i) and build no UnitChain.  The Galois degrees
+    stop at 24, as the Berkowitz oracle is quartic in the degree; the
+    linear corpus of scripts/outputs_digest.py runs them to degree 1000."""
+
+    @pytest.mark.parametrize("R, kinds", [
+        (Zmod(3**40), {"unit": 1, "nilpotent": 3, "deep": 3**37}),
+        (Zmod(2**64), {"unit": 1, "nilpotent": 2, "deep": 2**61}),
+        (Zmod(72), {"unit": 1, "nilpotent": 6, "zero-divisor": 8}),
+        (Zmod(9699690), {"unit": 1, "zero-divisor": 2 * 7 * 19}),
+        (GaloisRing(3, 20, find_irreducible(3, 2)), {"unit": 1, "nilpotent": 3, "deep": 3**18}),
+        (GaloisRing(2, 8, find_irreducible(2, 3)), {"unit": 1, "nilpotent": 2, "deep": 2**6}),
+    ], ids=lambda v: "+".join(v) if isinstance(v, dict) else str(v))
+    def test_matches_sylvester_det(self, monkeypatch, R, kinds):
+        built = []
+
+        class Counting(UnitChain):
+            def __init__(self, *args, **kw):
+                built.append(args)
+                super().__init__(*args, **kw)
+
+        monkeypatch.setattr(resultant, "UnitChain", Counting)
+        galois = isinstance(R, GaloisRing)
+        q = R.pe if galois else R.n
+        rng = random.Random(f"linear/{R}")
+
+        def elem():
+            return tuple(rng.randrange(q) for _ in range(R.k)) if galois else rng.randrange(q)
+
+        def unit():
+            while not R.is_unit(x := elem()):
+                pass
+            return x
+        degrees = (1, 2, 3, 7, 12, 24) if galois else (1, 2, 3, 7, 12, 24, 40, 64)
+        for kind, scale in kinds.items():
+            for n in degrees:
+                u1 = R.mul(unit(), R.from_int(scale))
+                u0 = R.zero if n % 3 == 0 else elem()
+                g = Poly(R, [u0, u1])
+                cs = [elem() for _ in range(n)] + [elem()]
+                if n % 2:   # a nilpotent or zero-divisor leading coefficient
+                    cs[-1] = R.mul(cs[-1], R.from_int(list(kinds.values())[-1]))
+                f = Poly(R, cs)
+                if f.degree < 1:
+                    continue
+                S = sylvester(f, g)
+                want = berkowitz_det(R, S.rows) if galois else det(S)
+                back = R.neg(want) if f.degree % 2 else want   # (-1)^(deg f * 1)
+                assert res(f, g) == want, (kind, f, g)
+                assert res(g, f) == back, (kind, f, g)
+                assert res_ideal(f, g) == res_ideal(g, f) == R.ideal_gen(want), (kind, f, g)
+        assert built == []
 
 
 class TestAlgebraicIdentities:

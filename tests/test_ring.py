@@ -236,6 +236,22 @@ class TestGaloisRing:
         q = gr.try_divide((4, 4), (2, 0))
         assert q is not None and gr.mul(q, (2, 0)) == (4, 4)
 
+    def test_colon_and_failed_division(self):
+        # GR(2^3, 2): ((a) : (b)) = (2^max(v(a) - v(b), 0)); (4):(2) = (2)
+        # as x*2 is in (4) exactly when x is in (2), and (0):(2) = (4)
+        gr = GaloisRing(2, 3, (1, 1, 1))
+        assert gr.colon((4, 0), (2, 2)) == (2, 0)
+        assert gr.colon((0, 4), (6, 2)) == (2, 0)
+        assert gr.colon((2, 0), (4, 4)) == gr.one
+        assert gr.colon(gr.zero, (2, 0)) == (4, 0)
+        assert gr.colon((1, 1), gr.zero) == gr.one
+        assert gr.colon(gr.zero, gr.one) == gr.zero
+        # b*c == a has no solution when v(b) > v(a); 0 is divisible by anything
+        assert gr.try_divide((2, 0), (4, 0)) is None
+        assert gr.try_divide((1, 1), (2, 6)) is None
+        assert gr.try_divide((3, 5), gr.zero) is None
+        assert gr.try_divide(gr.zero, gr.zero) == gr.zero
+
     def test_quotients(self):
         gr = GaloisRing(2, 3, (1, 1, 1))
         assert gr.ann_quotient((2, 0)).e == 2
